@@ -6,17 +6,24 @@ so a finite section never over-claims an asymptotic fact.  Products that a
 square section cannot represent exactly (column Gram matrices, polar factors)
 are computed from column-exact tall sections: the shift built on the full
 materialized horizon, sliced to the first N columns.
+
+The dense analysis rests on one thin SVD ``T = U S W^H`` of that tall
+section.  The polar factor is ``V = U W^H`` and ``|T| = W S W^H``; the kernel
+rank is read from ``S``; the ``I - T*T`` column tails are the column norms of
+``(I - S^2) W^H``.  The near-singular test therefore compares a singular
+value that double precision resolves.  Sections whose imaginary part is
+exactly zero are factored and multiplied as real arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .operators import (
     TruncatedOperator,
-    build_adjoint,
     build_left_inverse,
     build_shift,
     build_tail_blocks,
@@ -33,8 +40,9 @@ DEFAULT_MARGIN = 64
 
 
 class NearSingularError(ArithmeticError):
-    """The section's column Gram matrix is numerically singular, so the
-    polar factor cannot be formed (left-invertibility lost at this order)."""
+    """The section's least singular value is at or below the threshold, so
+    the polar factor cannot be formed (left-invertibility lost at this
+    order)."""
 
     def __init__(self, least_singular: float, threshold: float) -> None:
         super().__init__(
@@ -134,7 +142,60 @@ def check_main_criterion(
     )
 
 
-def column_norm_profile(seq: SequencePair, N: int) -> tuple[np.ndarray, np.ndarray]:
+def _narrow(E: np.ndarray) -> np.ndarray:
+    """Complex ``E`` as a contiguous real array when its imaginary part is
+    exactly zero, so that real families are factored and multiplied in real
+    arithmetic; otherwise ``E`` unchanged."""
+    if not E.imag.any():
+        return np.ascontiguousarray(E.real)
+    return E
+
+
+class _ShiftSection:
+    """The shift section on the full materialized horizon, built once and
+    shared by the analyses of one run.
+
+    ``tall`` is its first ``N`` columns (column-exact) and ``square`` the
+    leading ``N x N`` window.  ``svd`` is the thin SVD ``(U, s, W^H)`` of the
+    tall section, with ``s`` descending, and ``ltstar_profile`` the column
+    norms of ``L - T*`` over the first ``N`` columns.  Each is computed on
+    first use and kept.
+    """
+
+    def __init__(self, seq: SequencePair, N: int) -> None:
+        self.seq = seq
+        self.N = N
+
+    @cached_property
+    def full(self) -> np.ndarray:
+        return _narrow(build_shift(self.seq, self.seq.horizon).entries)
+
+    @property
+    def tall(self) -> np.ndarray:
+        return self.full[:, : self.N]
+
+    @property
+    def square(self) -> np.ndarray:
+        return self.full[: self.N, : self.N]
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.linalg.svd(self.tall, full_matrices=False)
+
+    @cached_property
+    def ltstar_profile(self) -> np.ndarray:
+        L = build_left_inverse(self.seq, self.seq.horizon).entries
+        # T* is the conjugate transpose of the horizon section, which is
+        # bit-identical to build_adjoint on the same horizon
+        tstar = self.full[: self.N].conj().T
+        profile = np.linalg.norm(L[:, : self.N] - tstar, axis=0)
+        profile.flags.writeable = False
+        return profile
+
+
+def column_norm_profile(
+    seq: SequencePair, N: int, *, _section: _ShiftSection | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Column norms of (left inverse - adjoint) plus a term-dropping floor.
 
     Sections are built on the full materialized horizon and the first N
@@ -142,21 +203,20 @@ def column_norm_profile(seq: SequencePair, N: int) -> tuple[np.ndarray, np.ndarr
     Returns ``(profile, lower_bound_sq)`` where
     ``lower_bound_sq[m] = |c_{m-2}|^2 + |a_m/a_{m-1} - conj(a_{m-1}/a_m)|^2``
     (the c-term absent for m < 2) and ``profile[m]**2 >= lower_bound_sq[m]``.
+    The profile array is read-only.
     """
     if N < 4:
         raise ValueError("profile needs N >= 4")
     H = seq.horizon
     if N > H:
         raise ValueError(f"N = {N} exceeds the materialized horizon {H}")
-    L = build_left_inverse(seq, H).entries
-    Astar = build_adjoint(seq, H).entries
-    profile = np.linalg.norm((L - Astar)[:, :N], axis=0)
+    section = _ShiftSection(seq, N) if _section is None else _section
     rv = seq.a[1:] / seq.a[:-1] - np.conj(seq.a[:-1] / seq.a[1:])
     c = c_coefficients(seq)
     lower = np.zeros(N, dtype=float)
     lower[1:] = np.abs(rv[: N - 1]) ** 2
     lower[2:] += np.abs(c[: N - 2]) ** 2
-    return profile, lower
+    return section.ltstar_profile, lower
 
 
 def index_data(
@@ -166,76 +226,92 @@ def index_data(
 
     The kernel rank uses the column-exact tall section (full columns, no
     truncation loss); the cokernel uses the square section, whose column
-    space is exactly the window part of the range.
+    space is exactly the window part of the range.  Only singular values are
+    computed.
     """
-    full = build_shift(seq, seq.horizon).entries
-    tall = full[:, :N]
-    square = full[:N, :N]
-    dim_ker = N - _numerical_rank(tall, rank_tol)
-    dim_coker = N - _numerical_rank(square, rank_tol)
+    section = _ShiftSection(seq, N)
+    s_tall = np.linalg.svd(section.tall, compute_uv=False)
+    return _index_data(section, s_tall, rank_tol)
+
+
+def _index_data(section: _ShiftSection, s_tall: np.ndarray, rank_tol: float) -> IndexData:
+    N = section.N
+    dim_ker = N - _numerical_rank(s_tall, rank_tol)
+    s_square = np.linalg.svd(section.square, compute_uv=False)
+    dim_coker = N - _numerical_rank(s_square, rank_tol)
     return IndexData(dim_ker=dim_ker, dim_coker=dim_coker, index=dim_ker - dim_coker)
 
 
-def _numerical_rank(matrix: np.ndarray, rank_tol: float) -> int:
-    s = np.linalg.svd(matrix, compute_uv=False)
+def _numerical_rank(s: np.ndarray, rank_tol: float) -> int:
+    """Number of descending singular values above ``rank_tol * s[0]``."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rank_tol * s[0]))
 
 
 def equivalence_diagnostics(
-    seq: SequencePair, N: int, rank_tol: float = DEFAULT_RANK_TOL
+    seq: SequencePair,
+    N: int,
+    rank_tol: float = DEFAULT_RANK_TOL,
+    *,
+    _section: _ShiftSection | None = None,
 ) -> EquivalenceDiagnostics:
     """Tail-norm profiles of I - T*T, L - T*, I - TT*, plus index data.
 
-    T*T comes from the tall section (columns padded to the horizon); TT* is
-    exact on the window already because the shift rows are finitely supported.
+    T*T comes from the tall section (columns padded to the horizon): with
+    ``T = U S W^H`` its tails are the column norms of ``(I - S^2) W^H``.  TT*
+    is exact on the window already because the shift rows are finitely
+    supported.
     """
     if N < 8:
         raise ValueError("equivalence diagnostics need N >= 8")
     H = seq.horizon
     if N > H:
         raise ValueError(f"N = {N} exceeds the materialized horizon {H}")
-    full = build_shift(seq, H).entries
-    tall = full[:, :N]
-    gram = tall.conj().T @ tall
-    tails_itt = np.linalg.norm(np.eye(N) - gram, axis=0)
-    tails_ltstar, _ = column_norm_profile(seq, N)
-    square = full[:N, :N]
+    section = _ShiftSection(seq, N) if _section is None else _section
+    _, s, wh = section.svd
+    tails_itt = np.linalg.norm((1.0 - s * s)[:, None] * wh, axis=0)
+    square = section.square
     proj = square @ square.conj().T
     tails_ittstar = np.linalg.norm(np.eye(N) - proj, axis=0)
-    dim_ker = N - _numerical_rank(tall, rank_tol)
-    dim_coker = N - _numerical_rank(square, rank_tol)
     return EquivalenceDiagnostics(
         tails_itt=tails_itt,
-        tails_ltstar=tails_ltstar,
+        tails_ltstar=section.ltstar_profile,
         tails_ittstar=tails_ittstar,
-        index_data=IndexData(dim_ker, dim_coker, dim_ker - dim_coker),
+        index_data=_index_data(section, s, rank_tol),
     )
+
+
+def _polar_isometry(
+    u: np.ndarray, s: np.ndarray, wh: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Polar isometry ``U W^H`` of a thin SVD with descending ``s``.
+
+    Raises :class:`NearSingularError` when the least singular value is at or
+    below ``threshold``.
+    """
+    least = float(s[-1])
+    if least <= threshold:
+        raise NearSingularError(least, threshold)
+    return u @ wh
 
 
 def polar_decompose(
     T: TruncatedOperator, threshold: float = DEFAULT_SINGULAR_FLOOR
 ) -> tuple[TruncatedOperator, TruncatedOperator]:
-    """Polar factors (V, P) with P = (T*T)^(1/2) and V = T P^(-1).
+    """Polar factors (V, P) with P = (T*T)^(1/2) and T = V P.
 
-    P is formed by a full Hermitian eigendecomposition of the column Gram
-    matrix; V inherits T's shape (tall sections give V orthonormal columns).
-    Raises :class:`NearSingularError` when the least singular value of T is
-    at or below ``threshold``.
+    Both come from one thin SVD ``T = U S W^H``: ``V = U W^H`` and
+    ``P = W S W^H``, symmetrised so that P is exactly Hermitian.  V inherits
+    T's shape (tall sections give V orthonormal columns).  Sections with no
+    imaginary part are factored in real arithmetic.  Raises
+    :class:`NearSingularError` when the least singular value of T is at or
+    below ``threshold``.
     """
-    E = T.entries
-    gram = E.conj().T @ E
-    gram = (gram + gram.conj().T) / 2.0
-    eigvals, U = np.linalg.eigh(gram)
-    s = np.sqrt(np.clip(eigvals, 0.0, None))
-    least = float(s[0])
-    if least <= threshold:
-        raise NearSingularError(least, threshold)
-    P = (U * s) @ U.conj().T
+    u, s, wh = np.linalg.svd(_narrow(T.entries), full_matrices=False)
+    V = _polar_isometry(u, s, wh, threshold)
+    P = (wh.conj().T * s) @ wh
     P = (P + P.conj().T) / 2.0
-    Pinv = (U * (1.0 / s)) @ U.conj().T
-    V = E @ Pinv
     return (
         TruncatedOperator(V, T.order, T.basis_offset, None, T.exact_window),
         TruncatedOperator(P, T.order, T.basis_offset, None, T.exact_window),
@@ -243,34 +319,37 @@ def polar_decompose(
 
 
 def compact_isometry_split(
-    seq: SequencePair, N: int, margin: int = DEFAULT_MARGIN
+    seq: SequencePair,
+    N: int,
+    margin: int = DEFAULT_MARGIN,
+    *,
+    _section: _ShiftSection | None = None,
 ) -> DecompositionResult:
     """Split the shift section into its polar isometry plus remainder.
 
-    The polar factors come from the column-exact tall section; the returned
-    sections are the leading N x N windows, while ``column_decay`` holds the
-    full-column remainder norms.  ``margin`` columns at the right edge are
-    excluded from the isometry-defect statistic to suppress boundary
-    artifacts.
+    The polar isometry comes from the thin SVD of the column-exact tall
+    section; the returned sections are the leading N x N windows, while
+    ``column_decay`` holds the full-column remainder norms.  ``margin``
+    columns at the right edge are excluded from the isometry-defect
+    statistic to suppress boundary artifacts.
     """
     if N < 8:
         raise ValueError("decomposition needs N >= 8")
     H = seq.horizon
     if N > H:
         raise ValueError(f"N = {N} exceeds the materialized horizon {H}")
-    full = build_shift(seq, H).entries
-    tall = TruncatedOperator(full[:, :N], N, 0, None, N)
-    V, _P = polar_decompose(tall)
-    remainder = tall.entries - V.entries
+    section = _ShiftSection(seq, N) if _section is None else _section
+    V = _polar_isometry(*section.svd, DEFAULT_SINGULAR_FLOOR)
+    remainder = section.tall - V
     column_decay = np.linalg.norm(remainder, axis=0)
-    vtv = V.entries.conj().T @ V.entries
+    vtv = V.conj().T @ V
     defect_cols = np.linalg.norm(vtv - np.eye(N), axis=0)
     interior = max(1, N - max(margin, 0))
     isometry_defect = float(defect_cols[:interior].max())
     column_decay.flags.writeable = False
     return DecompositionResult(
-        isometry_factor=TruncatedOperator(V.entries[:N].copy(), N, 0, None, N),
-        compact_part=TruncatedOperator(remainder[:N].copy(), N, 0, None, N),
+        isometry_factor=TruncatedOperator(V[:N], N, 0, None, N),
+        compact_part=TruncatedOperator(remainder[:N], N, 0, None, N),
         column_decay=column_decay,
         isometry_defect=isometry_defect,
     )

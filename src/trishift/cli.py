@@ -29,6 +29,7 @@ from .analysis import (
     compact_isometry_split,
     equivalence_diagnostics,
     neumann_error_curve,
+    _ShiftSection,
 )
 from .expr import EvalError, ExprSyntaxError
 from .kernels import PointSet, adjoint_residual_grid, eval_kernel
@@ -213,10 +214,6 @@ def _resolve_configs(args: argparse.Namespace) -> list[RunConfig]:
     return [_merge_config({}, flags)]
 
 
-def _materialize_exact(cfg: RunConfig, spec: CoefficientSpec) -> SequencePair:
-    return materialize(spec, cfg.order)
-
-
 def _materialize_padded(cfg: RunConfig, spec: CoefficientSpec) -> SequencePair:
     want = cfg.order + cfg.pad
     avail = spec.available_horizon()
@@ -240,7 +237,7 @@ def _report_path(cfg: RunConfig, stem: str) -> Path:
 
 def _run_check(cfg: RunConfig) -> int:
     spec = load_spec_file(cfg.spec_path)
-    seq = _materialize_exact(cfg, spec)
+    seq = materialize(spec, cfg.order)
     assumptions = validate_assumptions(seq, cfg.r_target)
     crit = check_main_criterion(seq, cfg.tol, cfg.effective_window)
     report = check_report(spec.label, cfg.order, assumptions, crit)
@@ -270,9 +267,13 @@ def _run_profile(cfg: RunConfig) -> int:
     seq_rep = seq_full.trimmed(cfg.order)
     assumptions = validate_assumptions(seq_rep, cfg.r_target)
     crit = check_main_criterion(seq_rep, cfg.tol, cfg.effective_window)
-    profile, lower_sq = column_norm_profile(seq_full, cfg.order)
-    diag = equivalence_diagnostics(seq_full, cfg.order)
-    deco = compact_isometry_split(seq_full, cfg.order, margin=cfg.pad)
+    # one horizon section, factored once, serves all three analyses
+    section = _ShiftSection(seq_full, cfg.order)
+    profile, lower_sq = column_norm_profile(seq_full, cfg.order, _section=section)
+    diag = equivalence_diagnostics(seq_full, cfg.order, _section=section)
+    deco = compact_isometry_split(
+        seq_full, cfg.order, margin=cfg.pad, _section=section
+    )
     report = full_report(
         spec.label, cfg.order, assumptions, crit, profile, diag, deco
     )
@@ -326,7 +327,7 @@ def _run_kernel(cfg: RunConfig) -> int:
         raise ConfigError("kernel requires --grid 'radius:count'")
     radius, count = _parse_grid(cfg.grid)
     spec = load_spec_file(cfg.spec_path)
-    seq = _materialize_exact(cfg, spec)
+    seq = materialize(spec, cfg.order)
     points = PointSet(
         tuple(radius * cmath.exp(2j * math.pi * j / count) for j in range(count))
     )

@@ -17,10 +17,8 @@ of ``(a, b)``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -355,14 +353,6 @@ def sparse_triplets(op: TruncatedOperator) -> list[tuple[int, int, float, float]
     return out
 
 
-def write_triplets_csv(op: TruncatedOperator, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", "col", "re", "im"])
-        for row, col, re_, im_ in sparse_triplets(op):
-            writer.writerow([row, col, repr(re_), repr(im_)])
-
-
 __all__ = [
     "BlockSet",
     "TruncatedOperator",
@@ -375,5 +365,4 @@ __all__ = [
     "monomial_in_basis",
     "neumann_partial_sum",
     "sparse_triplets",
-    "write_triplets_csv",
 ]

@@ -148,7 +148,7 @@ def _cell(value: Any) -> str:
     if isinstance(value, float):
         if value != value or value in (float("inf"), float("-inf")):
             return ""
-        return repr(value)
+        return repr(float(value))  # plain text for numpy float subclasses
     return str(value)
 
 

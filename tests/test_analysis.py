@@ -235,6 +235,30 @@ def test_polar_factor_positive_with_ratio_floor():
     assert np.linalg.eigvalsh(P2.entries)[0] > 0.0
 
 
+def _conditioned_matrix(n, s_min, seed=7):
+    # Q1 diag(s) Q2^T with s log-spaced from 1 down to s_min
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.logspace(0.0, np.log10(s_min), n)
+    return (q1 * s) @ q2.T
+
+
+def test_polar_isometric_when_least_singular_value_is_resolved():
+    for s_min in (1e-6, 1e-8):
+        A = _conditioned_matrix(200, s_min)
+        V, _ = polar_decompose(TruncatedOperator(A, 200))
+        vtv = V.entries.conj().T @ V.entries
+        assert np.max(np.abs(vtv - np.eye(200))) <= 1e-12, s_min
+
+
+def test_polar_reports_resolved_least_singular_value():
+    A = _conditioned_matrix(200, 1e-11)
+    with pytest.raises(NearSingularError) as info:
+        polar_decompose(TruncatedOperator(A, 200))
+    assert abs(info.value.least_singular - 1e-11) <= 1e-2 * 1e-11
+
+
 # --------------------------------------------------------------------- split
 
 
@@ -272,6 +296,55 @@ def test_split_reproduces_section():
     assert np.max(np.abs(recon - T)) < 1e-10
     total = deco.isometry_factor.entries + deco.compact_part.entries
     assert np.max(np.abs(total - T)) < 1e-12
+
+
+def _gram_reference(seq, N, margin, rank_tol=1e-8):
+    """Dense reference: I - T*T from the column Gram matrix, the polar factor
+    from a full Hermitian eigendecomposition of it, ranks from two SVDs."""
+    full = build_shift(seq, seq.horizon).entries
+    tall = full[:, :N]
+    square = full[:N, :N]
+    eye = np.eye(N)
+    gram = tall.conj().T @ tall
+    tails_itt = np.linalg.norm(eye - gram, axis=0)
+    tails_ittstar = np.linalg.norm(eye - square @ square.conj().T, axis=0)
+    eigvals, U = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+    s = np.sqrt(np.clip(eigvals, 0.0, None))
+    V = tall @ ((U * (1.0 / s)) @ U.conj().T)
+    column_decay = np.linalg.norm(tall - V, axis=0)
+    defect_cols = np.linalg.norm(V.conj().T @ V - eye, axis=0)
+    isometry_defect = float(defect_cols[: max(1, N - margin)].max())
+
+    def rank(m):
+        sv = np.linalg.svd(m, compute_uv=False)
+        return int(np.count_nonzero(sv > rank_tol * sv[0]))
+
+    dim_ker = N - rank(tall)
+    dim_coker = N - rank(square)
+    return (tails_itt, tails_ittstar, column_decay, isometry_defect,
+            (dim_ker, dim_coker, dim_ker - dim_coker))
+
+
+def test_single_svd_core_matches_gram_reference():
+    N, pad = 48, 16
+    rng = np.random.default_rng(67)
+    real = SequencePair(
+        a=rng.uniform(0.5, 2.0, N + pad + 1) * rng.choice([-1.0, 1.0], N + pad + 1),
+        b=0.2 * rng.uniform(-1, 1, N + pad + 1),
+        horizon=N + pad,
+    )
+    for seq in (real, random_pair(rng, N + pad)):
+        itt, ittstar, decay, defect, index = _gram_reference(seq, N, pad)
+        diag = equivalence_diagnostics(seq, N)
+        deco = compact_isometry_split(seq, N, margin=pad)
+        assert np.max(np.abs(diag.tails_itt - itt)) <= 1e-12
+        assert np.max(np.abs(diag.tails_ittstar - ittstar)) <= 1e-12
+        assert np.max(np.abs(deco.column_decay - decay)) <= 1e-12
+        assert abs(deco.isometry_defect - defect) <= 1e-12
+        d = diag.index_data
+        assert (d.dim_ker, d.dim_coker, d.index) == index
+        d = index_data(seq, N)
+        assert (d.dim_ker, d.dim_coker, d.index) == index
 
 
 # ------------------------------------------------------------------- neumann

@@ -204,6 +204,26 @@ def test_profile_constant_b_is_flat_zero(tmp_path):
     assert all(float(r[1]) < 1e-12 for r in rows)
 
 
+def test_profile_factors_tall_section_once(tmp_path, monkeypatch):
+    # one real SVD of the (H, N) tall section; no Gram eigendecomposition
+    calls = []
+    for name in ("svd", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, a.shape, a.dtype.kind))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    spec = write_spec(
+        tmp_path, "harm.json", {"label": "harm", "a": "1", "b": "1/(n+1)"}
+    )
+    assert main(["profile", "--spec", str(spec), "--order", "64",
+                 "--pad", "16", "--out", str(tmp_path / "out")]) == 0
+    assert [c for c in calls if c[1] == (80, 64)] == [("svd", (80, 64), "f")]
+    assert not [c for c in calls if c[0] == "eigh"]
+
+
 def test_profile_skips_neumann_when_unbounded(tmp_path, capsys):
     spec = write_spec(tmp_path, "hot.json", {"label": "hot", "a": "1", "b": "1.2"})
     out = tmp_path / "out"
@@ -253,6 +273,21 @@ def test_kernel_szego_grid(tmp_path):
     header, rows = read_csv(out / "kernel_residuals.csv")
     assert header == ["re_w", "im_w", "residual", "certificate"]
     assert len(rows) == 8
+
+
+def test_kernel_csv_cells_parse_as_numbers(tmp_path):
+    spec = write_spec(tmp_path, "harm.json", {"label": "harm", "a": "1", "b": "1/(n+1)"})
+    out = tmp_path / "out"
+    assert main(["kernel", "--spec", str(spec), "--order", "128",
+                 "--grid", "0.5:4", "--tol", "1e-10", "--out", str(out)]) == 0
+    names = sorted(p.name for p in out.glob("*.csv"))
+    assert names == ["kernel_residuals.csv", "kernel_sweep.csv"]
+    for name in names:
+        _, rows = read_csv(out / name)
+        assert rows
+        for row in rows:
+            for cell in row:
+                float(cell)
 
 
 def test_kernel_grid_validation(tmp_path):
