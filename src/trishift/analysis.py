@@ -24,6 +24,7 @@ import numpy as np
 
 from .operators import (
     TruncatedOperator,
+    _neumann_partial_sums,
     build_left_inverse,
     build_shift,
     build_tail_blocks,
@@ -185,8 +186,8 @@ class _ShiftSection:
     @cached_property
     def ltstar_profile(self) -> np.ndarray:
         L = build_left_inverse(self.seq, self.seq.horizon).entries
-        # T* is the conjugate transpose of the horizon section, which is
-        # bit-identical to build_adjoint on the same horizon
+        # T* is the conjugate transpose of the horizon section, which is how
+        # build_adjoint defines the adjoint
         tstar = self.full[: self.N].conj().T
         profile = np.linalg.norm(L[:, : self.N] - tstar, axis=0)
         profile.flags.writeable = False
@@ -377,13 +378,11 @@ def neumann_error_curve(
         )
     m0 = float(np.abs(c_coefficients(seq)).max())
     rows: list[tuple[int, float, float]] = []
-    total = D.entries.copy()
-    term = D.entries
+    sums = _neumann_partial_sums(W.entries, D.entries)
     for m in range(m_max + 1):
-        if m > 0:
-            term = -(W.entries @ term)
-            total = total + term
-        err = float(np.linalg.norm(A2.entries - total, 2))
+        total = next(sums, None)
+        if total is not None:  # otherwise the terms vanished: S_m = S_{m-1}
+            err = float(np.linalg.norm(A2.entries - total, 2))
         bound = m0 * r ** (m + 1) / (1.0 - r) if r > 0.0 else 0.0
         rows.append((m, err, bound))
     return rows

@@ -32,7 +32,7 @@ from .analysis import (
     _ShiftSection,
 )
 from .expr import EvalError, ExprSyntaxError
-from .kernels import PointSet, adjoint_residual_grid, eval_kernel
+from .kernels import PointSet, _hermitian, adjoint_residual_grid, eval_kernel
 from .reporting import (
     check_report,
     decompose_report,
@@ -332,22 +332,27 @@ def _run_kernel(cfg: RunConfig) -> int:
         tuple(radius * cmath.exp(2j * math.pi * j / count) for j in range(count))
     )
     pts = list(points)
+    # k(w, z) = conj(k(z, w)) term by term; 0.0 - imag keeps a zero unsigned
+    pairs = {
+        (i, j): eval_kernel(seq, pts[i], pts[j], cfg.tol)
+        for i in range(count)
+        for j in range(i, count)
+    }
     sweep_rows = []
-    values: dict[tuple[int, int], complex] = {}
     converged_pairs = 0
     for i, zi in enumerate(pts):
         for j, wj in enumerate(pts):
-            kv = eval_kernel(seq, zi, wj, cfg.tol)
+            kv = pairs[(min(i, j), max(i, j))]
+            im_k = kv.value.imag if i <= j else 0.0 - kv.value.imag
             sweep_rows.append(
                 (
                     zi.real, zi.imag, wj.real, wj.imag,
-                    kv.value.real, kv.value.imag,
+                    kv.value.real, im_k,
                     kv.terms_used, kv.tail_estimate, int(kv.converged),
                 )
             )
             if kv.converged:
                 converged_pairs += 1
-                values[(i, j)] = kv.value
             else:
                 _warn(
                     f"kernel tail not certified at pair ({i}, {j}); "
@@ -362,11 +367,7 @@ def _run_kernel(cfg: RunConfig) -> int:
     )
     least_eig: float | None = None
     if converged_pairs == len(pts) ** 2:
-        G = np.empty((count, count), dtype=complex)
-        for i in range(count):
-            for j in range(i, count):
-                G[i, j] = values[(i, j)]
-                G[j, i] = np.conj(values[(i, j)])
+        G = _hermitian({ij: kv.value for ij, kv in pairs.items()}, count)
         least_eig = float(np.linalg.eigvalsh(G)[0])
     else:
         _warn("Gram least eigenvalue omitted (some pairs did not converge)")

@@ -122,6 +122,16 @@ def eval_kernel(
     return KernelValue(complex(total), H + 1, float(tail), False)
 
 
+def _hermitian(upper: dict[tuple[int, int], complex], k: int) -> np.ndarray:
+    """The k x k matrix with the given upper triangle (``i <= j``), its
+    lower triangle filled by conjugation so that it is exactly Hermitian."""
+    G = np.empty((k, k), dtype=complex)
+    for (i, j), value in upper.items():
+        G[j, i] = np.conj(value)
+        G[i, j] = value
+    return G
+
+
 def gram_matrix(seq: SequencePair, pts: PointSet, tol: float = 1e-10) -> np.ndarray:
     """Hermitian Gram matrix G[i, j] = k(z_i, z_j) on the point set.
 
@@ -132,7 +142,7 @@ def gram_matrix(seq: SequencePair, pts: PointSet, tol: float = 1e-10) -> np.ndar
         raise ValueError("point set must be nonempty")
     k = len(pts)
     points = list(pts)
-    G = np.empty((k, k), dtype=complex)
+    upper = {}
     for i in range(k):
         for j in range(i, k):
             kv = eval_kernel(seq, points[i], points[j], tol)
@@ -141,10 +151,8 @@ def gram_matrix(seq: SequencePair, pts: PointSet, tol: float = 1e-10) -> np.ndar
                     f"kernel tail not certified for pair ({i}, {j}); "
                     f"estimate {kv.tail_estimate:.3e}"
                 )
-            G[i, j] = kv.value
-            if i != j:
-                G[j, i] = np.conj(kv.value)
-    return G
+            upper[(i, j)] = kv.value
+    return _hermitian(upper, k)
 
 
 def defect_matrix(seq: SequencePair, N: int) -> TruncatedOperator:

@@ -13,10 +13,16 @@ coefficient families cannot overflow intermediate numerators or denominators.
 Each factor is a direct entrywise ratio ``b_k / a_{k+1}``, preserving the
 bit-level invariance of all sections under exactly representable rescalings
 of ``(a, b)``.
+
+One routine runs every such column once, to the horizon: its head is the
+section's entries and its rest the column's tail bound, so every section is
+bit for bit the leading window of the horizon section.  The adjoint section
+is the conjugate transpose of the shift section.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -108,6 +114,44 @@ def _require_horizon(seq: SequencePair, needed: int, what: str) -> None:
         )
 
 
+def _running_columns(
+    seq: SequencePair, out: np.ndarray, starts: np.ndarray, first: int
+) -> np.ndarray | None:
+    """Fill ``out`` with running-product columns; return their tail bounds.
+
+    Column ``j`` is ``t_0 = starts[j]``, ``t_{m+1} = t_m r_{first+j+m}``,
+    ``r_k = -b_k / a_{k+1}``, with ``t_m`` in row ``j + m``, run to basis
+    vector H.  Its bound is the root of the rest's squared norm plus
+    ``|t_H|^2 r^2 / (1 - r^2)``, ``r = r_hat``, summed after scaling by the
+    largest discarded magnitude so that squares below the double range count;
+    ``None`` when ``r_hat >= 1`` or under two rows lie below ``out``.
+    """
+    H = seq.horizon
+    rows = out.shape[0]
+    ratios = -(seq.b[:-1] / seq.a[1:])
+    r_hat = validate_assumptions(seq).r_hat
+    tail = None
+    if r_hat < 1.0 and first + rows < H:
+        tail = np.zeros(len(starts))
+        factor = r_hat * r_hat / (1.0 - r_hat * r_hat)
+    for j, start in enumerate(starts):
+        f = first + j
+        vals = np.empty(H - f + 1, dtype=complex)
+        vals[0] = start
+        vals[1:] = start * np.cumprod(ratios[f:])
+        head = vals[: max(rows - j, 0)]
+        out[j : j + head.size, j] = head
+        if tail is not None:
+            rest = np.abs(vals[head.size :])
+            scale = rest.max()
+            if scale > 0.0:
+                rest /= scale
+                tail[j] = scale * math.sqrt(
+                    float(np.sum(rest * rest)) + rest[-1] * rest[-1] * factor
+                )
+    return tail
+
+
 def monomial_in_basis(seq: SequencePair, n: int, M: int) -> np.ndarray:
     """Coefficients of the n-th monomial over basis vectors n..n+M.
 
@@ -119,24 +163,21 @@ def monomial_in_basis(seq: SequencePair, n: int, M: int) -> np.ndarray:
         raise ValueError("n and M must be nonnegative")
     _require_horizon(seq, n + M, "monomial expansion")
     coef = np.empty(M + 1, dtype=complex)
-    coef[0] = 1.0 / seq.a[n]
-    if M:
-        ratios = -(seq.b[n : n + M] / seq.a[n + 1 : n + M + 1])
-        coef[1:] = coef[0] * np.cumprod(ratios)
+    _running_columns(seq, coef[:, None], [1.0 / seq.a[n]], n)
     return coef
 
 
-def _deep_column(start: complex, first_b: int, depth: int, seq: SequencePair) -> np.ndarray:
-    """Running-product column: t_0 = start, t_{m+1} = t_m * (-b_{f+m}/a_{f+m+1})."""
-    vals = np.empty(depth, dtype=complex)
-    vals[0] = start
-    if depth > 1:
-        ratios = -(
-            seq.b[first_b : first_b + depth - 1]
-            / seq.a[first_b + 1 : first_b + depth]
-        )
-        vals[1:] = start * np.cumprod(ratios)
-    return vals
+def _fill_shift(seq: SequencePair, M: np.ndarray) -> np.ndarray | None:
+    """Write the shift section into the zero square ``M``; return its tail
+    bounds."""
+    N = M.shape[0]
+    a = seq.a
+    idx = np.arange(N - 1)
+    M[idx + 1, idx] = a[: N - 1] / a[1:N]
+    tail = _running_columns(seq, M[2:], c_coefficients(seq)[:N], 2)
+    if tail is not None:  # the last column's subdiagonal entry is cut too
+        tail[N - 1] = math.hypot(abs(a[N - 1] / a[N]), tail[N - 1])
+    return tail
 
 
 def build_shift(seq: SequencePair, N: int) -> TruncatedOperator:
@@ -145,53 +186,20 @@ def build_shift(seq: SequencePair, N: int) -> TruncatedOperator:
     if N < 2:
         raise ValueError("section order must be at least 2")
     _require_horizon(seq, N, "shift section")
-    a = seq.a
     M = np.zeros((N, N), dtype=complex)
-    idx = np.arange(N - 1)
-    M[idx + 1, idx] = a[: N - 1] / a[1:N]
-    c = c_coefficients(seq)
-    for n in range(N - 2):
-        M[n + 2 :, n] = _deep_column(c[n], n + 2, N - n - 2, seq)
-    tail = _shift_tail_bounds(seq, N, c)
+    tail = _fill_shift(seq, M)
     return TruncatedOperator(M, N, 0, tail, N)
 
 
-def _shift_tail_bounds(seq: SequencePair, N: int, c: np.ndarray) -> np.ndarray | None:
-    H = seq.horizon
-    rep = validate_assumptions(seq)
-    if rep.r_hat >= 1.0 or H < N + 1:
-        return None
-    r2 = rep.r_hat * rep.r_hat
-    factor = r2 / (1.0 - r2)
-    bounds = np.zeros(N, dtype=float)
-    for n in range(N):
-        mass = 0.0
-        if n + 1 >= N:  # subdiagonal entry was cut (last column)
-            mass += abs(seq.a[n] / seq.a[n + 1]) ** 2
-        depth = H - (n + 2) + 1
-        vals = _deep_column(c[n], n + 2, depth, seq)
-        cut = vals[max(0, N - (n + 2)) :]
-        if cut.size:
-            mass += float(np.sum(np.abs(cut) ** 2))
-        last = abs(vals[-1])
-        bounds[n] = math.sqrt(mass + last * last * factor)
-    return bounds
-
-
 def build_adjoint(seq: SequencePair, N: int) -> TruncatedOperator:
-    """N x N section of the adjoint: entrywise conjugate transpose of the
-    shift section, assembled row by row from the same running products."""
+    """N x N section of the adjoint: the conjugate transpose of the shift
+    section.  Its columns are finitely supported, so nothing is discarded."""
     if N < 2:
         raise ValueError("section order must be at least 2")
     _require_horizon(seq, N, "adjoint section")
-    a = seq.a
     A = np.zeros((N, N), dtype=complex)
-    idx = np.arange(N - 1)
-    A[idx, idx + 1] = np.conj(a[: N - 1] / a[1:N])
-    c = c_coefficients(seq)
-    for n in range(N - 2):
-        A[n, n + 2 :] = np.conj(_deep_column(c[n], n + 2, N - n - 2, seq))
-    # adjoint columns are finitely supported, so nothing is discarded
+    _fill_shift(seq, A.T)  # shift columns land on contiguous rows of A
+    np.conjugate(A, out=A)
     return TruncatedOperator(A, N, 0, np.zeros(N), N)
 
 
@@ -206,30 +214,10 @@ def build_left_inverse(seq: SequencePair, N: int) -> TruncatedOperator:
     idx = np.arange(N - 1)
     L[idx, idx + 1] = a[1:N] / a[: N - 1]
     d = d_coefficients(seq)  # d[k] = d_{k+1}
-    for j in range(1, N):
-        L[j:, j] = _deep_column(d[j - 1], j, N - j, seq)
-    tail = _left_inverse_tail_bounds(seq, N, d)
+    tail = _running_columns(seq, L[1:, 1:], d[: N - 1], 1)
+    if tail is not None:  # the first column is zero
+        tail = np.concatenate(([0.0], tail))
     return TruncatedOperator(L, N, 0, tail, N - 1)
-
-
-def _left_inverse_tail_bounds(
-    seq: SequencePair, N: int, d: np.ndarray
-) -> np.ndarray | None:
-    H = seq.horizon
-    rep = validate_assumptions(seq)
-    if rep.r_hat >= 1.0 or H < N + 1:
-        return None
-    r2 = rep.r_hat * rep.r_hat
-    factor = r2 / (1.0 - r2)
-    bounds = np.zeros(N, dtype=float)
-    for j in range(1, N):
-        depth = H - j + 1
-        vals = _deep_column(d[j - 1], j, depth, seq)
-        cut = vals[N - j :]
-        mass = float(np.sum(np.abs(cut) ** 2)) if cut.size else 0.0
-        last = abs(vals[-1])
-        bounds[j] = math.sqrt(mass + last * last * factor)
-    return bounds
 
 
 def build_blocks(seq: SequencePair, N: int) -> BlockSet:
@@ -237,35 +225,29 @@ def build_blocks(seq: SequencePair, N: int) -> BlockSet:
 
     On the span of basis vectors 1.. the difference equals
     ``b1 u* + b2* u*^2 + b3`` with ``b1`` diagonal and ``b2``/``b3`` lower
-    triangular.  The bottom row of ``b2`` needs one coefficient beyond the
-    horizon-N data and is zero-filled; ``exact_window`` records this.
+    triangular: ``b2`` holds the negated shift columns 1.. from row 3 on and
+    ``b3`` the left-inverse columns 1.. from row 1 on.  The bottom row of
+    ``b2`` needs one coefficient beyond the horizon-N data and is
+    zero-filled; ``exact_window`` records this.
     """
     if N < 3:
         raise ValueError("block construction needs N >= 3")
     _require_horizon(seq, N, "block construction")
     a = seq.a
     K = N - 1
-    H = seq.horizon
 
     diag = a[2 : K + 2] / a[1 : K + 1] - np.conj(a[1 : K + 1] / a[2 : K + 2])
     b1 = TruncatedOperator(np.diag(diag), K, 1, None, K)
 
-    c = c_coefficients(seq)
     Z2 = np.zeros((K, K), dtype=complex)
-    row_cap = min(K - 1, H - 3)  # deep entries at row r need a_{r+3}
-    col_cap = min(K - 1, H - 3)  # diagonal at column q needs c_{q+1}
-    for q in range(col_cap + 1):
-        depth = row_cap - q + 1
-        if depth <= 0:
-            continue
-        Z2[q : q + depth, q] = _deep_column(-c[q + 1], q + 3, depth, seq)
-    b2 = TruncatedOperator(Z2, K, 1, None, min(K, row_cap + 1))
+    _running_columns(seq, Z2, -c_coefficients(seq)[1 : K + 1], 3)
+    b2 = TruncatedOperator(Z2, K, 1, None, min(K, seq.horizon - 2))
+    del Z2  # the section holds a copy; free each work array before the next
 
-    d = d_coefficients(seq)
     Z3 = np.zeros((K, K), dtype=complex)
-    for q in range(K):
-        Z3[q:, q] = _deep_column(d[q], q + 1, K - q, seq)
+    _running_columns(seq, Z3, d_coefficients(seq)[:K], 1)
     b3 = TruncatedOperator(Z3, K, 1, None, K)
+    del Z3
 
     U = np.zeros((K, K), dtype=complex)
     idx = np.arange(K - 1)
@@ -304,10 +286,22 @@ def build_tail_blocks(
     d_op = TruncatedOperator(D, K, n0, None, K)
 
     A2 = np.zeros((K, K), dtype=complex)
-    for q in range(K):
-        A2[q:, q] = _deep_column(-c[n0 + q], n0 + q + 2, K - q, seq)
+    _running_columns(seq, A2, -c[n0 : n0 + K], n0 + 2)
     a2_op = TruncatedOperator(A2, K, n0, None, K)
     return w_op, d_op, a2_op
+
+
+def _neumann_partial_sums(W: np.ndarray, D: np.ndarray):
+    """Yield the partial sums S_0, S_1, ... of sum_k (-1)^k W^k D, stopping
+    once a term vanishes: every later partial sum equals the last one."""
+    total = D.copy()
+    term = D
+    while True:
+        yield total
+        term = -(W @ term)
+        if not term.any():
+            return
+        total = total + term
 
 
 def neumann_partial_sum(
@@ -319,13 +313,8 @@ def neumann_partial_sum(
         raise ValueError("partial-sum order must be nonnegative")
     if W.entries.shape != D.entries.shape or W.basis_offset != D.basis_offset:
         raise ValueError("W and D must be same-shape sections at the same offset")
-    total = D.entries.copy()
-    term = D.entries
-    for _ in range(m):
-        term = -(W.entries @ term)
-        if not term.any():
-            break
-        total += term
+    for total in itertools.islice(_neumann_partial_sums(W.entries, D.entries), m + 1):
+        pass
     window = min(W.exact_window, D.exact_window)
     return TruncatedOperator(total, W.order, W.basis_offset, None, window)
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
+from trishift import cli, load_spec_file, materialize
 from trishift.cli import (
     EXIT_FAILS,
     EXIT_HOLDS,
@@ -288,6 +289,36 @@ def test_kernel_csv_cells_parse_as_numbers(tmp_path):
         for row in rows:
             for cell in row:
                 float(cell)
+
+
+def test_kernel_evaluates_each_unordered_pair_once(tmp_path, monkeypatch):
+    # k(w, z) = conj(k(z, w)) term by term, so the mirrored rows equal a
+    # direct evaluation bit for bit
+    original = cli.eval_kernel
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "eval_kernel", counting)
+    spec = write_spec(
+        tmp_path, "alt.json", {"label": "alt", "a": "sqrt(n+1)", "b": "0.5*(-1)^n"}
+    )
+    out = tmp_path / "out"
+    count = 8
+    assert main(["kernel", "--spec", str(spec), "--order", "128",
+                 "--grid", f"0.6:{count}", "--tol", "1e-10", "--out", str(out)]) == 0
+    assert len(calls) == count * (count + 1) // 2
+    seq = materialize(load_spec_file(spec), 128)
+    _, rows = read_csv(out / "kernel_sweep.csv")
+    assert len(rows) == count * count
+    for row in rows:
+        z = complex(float(row[0]), float(row[1]))
+        w = complex(float(row[2]), float(row[3]))
+        kv = original(seq, z, w, 1e-10)
+        assert row[4:] == [repr(kv.value.real), repr(kv.value.imag),
+                           str(kv.terms_used), repr(kv.tail_estimate), "1"]
 
 
 def test_kernel_grid_validation(tmp_path):

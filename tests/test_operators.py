@@ -437,3 +437,125 @@ def test_left_inverse_columns_factor_through_monomial_expansion():
         mono = monomial_in_basis(seq, n, N - n - 1)
         expect = d[n - 1] * seq.a[n] * mono
         assert np.max(np.abs(L[n:, n] - expect)) < 1e-13
+
+
+# ------------------------------------------- one pass per column, to horizon
+
+
+def _log_tail_norm(seq, starts, first, cut):
+    # log of the l2 norm of rows cut..H of the columns
+    # start_j * prod_{k=f}^{i-1} (-b_k / a_{k+1}), f = first + j, summed in
+    # the log domain without forming any running product
+    log_r = np.log(np.abs(seq.b[:-1] / seq.a[1:]))
+    lam = np.concatenate(([0.0], np.cumsum(log_r)))  # lam[i] = sum_{k<i}
+    out = np.empty(len(starts))
+    for j, start in enumerate(starts):
+        f = first + j
+        rows = np.arange(max(cut, f), seq.horizon + 1)
+        log_e = np.log(abs(start)) + lam[rows] - lam[f]
+        out[j] = np.logaddexp.reduce(2.0 * log_e) / 2.0
+    return out
+
+
+def test_tail_bounds_survive_underflowing_squares():
+    # the discarded entries are normal doubles whose squares are not
+    a_text, b_text = "1", "0.001*(2+(-1)^n)"
+    N, H = 128, 144
+    seq = make_pair(a_text, b_text, H)
+    long = make_pair(a_text, b_text, 4 * H)  # the remainder past H, too
+    c, d = c_coefficients(long), d_coefficients(long)
+    log_ref = {
+        "shift": _log_tail_norm(long, c[:N], 2, N),
+        "left": np.concatenate(([-np.inf], _log_tail_norm(long, d[: N - 1], 1, N))),
+    }
+    # the last shift column also loses its subdiagonal entry a_{N-1}/a_N
+    log_sub = np.log(abs(long.a[N - 1] / long.a[N]))
+    log_ref["shift"][N - 1] = np.logaddexp(2.0 * log_ref["shift"][N - 1], 2.0 * log_sub) / 2.0
+    bounds = {
+        "shift": build_shift(seq, N).tail_bound,
+        "left": build_left_inverse(seq, N).tail_bound,
+    }
+    tiny = np.finfo(float).tiny
+    for name, log_norm in log_ref.items():
+        resolved = np.flatnonzero(log_norm >= np.log(tiny))
+        assert resolved.size > 100
+        ref = np.exp(log_norm[resolved])
+        short = resolved[bounds[name][resolved] < ref * (1.0 - 1e-9)]
+        assert short.size == 0, (name, short)
+
+
+def test_sections_are_leading_windows_of_the_horizon_section():
+    rng = np.random.default_rng(97)
+    H = 64
+    for _ in range(30):
+        seq = random_pair(rng, H)
+        for build in (build_shift, build_left_inverse):
+            full = build(seq, H).entries
+            for N in (8, 23, 47):
+                assert np.array_equal(build(seq, N).entries, full[:N, :N])
+
+
+def _seed_deep_column(start, first_b, depth, seq):
+    # the seed's per-column construction, kept as a reference
+    vals = np.empty(depth, dtype=complex)
+    vals[0] = start
+    if depth > 1:
+        ratios = -(
+            seq.b[first_b : first_b + depth - 1] / seq.a[first_b + 1 : first_b + depth]
+        )
+        vals[1:] = start * np.cumprod(ratios)
+    return vals
+
+
+def _seed_sections(seq, N):
+    a, c, d = seq.a, c_coefficients(seq), d_coefficients(seq)
+    M = np.zeros((N, N), dtype=complex)
+    M[np.arange(1, N), np.arange(N - 1)] = a[: N - 1] / a[1:N]
+    for n in range(N - 2):
+        M[n + 2 :, n] = _seed_deep_column(c[n], n + 2, N - n - 2, seq)
+    L = np.zeros((N, N), dtype=complex)
+    L[np.arange(N - 1), np.arange(1, N)] = a[1:N] / a[: N - 1]
+    for j in range(1, N):
+        L[j:, j] = _seed_deep_column(d[j - 1], j, N - j, seq)
+    K = N - 1
+    cap = min(K - 1, seq.horizon - 3)
+    Z2 = np.zeros((K, K), dtype=complex)
+    for q in range(cap + 1):
+        Z2[q : cap + 1, q] = _seed_deep_column(-c[q + 1], q + 3, cap - q + 1, seq)
+    Z3 = np.zeros((K, K), dtype=complex)
+    for q in range(K):
+        Z3[q:, q] = _seed_deep_column(d[q], q + 1, K - q, seq)
+    K2 = N - 3  # tail blocks at n0 = 1
+    A2 = np.zeros((K2, K2), dtype=complex)
+    for q in range(K2):
+        A2[q:, q] = _seed_deep_column(-c[1 + q], q + 3, K2 - q, seq)
+    return {"shift": M, "adjoint": M.conj().T, "left": L, "b2": Z2, "b3": Z3, "A2": A2}
+
+
+def _sections(seq, N):
+    blocks = build_blocks(seq, N)
+    return {
+        "shift": build_shift(seq, N).entries,
+        "adjoint": build_adjoint(seq, N).entries,
+        "left": build_left_inverse(seq, N).entries,
+        "b2": blocks.b2.entries,
+        "b3": blocks.b3.entries,
+        "A2": build_tail_blocks(seq, 1, N)[2].entries,
+    }
+
+
+@pytest.mark.parametrize("pad", [0, 1, 8])
+def test_sections_match_seed_column_construction(pad):
+    N = 32
+    for fam in CORPUS:
+        seq = family_pair(fam, N + pad)
+        got, ref = _sections(seq, N), _seed_sections(seq, N)
+        for name in ref:
+            assert np.array_equal(got[name], ref[name]), (fam.name, name)
+    rng = np.random.default_rng(101)
+    for _ in range(10):
+        seq = random_pair(rng, N + pad)
+        got, ref = _sections(seq, N), _seed_sections(seq, N)
+        for name in ref:
+            scale = np.max(np.abs(ref[name]))
+            assert np.max(np.abs(got[name] - ref[name])) <= 1e-15 * scale, name
