@@ -24,6 +24,7 @@ import numpy as np
 
 from .operators import (
     TruncatedOperator,
+    _narrow,
     _neumann_partial_sums,
     build_left_inverse,
     build_shift,
@@ -141,15 +142,6 @@ def check_main_criterion(
         tol=tol,
         window=window,
     )
-
-
-def _narrow(E: np.ndarray) -> np.ndarray:
-    """Complex ``E`` as a contiguous real array when its imaginary part is
-    exactly zero, so that real families are factored and multiplied in real
-    arithmetic; otherwise ``E`` unchanged."""
-    if not E.imag.any():
-        return np.ascontiguousarray(E.real)
-    return E
 
 
 class _ShiftSection:
@@ -364,8 +356,9 @@ def neumann_error_curve(
 
     ``r`` is the supremum of the weights that enter the weighted shift
     (``|b_n/a_{n+1}|`` for n >= n0+2 on the horizon) and M0 the largest
-    coupling coefficient magnitude.  Raises :class:`BoundUnavailableError`
-    when r >= 1.
+    coupling coefficient magnitude.  Blocks with no imaginary part are
+    multiplied and normed in real arithmetic.  Raises
+    :class:`BoundUnavailableError` when r >= 1.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -378,11 +371,12 @@ def neumann_error_curve(
         )
     m0 = float(np.abs(c_coefficients(seq)).max())
     rows: list[tuple[int, float, float]] = []
-    sums = _neumann_partial_sums(W.entries, D.entries)
+    assembled = _narrow(A2.entries)
+    sums = _neumann_partial_sums(_narrow(W.entries), _narrow(D.entries))
     for m in range(m_max + 1):
         total = next(sums, None)
         if total is not None:  # otherwise the terms vanished: S_m = S_{m-1}
-            err = float(np.linalg.norm(A2.entries - total, 2))
+            err = float(np.linalg.norm(assembled - total, 2))
         bound = m0 * r ** (m + 1) / (1.0 - r) if r > 0.0 else 0.0
         rows.append((m, err, bound))
     return rows

@@ -387,6 +387,7 @@ def _run_kernel(cfg: RunConfig) -> int:
         "gram_least_eigenvalue": least_eig,
         "pairs_converged": converged_pairs,
         "pairs_total": len(pts) ** 2,
+        "max_terms_used": max(kv.terms_used for kv in pairs.values()),
         "max_residual": max(r for r, _ in residuals),
     }
     write_report(report, _report_path(cfg, "kernel_report"), cfg.fmt)

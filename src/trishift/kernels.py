@@ -6,6 +6,14 @@ is summed with a certified stopping rule: the tail is bounded geometrically
 using the measured trailing growth of (|a_n| + |b_n|).  When the certificate
 cannot be driven below tolerance within the horizon the evaluation reports
 non-convergence instead of fabricating a value.
+
+One pair is one vectorized pass: the certificate over the whole horizon
+gives the stopping index, then the basis values and their products up to it
+are formed as split real and imaginary arrays, each complex product as
+``(ar br - ai bi, ar bi + ai br)`` with every operation rounded on its own,
+and summed sequentially.  The result is bit for bit the term-by-term sum.
+The operator norm in the adjoint certificate is taken in real arithmetic
+when the adjoint section has no imaginary part.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import TruncatedOperator, build_adjoint, build_shift
+from .operators import TruncatedOperator, _narrow, build_adjoint, build_shift
 from .sequences import SequencePair
 
 
@@ -69,13 +77,37 @@ def eval_basis(seq: SequencePair, n: int, z: complex) -> complex:
     return complex((seq.a[n] + seq.b[n] * z) * z**n)
 
 
+def _times(
+    ar: np.ndarray, ai: np.ndarray, br, bi
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split-real complex product ``(ar br - ai bi, ar bi + ai br)``, rounded
+    operation by operation as the scalar complex product is (a complex array
+    multiply may fuse the multiply-adds)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _powers(x, count: int) -> np.ndarray:
+    """1, x, x^2, ... (``count`` terms) by sequential multiplication."""
+    p = np.full(count, x)
+    p[:1] = 1.0
+    return np.cumprod(p)
+
+
+def _basis_parts(
+    seq: SequencePair, z: complex, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of f_0(z)..f_{count-1}(z) via a running
+    power (no large exponentials)."""
+    zp = _powers(z, count)
+    a, b = seq.a[:count], seq.b[:count]
+    bzr, bzi = _times(b.real, b.imag, z.real, z.imag)
+    return _times(a.real + bzr, a.imag + bzi, zp.real, zp.imag)
+
+
 def _basis_values(seq: SequencePair, z: complex, count: int) -> np.ndarray:
     """f_0(z)..f_{count-1}(z) via a running power (no large exponentials)."""
     out = np.empty(count, dtype=complex)
-    zp = 1.0 + 0.0j
-    for n in range(count):
-        out[n] = (seq.a[n] + seq.b[n] * z) * zp
-        zp *= z
+    out.real, out.imag = _basis_parts(seq, complex(z), count)
     return out
 
 
@@ -100,26 +132,22 @@ def eval_kernel(
     growth = np.abs(seq.a) + np.abs(seq.b)
     ratios = growth[1:] / growth[:-1]
     suffix = np.maximum.accumulate(ratios[::-1])[::-1]  # suffix[m] = max_{k>=m}
-
-    total = 0.0j
-    zp = 1.0 + 0.0j
-    wp = 1.0 + 0.0j
-    rho_pow = 1.0
-    tail = math.inf
-    for m in range(H + 1):
-        fz = (seq.a[m] + seq.b[m] * z) * zp
-        fw = (seq.a[m] + seq.b[m] * w) * wp
-        total += fz * np.conj(fw)
-        s_m = growth[m] * growth[m] * rho_pow
-        q_idx = min(m, suffix.size - 1)
-        q = float(suffix[q_idx]) ** 2 * rho
-        tail = s_m * q / (1.0 - q) if q < 1.0 else math.inf
-        if tail < tol:
-            return KernelValue(complex(total), m + 1, float(tail), True)
-        zp *= z
-        wp *= w
-        rho_pow *= rho
-    return KernelValue(complex(total), H + 1, float(tail), False)
+    # the certificate runs over the whole horizon; past the stopping index
+    # its terms may overflow, and those are never used
+    with np.errstate(all="ignore"):
+        # float_power squares with C pow, as Python's ** does; np.square
+        # rounds differently in about one case in a thousand
+        q = np.float_power(np.append(suffix, suffix[-1]), 2) * rho
+        s = growth * growth * _powers(rho, H + 1)
+        tail = np.where(q < 1.0, s * q / (1.0 - q), math.inf)
+    stops = np.flatnonzero(tail < tol)
+    count = int(stops[0]) + 1 if stops.size else H + 1
+    zr, zi = _basis_parts(seq, z, count)
+    wr, wi = _basis_parts(seq, w, count)
+    re, im = _times(zr, zi, wr, -wi)  # f_m(z) conj(f_m(w))
+    # sequential sums; + 0.0 as the running total starts from +0.0
+    total = complex(np.cumsum(re)[-1] + 0.0, np.cumsum(im)[-1] + 0.0)
+    return KernelValue(total, count, float(tail[count - 1]), bool(stops.size))
 
 
 def _hermitian(upper: dict[tuple[int, int], complex], k: int) -> np.ndarray:
@@ -193,18 +221,18 @@ def adjoint_eigen_residual(
     residual = float(np.linalg.norm(resid_vec)) / norm_kappa
     mags = np.abs(kappa)
     start = max(1, (3 * N) // 4)
-    decay = 0.0
-    for i in range(start, N - 1):
-        if mags[i] > 0.0:
-            decay = max(decay, mags[i + 1] / mags[i])
-        elif mags[i + 1] > 0.0:
-            decay = math.inf
+    cur, nxt = mags[start : N - 1], mags[start + 1 : N]
+    live = cur > 0.0
+    if np.any(~live & (nxt > 0.0)):  # a zero coefficient before a nonzero one
+        decay = math.inf
+    else:
+        decay = float(np.fmax.reduce(nxt[live] / cur[live], initial=0.0))
     if decay >= 1.0:
         certificate = math.inf
     else:
         tail_l2 = mags[N - 1] * decay / math.sqrt(1.0 - decay * decay) if decay else 0.0
         opnorm = (
-            float(np.linalg.norm(Astar, 2)) if _opnorm is None else _opnorm
+            float(np.linalg.norm(_narrow(Astar), 2)) if _opnorm is None else _opnorm
         )
         certificate = (opnorm + abs(complex(w))) * tail_l2 / norm_kappa
     return residual, certificate
@@ -228,9 +256,10 @@ def adjoint_eigen_check(
 def adjoint_residual_grid(
     seq: SequencePair, pts: PointSet, N: int
 ) -> list[tuple[float, float]]:
-    """(residual, certificate) per point, sharing one adjoint section."""
+    """(residual, certificate) per point, sharing one adjoint section and its
+    operator norm."""
     Astar = build_adjoint(seq, N).entries
-    opnorm = float(np.linalg.norm(Astar, 2))
+    opnorm = float(np.linalg.norm(_narrow(Astar), 2))
     return [
         adjoint_eigen_residual(seq, w, N, _adjoint=Astar, _opnorm=opnorm)
         for w in pts

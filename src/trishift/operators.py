@@ -106,6 +106,15 @@ class BlockSet:
                 raise ValueError(f"block {name} must be {k}x{k} at basis offset 1")
 
 
+def _narrow(E: np.ndarray) -> np.ndarray:
+    """Complex ``E`` as a contiguous real array when its imaginary part is
+    exactly zero, so that real families are factored, normed and multiplied
+    in real arithmetic; otherwise ``E`` unchanged."""
+    if not E.imag.any():
+        return np.ascontiguousarray(E.real)
+    return E
+
+
 def _require_horizon(seq: SequencePair, needed: int, what: str) -> None:
     if needed > seq.horizon:
         raise HorizonError(

@@ -276,6 +276,15 @@ def test_kernel_szego_grid(tmp_path):
     assert len(rows) == 8
 
 
+def test_kernel_report_max_terms_used(tmp_path):
+    out = tmp_path / "out"
+    assert main(["kernel", "--spec", str(bergman_spec(tmp_path)), "--order", "128",
+                 "--grid", "0.7:6", "--tol", "1e-10", "--out", str(out)]) == 0
+    _, rows = read_csv(out / "kernel_sweep.csv")
+    report = json.loads((out / "kernel_report.json").read_text())
+    assert report["max_terms_used"] == max(int(row[6]) for row in rows)
+
+
 def test_kernel_csv_cells_parse_as_numbers(tmp_path):
     spec = write_spec(tmp_path, "harm.json", {"label": "harm", "a": "1", "b": "1/(n+1)"})
     out = tmp_path / "out"

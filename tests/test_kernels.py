@@ -1,6 +1,11 @@
+import cmath
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from corpus_families import CORPUS, family_pair
 from trishift import (
     CoefficientSpec,
     KernelDivergenceError,
@@ -19,6 +24,7 @@ from trishift import (
     materialize,
     parse_sequence_expr,
 )
+from trishift.kernels import KernelValue, _basis_values
 
 
 def make_pair(a_text, b_text, N):
@@ -79,11 +85,12 @@ def test_szego_half_value():
 
 
 def test_kernel_diagonal_is_real_nonnegative():
-    for fam in (("1", "0"), ("sqrt(n+1)", "0.5"), ("1", "0.4*(-1)^n")):
+    families = (("1", "0"), ("sqrt(n+1)", "0.5"), ("1", "0.4*(-1)^n"))
+    for fam in families + tuple((f.a, f.b) for f in CORPUS):
         seq = make_pair(fam[0], fam[1], 128)
-        for z in (0.0, 0.3, 0.5 + 0.2j, -0.7j):
+        for z in (0.0, 0.3, 0.5 + 0.2j, -0.7j, 0.98j):
             kv = eval_kernel(seq, z, z, 1e-10)
-            assert kv.value.imag == 0.0
+            assert kv.value.imag.hex() == (0.0).hex()  # +0.0 exactly
             assert kv.value.real >= 0.0
 
 
@@ -118,6 +125,122 @@ def test_kernel_tail_estimate_shrinks_with_tolerance():
         terms.append(kv.terms_used)
     assert all(e1 <= e0 for e0, e1 in zip(estimates, estimates[1:]))
     assert all(t1 >= t0 for t0, t1 in zip(terms, terms[1:]))
+
+
+# References: the term-by-term loops that the vectorized kernel replaced.
+
+
+def reference_basis_values(seq, z, count):
+    out = np.empty(count, dtype=complex)
+    zp = 1.0 + 0.0j
+    for n in range(count):
+        out[n] = (seq.a[n] + seq.b[n] * z) * zp
+        zp *= z
+    return out
+
+
+def reference_eval_kernel(seq, z, w, tol=1e-10):
+    z, w = complex(z), complex(w)
+    H = seq.horizon
+    rho = abs(z) * abs(w)
+    growth = np.abs(seq.a) + np.abs(seq.b)
+    ratios = growth[1:] / growth[:-1]
+    suffix = np.maximum.accumulate(ratios[::-1])[::-1]
+
+    total = 0.0j
+    zp = 1.0 + 0.0j
+    wp = 1.0 + 0.0j
+    rho_pow = 1.0
+    tail = math.inf
+    for m in range(H + 1):
+        fz = (seq.a[m] + seq.b[m] * z) * zp
+        fw = (seq.a[m] + seq.b[m] * w) * wp
+        total += fz * np.conj(fw)
+        s_m = growth[m] * growth[m] * rho_pow
+        q_idx = min(m, suffix.size - 1)
+        q = float(suffix[q_idx]) ** 2 * rho
+        tail = s_m * q / (1.0 - q) if q < 1.0 else math.inf
+        if tail < tol:
+            return KernelValue(complex(total), m + 1, float(tail), True)
+        zp *= z
+        wp *= w
+        rho_pow *= rho
+    return KernelValue(complex(total), H + 1, float(tail), False)
+
+
+def bits(x):
+    """Exact bit pattern of a number (tells -0.0 from 0.0)."""
+    x = complex(x)
+    return (x.real.hex(), x.imag.hex())
+
+
+def assert_matches_reference(seq, points, tol):
+    for z in points:
+        ref = reference_basis_values(seq, complex(z), seq.horizon + 1)
+        assert _basis_values(seq, z, seq.horizon + 1).tobytes() == ref.tobytes()
+        for w in points:
+            want = reference_eval_kernel(seq, z, w, tol)
+            got = eval_kernel(seq, z, w, tol)
+            assert bits(got.value) == bits(want.value), (z, w)
+            assert got.terms_used == want.terms_used
+            assert got.tail_estimate.hex() == want.tail_estimate.hex()
+            assert got.converged == want.converged
+
+
+PARITY_POINTS = (
+    tuple(0.98 * cmath.exp(2j * math.pi * j / 5) for j in range(5))
+    + (0.0, 0.1, -0.5j, 0.3 - 0.6j)
+)
+
+
+@pytest.mark.parametrize("fam", CORPUS, ids=lambda f: f.name)
+def test_kernel_bit_identical_to_reference_on_corpus(fam):
+    assert_matches_reference(family_pair(fam, 256), PARITY_POINTS, 1e-10)
+
+
+def test_kernel_bit_identical_to_reference_on_complex_family():
+    rng = np.random.default_rng(83)
+    H = 256
+    a = (1.0 + 0.5 * rng.uniform(size=H + 1)) * np.exp(2j * np.pi * rng.uniform(size=H + 1))
+    b = 0.4 * rng.uniform(size=H + 1) * np.exp(2j * np.pi * rng.uniform(size=H + 1))
+    seq = materialize(CoefficientSpec(a, b), H)
+    assert np.any(seq.a.imag) and np.any(seq.b.imag)
+    points = PARITY_POINTS + tuple(
+        0.95 * rng.uniform() * cmath.exp(2j * math.pi * rng.uniform()) for _ in range(7)
+    )
+    assert_matches_reference(seq, points, 1e-10)
+
+
+def test_kernel_bit_identical_to_reference_without_convergence():
+    seq = make_pair("2^n", "0", 24)
+    assert not reference_eval_kernel(seq, 0.9, 0.9, 1e-8).converged
+    assert_matches_reference(seq, (0.9, 0.85j, 0.1, 0.0), 1e-8)
+
+
+def test_kernel_certificate_squares_like_python_pow():
+    # here Python's ** and x * x round suffix[381]**2 differently
+    bergman = next(f for f in CORPUS if f.name == "bergman")
+    seq = family_pair(bergman, 1088)
+    assert eval_kernel(seq, 0.95949, 0.95949, 1e-10).terms_used == 382
+    assert_matches_reference(seq, (0.95949,), 1e-10)
+
+
+def test_kernel_signed_zeros_match_reference():
+    # a_n = -1 - 0j: some partial sums are -0.0, the loop's total is +0.0
+    H = 16
+    seq = materialize(CoefficientSpec(np.full(H + 1, complex(-1.0, -0.0)), np.zeros(H + 1)), H)
+    assert_matches_reference(seq, (0.5, -0.5, complex(-0.0, -0.0), -0.5j), 1e-10)
+
+
+def test_kernel_certificate_overflow_past_stop_is_silent():
+    # (|a_m| + |b_m|)^2 overflows from m = 512 on; the sum stops at m = 7
+    seq = make_pair("2^n", "0", 600)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kv = eval_kernel(seq, 0.1, 0.1, 1e-10)
+    assert kv.value == (1.0416666666598402 + 0j)
+    assert kv.terms_used == 8
+    assert kv.converged
 
 
 def test_kernel_rejects_boundary_points():
