@@ -212,10 +212,8 @@ def column_norm_profile(
     return section.ltstar_profile, lower
 
 
-def index_data(
-    seq: SequencePair, N: int, rank_tol: float = DEFAULT_RANK_TOL
-) -> IndexData:
-    """Kernel/cokernel dimensions from numerical ranks at ``rank_tol``.
+def index_data(seq: SequencePair, N: int) -> IndexData:
+    """Kernel/cokernel dimensions from numerical ranks at ``DEFAULT_RANK_TOL``.
 
     The kernel rank uses the column-exact tall section (full columns, no
     truncation loss); the cokernel uses the square section, whose column
@@ -224,28 +222,27 @@ def index_data(
     """
     section = _ShiftSection(seq, N)
     s_tall = np.linalg.svd(section.tall, compute_uv=False)
-    return _index_data(section, s_tall, rank_tol)
+    return _index_data(section, s_tall)
 
 
-def _index_data(section: _ShiftSection, s_tall: np.ndarray, rank_tol: float) -> IndexData:
+def _index_data(section: _ShiftSection, s_tall: np.ndarray) -> IndexData:
     N = section.N
-    dim_ker = N - _numerical_rank(s_tall, rank_tol)
+    dim_ker = N - _numerical_rank(s_tall)
     s_square = np.linalg.svd(section.square, compute_uv=False)
-    dim_coker = N - _numerical_rank(s_square, rank_tol)
+    dim_coker = N - _numerical_rank(s_square)
     return IndexData(dim_ker=dim_ker, dim_coker=dim_coker, index=dim_ker - dim_coker)
 
 
-def _numerical_rank(s: np.ndarray, rank_tol: float) -> int:
-    """Number of descending singular values above ``rank_tol * s[0]``."""
+def _numerical_rank(s: np.ndarray) -> int:
+    """Number of descending singular values above ``DEFAULT_RANK_TOL * s[0]``."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
 
 
 def equivalence_diagnostics(
     seq: SequencePair,
     N: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
     *,
     _section: _ShiftSection | None = None,
 ) -> EquivalenceDiagnostics:
@@ -271,27 +268,23 @@ def equivalence_diagnostics(
         tails_itt=tails_itt,
         tails_ltstar=section.ltstar_profile,
         tails_ittstar=tails_ittstar,
-        index_data=_index_data(section, s, rank_tol),
+        index_data=_index_data(section, s),
     )
 
 
-def _polar_isometry(
-    u: np.ndarray, s: np.ndarray, wh: np.ndarray, threshold: float
-) -> np.ndarray:
+def _polar_isometry(u: np.ndarray, s: np.ndarray, wh: np.ndarray) -> np.ndarray:
     """Polar isometry ``U W^H`` of a thin SVD with descending ``s``.
 
     Raises :class:`NearSingularError` when the least singular value is at or
-    below ``threshold``.
+    below ``DEFAULT_SINGULAR_FLOOR``.
     """
     least = float(s[-1])
-    if least <= threshold:
-        raise NearSingularError(least, threshold)
+    if least <= DEFAULT_SINGULAR_FLOOR:
+        raise NearSingularError(least, DEFAULT_SINGULAR_FLOOR)
     return u @ wh
 
 
-def polar_decompose(
-    T: TruncatedOperator, threshold: float = DEFAULT_SINGULAR_FLOOR
-) -> tuple[TruncatedOperator, TruncatedOperator]:
+def polar_decompose(T: TruncatedOperator) -> tuple[TruncatedOperator, TruncatedOperator]:
     """Polar factors (V, P) with P = (T*T)^(1/2) and T = V P.
 
     Both come from one thin SVD ``T = U S W^H``: ``V = U W^H`` and
@@ -299,10 +292,10 @@ def polar_decompose(
     T's shape (tall sections give V orthonormal columns).  Sections with no
     imaginary part are factored in real arithmetic.  Raises
     :class:`NearSingularError` when the least singular value of T is at or
-    below ``threshold``.
+    below ``DEFAULT_SINGULAR_FLOOR``.
     """
     u, s, wh = np.linalg.svd(_narrow(T.entries), full_matrices=False)
-    V = _polar_isometry(u, s, wh, threshold)
+    V = _polar_isometry(u, s, wh)
     P = (wh.conj().T * s) @ wh
     P = (P + P.conj().T) / 2.0
     return (
@@ -332,7 +325,7 @@ def compact_isometry_split(
     if N > H:
         raise ValueError(f"N = {N} exceeds the materialized horizon {H}")
     section = _ShiftSection(seq, N) if _section is None else _section
-    V = _polar_isometry(*section.svd, DEFAULT_SINGULAR_FLOOR)
+    V = _polar_isometry(*section.svd)
     remainder = section.tall - V
     column_decay = np.linalg.norm(remainder, axis=0)
     vtv = V.conj().T @ V

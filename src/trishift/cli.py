@@ -85,14 +85,14 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     spec_path: Path
-    order: int = 512
-    tol: float = 1e-3
-    window: int | None = None
-    r_target: float = 0.95
-    pad: int = 64
-    out: Path = Path(".")
-    fmt: str = "json"
-    grid: str | None = None
+    order: int
+    tol: float
+    window: int | None
+    r_target: float
+    pad: int
+    out: Path
+    fmt: str
+    grid: str | None
 
     def validate(self) -> None:
         if not 8 <= self.order <= 8192:
@@ -111,10 +111,6 @@ class RunConfig:
             raise ConfigError(f"r-target must lie in (0, 1), got {self.r_target}")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.fmt!r}")
-
-    @property
-    def effective_window(self) -> int:
-        return self.window if self.window is not None else max(1, self.order // 4)
 
 
 def _warn(message: str) -> None:
@@ -239,7 +235,7 @@ def _run_check(cfg: RunConfig) -> int:
     spec = load_spec_file(cfg.spec_path)
     seq = materialize(spec, cfg.order)
     assumptions = validate_assumptions(seq, cfg.r_target)
-    crit = check_main_criterion(seq, cfg.tol, cfg.effective_window)
+    crit = check_main_criterion(seq, cfg.tol, cfg.window)
     report = check_report(spec.label, cfg.order, assumptions, crit)
     write_report(report, _report_path(cfg, "check_report"), cfg.fmt)
     return _VERDICT_EXIT[crit.verdict]
@@ -266,7 +262,7 @@ def _run_profile(cfg: RunConfig) -> int:
     seq_full = _materialize_padded(cfg, spec)
     seq_rep = seq_full.trimmed(cfg.order)
     assumptions = validate_assumptions(seq_rep, cfg.r_target)
-    crit = check_main_criterion(seq_rep, cfg.tol, cfg.effective_window)
+    crit = check_main_criterion(seq_rep, cfg.tol, cfg.window)
     # one horizon section, factored once, serves all three analyses
     section = _ShiftSection(seq_full, cfg.order)
     profile, lower_sq = column_norm_profile(seq_full, cfg.order, _section=section)

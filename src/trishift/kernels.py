@@ -204,8 +204,7 @@ def kernel_coefficients(seq: SequencePair, w: complex, count: int) -> np.ndarray
 
 
 def adjoint_eigen_residual(
-    seq: SequencePair, w: complex, N: int, _adjoint: np.ndarray | None = None,
-    _opnorm: float | None = None,
+    seq: SequencePair, w: complex, N: int
 ) -> tuple[float, float]:
     """Relative residual of M* kappa_w = conj(w) kappa_w on the N-window,
     together with its measured-decay tail certificate (inf when the kernel
@@ -214,28 +213,7 @@ def adjoint_eigen_residual(
         raise ValueError("w must lie strictly inside the unit disc")
     if not 2 <= N <= seq.horizon:
         raise ValueError(f"N must lie in [2, horizon = {seq.horizon}]")
-    kappa = kernel_coefficients(seq, w, N)
-    Astar = build_adjoint(seq, N).entries if _adjoint is None else _adjoint
-    resid_vec = Astar @ kappa - np.conj(complex(w)) * kappa
-    norm_kappa = float(np.linalg.norm(kappa))
-    residual = float(np.linalg.norm(resid_vec)) / norm_kappa
-    mags = np.abs(kappa)
-    start = max(1, (3 * N) // 4)
-    cur, nxt = mags[start : N - 1], mags[start + 1 : N]
-    live = cur > 0.0
-    if np.any(~live & (nxt > 0.0)):  # a zero coefficient before a nonzero one
-        decay = math.inf
-    else:
-        decay = float(np.fmax.reduce(nxt[live] / cur[live], initial=0.0))
-    if decay >= 1.0:
-        certificate = math.inf
-    else:
-        tail_l2 = mags[N - 1] * decay / math.sqrt(1.0 - decay * decay) if decay else 0.0
-        opnorm = (
-            float(np.linalg.norm(_narrow(Astar), 2)) if _opnorm is None else _opnorm
-        )
-        certificate = (opnorm + abs(complex(w))) * tail_l2 / norm_kappa
-    return residual, certificate
+    return adjoint_residual_grid(seq, PointSet((w,)), N)[0]
 
 
 def adjoint_eigen_check(
@@ -256,14 +234,33 @@ def adjoint_eigen_check(
 def adjoint_residual_grid(
     seq: SequencePair, pts: PointSet, N: int
 ) -> list[tuple[float, float]]:
-    """(residual, certificate) per point, sharing one adjoint section and its
-    operator norm."""
+    """:func:`adjoint_eigen_residual` per point, sharing one adjoint section
+    and its operator norm (taken when a first certificate needs it)."""
     Astar = build_adjoint(seq, N).entries
-    opnorm = float(np.linalg.norm(_narrow(Astar), 2))
-    return [
-        adjoint_eigen_residual(seq, w, N, _adjoint=Astar, _opnorm=opnorm)
-        for w in pts
-    ]
+    opnorm = None
+    start = max(1, (3 * N) // 4)
+    out = []
+    for w in pts:
+        kappa = kernel_coefficients(seq, w, N)
+        resid_vec = Astar @ kappa - np.conj(w) * kappa
+        norm_kappa = float(np.linalg.norm(kappa))
+        residual = float(np.linalg.norm(resid_vec)) / norm_kappa
+        mags = np.abs(kappa)
+        cur, nxt = mags[start : N - 1], mags[start + 1 : N]
+        live = cur > 0.0
+        if np.any(~live & (nxt > 0.0)):  # a zero coefficient before a nonzero one
+            decay = math.inf
+        else:
+            decay = float(np.fmax.reduce(nxt[live] / cur[live], initial=0.0))
+        if decay >= 1.0:
+            certificate = math.inf
+        else:
+            tail_l2 = mags[N - 1] * decay / math.sqrt(1.0 - decay * decay) if decay else 0.0
+            if opnorm is None:
+                opnorm = float(np.linalg.norm(_narrow(Astar), 2))
+            certificate = (opnorm + abs(w)) * tail_l2 / norm_kappa
+        out.append((residual, certificate))
+    return out
 
 
 def defect_apply(seq: SequencePair, coeffs: np.ndarray, w: complex) -> complex:

@@ -18,6 +18,10 @@ One routine runs every such column once, to the horizon: its head is the
 section's entries and its rest the column's tail bound, so every section is
 bit for bit the leading window of the horizon section.  The adjoint section
 is the conjugate transpose of the shift section.
+
+A section owns the array it is built from: every builder hands a fresh
+buffer to :class:`TruncatedOperator`, which freezes it in place instead of
+copying it, and keeps no writable alias to it.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ class TruncatedOperator:
     available) bounds the l2 mass of each column's discarded rows;
     ``exact_window`` is the leading window on which products against
     same-size sections are exact.
+
+    The arrays passed become the section's storage and are made read-only
+    in place; only a dtype conversion copies them.
     """
 
     entries: np.ndarray
@@ -56,7 +63,7 @@ class TruncatedOperator:
     exact_window: int | None = None
 
     def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=complex)
+        entries = np.asarray(self.entries, dtype=complex)
         if entries.ndim != 2:
             raise ValueError("entries must be a matrix")
         rows, cols = entries.shape
@@ -69,7 +76,7 @@ class TruncatedOperator:
             raise ValueError("exact_window must lie in [0, order]")
         tail = self.tail_bound
         if tail is not None:
-            tail = np.array(tail, dtype=float)
+            tail = np.asarray(tail, dtype=float)
             if tail.shape != (self.order,):
                 raise ValueError("tail_bound must have one entry per column")
             if not np.all(np.isfinite(tail)) or np.any(tail < 0):
@@ -251,12 +258,10 @@ def build_blocks(seq: SequencePair, N: int) -> BlockSet:
     Z2 = np.zeros((K, K), dtype=complex)
     _running_columns(seq, Z2, -c_coefficients(seq)[1 : K + 1], 3)
     b2 = TruncatedOperator(Z2, K, 1, None, min(K, seq.horizon - 2))
-    del Z2  # the section holds a copy; free each work array before the next
 
     Z3 = np.zeros((K, K), dtype=complex)
     _running_columns(seq, Z3, d_coefficients(seq)[:K], 1)
     b3 = TruncatedOperator(Z3, K, 1, None, K)
-    del Z3
 
     U = np.zeros((K, K), dtype=complex)
     idx = np.arange(K - 1)

@@ -172,22 +172,17 @@ def _realize(source: Source, N: int, name: str) -> np.ndarray:
     return np.array(source[: N + 1], dtype=complex)
 
 
-def validate_assumptions(
-    seq: SequencePair, r_target: float = 0.95, tail_window: int | None = None
-) -> AssumptionReport:
+def validate_assumptions(seq: SequencePair, r_target: float = 0.95) -> AssumptionReport:
     """Measure the standing-assumption constants on the horizon.
 
-    ``tail_window`` defaults to the trailing half of the horizon.
+    ``tail_window`` is the trailing half of the horizon.
     """
     if not 0.0 < r_target < 1.0:
         raise ValueError("r_target must lie in (0, 1)")
     N = seq.horizon
     ratios = np.abs(seq.a[:-1] / seq.a[1:])
     t = np.abs(seq.b[:-1] / seq.a[1:])
-    if tail_window is None:
-        tail_window = max(1, N // 2)
-    if not 1 <= tail_window <= N:
-        raise ValueError("tail_window must lie in [1, horizon]")
+    tail_window = max(1, N // 2)
     eps_hat = float(ratios.min())
     m_hat = float(ratios.max())
     r_hat = float(t[N - tail_window :].max())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,15 @@ from trishift import (
     build_shift,
     build_tail_blocks,
     c_coefficients,
+    compact_isometry_split,
     d_coefficients,
+    defect_matrix,
     dense_json,
     materialize,
     monomial_in_basis,
     neumann_partial_sum,
     parse_sequence_expr,
+    polar_decompose,
     sparse_triplets,
 )
 
@@ -401,6 +406,85 @@ def test_sections_are_frozen():
     op = build_shift(seq, 4)
     with pytest.raises(ValueError):
         op.entries[0, 0] = 1.0
+
+
+def test_section_takes_ownership_of_its_array():
+    A = np.arange(12, dtype=complex).reshape(4, 3)
+    tail = np.ones(3)
+    op = TruncatedOperator(A, 3, tail_bound=tail)
+    assert op.entries is A and op.tail_bound is tail
+    assert not A.flags.writeable and not tail.flags.writeable
+    with pytest.raises(ValueError):
+        A[0, 0] = 1.0
+    # another dtype is converted into a new array; the original is untouched
+    R = np.eye(3)
+    assert TruncatedOperator(R, 3).entries is not R
+    assert R.flags.writeable
+
+
+def _every_section(seq, N):
+    blocks = build_blocks(seq, N)
+    W, D, A2 = build_tail_blocks(seq, 1, N)
+    tall = build_shift(seq, seq.horizon).entries[:, :N]
+    V, P = polar_decompose(TruncatedOperator(tall, N))
+    split = compact_isometry_split(seq, N)
+    return {
+        "shift": build_shift(seq, N),
+        "adjoint": build_adjoint(seq, N),
+        "left": build_left_inverse(seq, N),
+        "b1": blocks.b1,
+        "b2": blocks.b2,
+        "b3": blocks.b3,
+        "u": blocks.u,
+        "W": W,
+        "D": D,
+        "A2": A2,
+        "neumann": neumann_partial_sum(W, D, 3),
+        "V": V,
+        "P": P,
+        "isometry": split.isometry_factor,
+        "compact": split.compact_part,
+        "defect": defect_matrix(seq, N),
+    }
+
+
+def test_every_section_and_tail_bound_rejects_writes():
+    N = 24
+    rng = np.random.default_rng(7)
+    for seq in (make_pair("sqrt(n+1)", "0.5", 40), random_pair(rng, 40)):
+        sections = _every_section(seq, N)
+        for name in ("shift", "adjoint", "left", "u"):
+            assert sections[name].tail_bound is not None, name
+        for name, op in sections.items():
+            assert not op.entries.flags.writeable, name
+            with pytest.raises(ValueError):
+                op.entries[0, 0] = 1.0
+            if op.tail_bound is not None:
+                assert not op.tail_bound.flags.writeable, name
+                with pytest.raises(ValueError):
+                    op.tail_bound[0] = 1.0
+
+
+def _peak_traced_bytes(build, *args):
+    tracemalloc.start()
+    try:
+        build(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_builders_hold_one_dense_array_per_section():
+    # measured in K x K complex sections; a copy in the constructor would
+    # add one per section
+    N = 512
+    seq = make_pair("sqrt(n+1)", "0.5", N + 64)
+    for build in (build_shift, build_left_inverse, build_adjoint):
+        units = _peak_traced_bytes(build, seq, N) / (16 * N * N)
+        assert units <= 1.1, (build.__name__, units)
+    K = N - 1
+    units = _peak_traced_bytes(build_blocks, seq, N) / (16 * K * K)
+    assert units <= 4.1, units
 
 
 def test_corpus_members_build_cleanly():
