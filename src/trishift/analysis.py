@@ -24,7 +24,6 @@ import numpy as np
 
 from .operators import (
     TruncatedOperator,
-    _narrow,
     _neumann_partial_sums,
     build_left_inverse,
     build_shift,
@@ -142,6 +141,15 @@ def check_main_criterion(
         tol=tol,
         window=window,
     )
+
+
+def _narrow(E: np.ndarray) -> np.ndarray:
+    """Complex ``E`` as a contiguous real array when its imaginary part is
+    exactly zero, so that real families are factored, normed and multiplied
+    in real arithmetic; otherwise ``E`` unchanged."""
+    if not E.imag.any():
+        return np.ascontiguousarray(E.real)
+    return E
 
 
 class _ShiftSection:

@@ -32,7 +32,13 @@ from .analysis import (
     _ShiftSection,
 )
 from .expr import EvalError, ExprSyntaxError
-from .kernels import PointSet, _hermitian, adjoint_residual_grid, eval_kernel
+from .kernels import (
+    PointSet,
+    _growth_tables,
+    _hermitian,
+    adjoint_residual_grid,
+    eval_kernel,
+)
 from .reporting import (
     check_report,
     decompose_report,
@@ -323,14 +329,18 @@ def _run_kernel(cfg: RunConfig) -> int:
         raise ConfigError("kernel requires --grid 'radius:count'")
     radius, count = _parse_grid(cfg.grid)
     spec = load_spec_file(cfg.spec_path)
-    seq = materialize(spec, cfg.order)
+    # the pad serves the residual certificate; the sweep keeps the order as
+    # its horizon, on which its stopping indices depend
+    seq_full = _materialize_padded(cfg, spec)
+    seq = seq_full.trimmed(cfg.order)
     points = PointSet(
         tuple(radius * cmath.exp(2j * math.pi * j / count) for j in range(count))
     )
     pts = list(points)
+    tables = _growth_tables(seq)
     # k(w, z) = conj(k(z, w)) term by term; 0.0 - imag keeps a zero unsigned
     pairs = {
-        (i, j): eval_kernel(seq, pts[i], pts[j], cfg.tol)
+        (i, j): eval_kernel(seq, pts[i], pts[j], cfg.tol, _tables=tables)
         for i in range(count)
         for j in range(i, count)
     }
@@ -367,7 +377,7 @@ def _run_kernel(cfg: RunConfig) -> int:
         least_eig = float(np.linalg.eigvalsh(G)[0])
     else:
         _warn("Gram least eigenvalue omitted (some pairs did not converge)")
-    residuals = adjoint_residual_grid(seq, points, cfg.order)
+    residuals = adjoint_residual_grid(seq_full, points, cfg.order)
     write_csv(
         cfg.out / "kernel_residuals.csv",
         ["re_w", "im_w", "residual", "certificate"],
@@ -379,6 +389,7 @@ def _run_kernel(cfg: RunConfig) -> int:
     report = {
         "label": spec.label,
         "N": cfg.order,
+        "pad": seq_full.horizon - cfg.order,
         "grid": {"radius": radius, "count": count},
         "gram_least_eigenvalue": least_eig,
         "pairs_converged": converged_pairs,

@@ -12,8 +12,15 @@ gives the stopping index, then the basis values and their products up to it
 are formed as split real and imaginary arrays, each complex product as
 ``(ar br - ai bi, ar bi + ai br)`` with every operation rounded on its own,
 and summed sequentially.  The result is bit for bit the term-by-term sum.
-The operator norm in the adjoint certificate is taken in real arithmetic
-when the adjoint section has no imaginary part.
+The certificate's sequence-only factors are formed once per sweep.
+
+Because ``M* kappa_w = conj(w) kappa_w``, the adjoint residual on the
+N-window is exactly ``P_N M* (I - P_N) kappa_w / ||P_N kappa_w||``, and
+``P_N M* (I - P_N)`` is the conjugate transpose of the shift's discarded
+block.  Its certificate is therefore
+``sqrt(sum_j tail_j^2) ||(I - P_N) kappa_w|| / ||P_N kappa_w||`` from the
+shift section's column tail bounds ``tail_j``: no operator norm, and no
+factorization.
 """
 
 from __future__ import annotations
@@ -23,7 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import TruncatedOperator, _narrow, build_adjoint, build_shift
+from .operators import (
+    TruncatedOperator,
+    _adjoint_entries,
+    _geometric_tail_norm,
+    build_shift,
+)
 from .sequences import SequencePair
 
 
@@ -111,8 +123,26 @@ def _basis_values(seq: SequencePair, z: complex, count: int) -> np.ndarray:
     return out
 
 
+def _growth_tables(seq: SequencePair) -> tuple[np.ndarray, np.ndarray]:
+    """The sequence-only factors of :func:`eval_kernel`'s certificate:
+    ``(|a_m| + |b_m|)^2`` and the squared suffix maximum of the growth
+    ratios, before the powers of rho.  One sweep forms them once."""
+    growth = np.abs(seq.a) + np.abs(seq.b)
+    ratios = growth[1:] / growth[:-1]
+    suffix = np.maximum.accumulate(ratios[::-1])[::-1]  # suffix[m] = max_{k>=m}
+    with np.errstate(all="ignore"):
+        # float_power squares with C pow, as Python's ** does; np.square
+        # rounds differently in about one case in a thousand
+        return growth * growth, np.float_power(np.append(suffix, suffix[-1]), 2)
+
+
 def eval_kernel(
-    seq: SequencePair, z: complex, w: complex, tol: float = 1e-10
+    seq: SequencePair,
+    z: complex,
+    w: complex,
+    tol: float = 1e-10,
+    *,
+    _tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> KernelValue:
     """Partial kernel sum with a measured-growth geometric tail certificate.
 
@@ -121,6 +151,7 @@ def eval_kernel(
     ``Q`` is the suffix maximum of the measured term-growth ratios.  If the
     horizon is exhausted first, the value is returned with
     ``converged=False`` and the last certificate (infinite when none exists).
+    A sweep passes ``_growth_tables(seq)`` once as ``_tables``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -129,16 +160,12 @@ def eval_kernel(
         raise ValueError("kernel arguments must lie strictly inside the unit disc")
     H = seq.horizon
     rho = abs(z) * abs(w)
-    growth = np.abs(seq.a) + np.abs(seq.b)
-    ratios = growth[1:] / growth[:-1]
-    suffix = np.maximum.accumulate(ratios[::-1])[::-1]  # suffix[m] = max_{k>=m}
+    growth_sq, suffix_sq = _growth_tables(seq) if _tables is None else _tables
     # the certificate runs over the whole horizon; past the stopping index
     # its terms may overflow, and those are never used
     with np.errstate(all="ignore"):
-        # float_power squares with C pow, as Python's ** does; np.square
-        # rounds differently in about one case in a thousand
-        q = np.float_power(np.append(suffix, suffix[-1]), 2) * rho
-        s = growth * growth * _powers(rho, H + 1)
+        q = suffix_sq * rho
+        s = growth_sq * _powers(rho, H + 1)
         tail = np.where(q < 1.0, s * q / (1.0 - q), math.inf)
     stops = np.flatnonzero(tail < tol)
     count = int(stops[0]) + 1 if stops.size else H + 1
@@ -170,10 +197,11 @@ def gram_matrix(seq: SequencePair, pts: PointSet, tol: float = 1e-10) -> np.ndar
         raise ValueError("point set must be nonempty")
     k = len(pts)
     points = list(pts)
+    tables = _growth_tables(seq)
     upper = {}
     for i in range(k):
         for j in range(i, k):
-            kv = eval_kernel(seq, points[i], points[j], tol)
+            kv = eval_kernel(seq, points[i], points[j], tol, _tables=tables)
             if not kv.converged:
                 raise KernelDivergenceError(
                     f"kernel tail not certified for pair ({i}, {j}); "
@@ -207,8 +235,9 @@ def adjoint_eigen_residual(
     seq: SequencePair, w: complex, N: int
 ) -> tuple[float, float]:
     """Relative residual of M* kappa_w = conj(w) kappa_w on the N-window,
-    together with its measured-decay tail certificate (inf when the kernel
-    coefficients do not decay on the trailing quarter)."""
+    together with its tail certificate (see :func:`adjoint_residual_grid`):
+    inf when the shift section has no tail bound or the kernel coefficients
+    do not decay on the trailing quarter of the window."""
     if abs(complex(w)) >= 1.0:
         raise ValueError("w must lie strictly inside the unit disc")
     if not 2 <= N <= seq.horizon:
@@ -234,31 +263,40 @@ def adjoint_eigen_check(
 def adjoint_residual_grid(
     seq: SequencePair, pts: PointSet, N: int
 ) -> list[tuple[float, float]]:
-    """:func:`adjoint_eigen_residual` per point, sharing one adjoint section
-    and its operator norm (taken when a first certificate needs it)."""
-    Astar = build_adjoint(seq, N).entries
-    opnorm = None
+    """:func:`adjoint_eigen_residual` per point, sharing one adjoint section.
+
+    The residual ``||P_N M* (I - P_N) kappa_w|| / ||P_N kappa_w||`` is at
+    most ``F ||(I - P_N) kappa_w|| / ||P_N kappa_w||``, where ``F``, the
+    scaled root sum of squares of the shift section's column tail bounds,
+    bounds the Frobenius norm of the shift's discarded block.  The
+    coefficients N..H of kappa_w enter exactly; past H they are closed
+    geometrically with the largest coefficient ratio measured on the
+    window's trailing quarter.  The certificate is inf when the shift has no
+    tail bound (``r_hat >= 1`` or horizon ``<= N``) or that ratio reaches 1.
+    """
+    Astar, tails = _adjoint_entries(seq, N)
+    block = math.inf if tails is None else _geometric_tail_norm(tails, 0.0)
+    H = seq.horizon
     start = max(1, (3 * N) // 4)
     out = []
     for w in pts:
-        kappa = kernel_coefficients(seq, w, N)
+        coeffs = kernel_coefficients(seq, w, H + 1)
+        kappa = coeffs[:N]
         resid_vec = Astar @ kappa - np.conj(w) * kappa
         norm_kappa = float(np.linalg.norm(kappa))
         residual = float(np.linalg.norm(resid_vec)) / norm_kappa
-        mags = np.abs(kappa)
+        mags = np.abs(coeffs)
         cur, nxt = mags[start : N - 1], mags[start + 1 : N]
         live = cur > 0.0
         if np.any(~live & (nxt > 0.0)):  # a zero coefficient before a nonzero one
             decay = math.inf
         else:
             decay = float(np.fmax.reduce(nxt[live] / cur[live], initial=0.0))
-        if decay >= 1.0:
+        if decay >= 1.0 or tails is None:
             certificate = math.inf
         else:
-            tail_l2 = mags[N - 1] * decay / math.sqrt(1.0 - decay * decay) if decay else 0.0
-            if opnorm is None:
-                opnorm = float(np.linalg.norm(_narrow(Astar), 2))
-            certificate = (opnorm + abs(w)) * tail_l2 / norm_kappa
+            rest = _geometric_tail_norm(mags[N:], decay)
+            certificate = block * rest / norm_kappa
         out.append((residual, certificate))
     return out
 

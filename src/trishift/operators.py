@@ -113,15 +113,6 @@ class BlockSet:
                 raise ValueError(f"block {name} must be {k}x{k} at basis offset 1")
 
 
-def _narrow(E: np.ndarray) -> np.ndarray:
-    """Complex ``E`` as a contiguous real array when its imaginary part is
-    exactly zero, so that real families are factored, normed and multiplied
-    in real arithmetic; otherwise ``E`` unchanged."""
-    if not E.imag.any():
-        return np.ascontiguousarray(E.real)
-    return E
-
-
 def _require_horizon(seq: SequencePair, needed: int, what: str) -> None:
     if needed > seq.horizon:
         raise HorizonError(
@@ -149,7 +140,6 @@ def _running_columns(
     tail = None
     if r_hat < 1.0 and first + rows < H:
         tail = np.zeros(len(starts))
-        factor = r_hat * r_hat / (1.0 - r_hat * r_hat)
     for j, start in enumerate(starts):
         f = first + j
         vals = np.empty(H - f + 1, dtype=complex)
@@ -158,14 +148,21 @@ def _running_columns(
         head = vals[: max(rows - j, 0)]
         out[j : j + head.size, j] = head
         if tail is not None:
-            rest = np.abs(vals[head.size :])
-            scale = rest.max()
-            if scale > 0.0:
-                rest /= scale
-                tail[j] = scale * math.sqrt(
-                    float(np.sum(rest * rest)) + rest[-1] * rest[-1] * factor
-                )
+            tail[j] = _geometric_tail_norm(np.abs(vals[head.size :]), r_hat)
     return tail
+
+
+def _geometric_tail_norm(mags: np.ndarray, r: float) -> float:
+    """l2 norm of the magnitudes ``mags`` continued past their last entry by
+    the geometric factor ``r < 1``: ``m sqrt(sum (x/m)^2 + (x_last/m)^2 r^2 /
+    (1 - r^2))`` with ``m`` the largest magnitude, so that squares below the
+    double range still count.  Scales ``mags`` in place."""
+    scale = mags.max()
+    if not scale > 0.0:
+        return 0.0
+    mags /= scale
+    factor = r * r / (1.0 - r * r)
+    return scale * math.sqrt(float(np.sum(mags * mags)) + mags[-1] * mags[-1] * factor)
 
 
 def monomial_in_basis(seq: SequencePair, n: int, M: int) -> np.ndarray:
@@ -207,15 +204,25 @@ def build_shift(seq: SequencePair, N: int) -> TruncatedOperator:
     return TruncatedOperator(M, N, 0, tail, N)
 
 
-def build_adjoint(seq: SequencePair, N: int) -> TruncatedOperator:
-    """N x N section of the adjoint: the conjugate transpose of the shift
-    section.  Its columns are finitely supported, so nothing is discarded."""
+def _adjoint_entries(
+    seq: SequencePair, N: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Entries of the N x N adjoint section with the shift section's tail
+    bounds.  Bound ``j`` caps row ``j`` of the adjoint's discarded block
+    ``P_N M* (I - P_N)``, the conjugate transpose of the shift's."""
     if N < 2:
         raise ValueError("section order must be at least 2")
     _require_horizon(seq, N, "adjoint section")
     A = np.zeros((N, N), dtype=complex)
-    _fill_shift(seq, A.T)  # shift columns land on contiguous rows of A
+    tail = _fill_shift(seq, A.T)  # shift columns land on contiguous rows of A
     np.conjugate(A, out=A)
+    return A, tail
+
+
+def build_adjoint(seq: SequencePair, N: int) -> TruncatedOperator:
+    """N x N section of the adjoint: the conjugate transpose of the shift
+    section.  Its columns are finitely supported, so nothing is discarded."""
+    A, _ = _adjoint_entries(seq, N)
     return TruncatedOperator(A, N, 0, np.zeros(N), N)
 
 

@@ -6,6 +6,7 @@ horizon used here.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -235,6 +236,19 @@ def test_criterion_8_kernel_suite():
         assert dev < 1e-12
     _report(8, f"kernel suite: closed form within {worst_closed_form:.1e}, "
                f"Gram least eigenvalue {least:.1e}, residuals certified")
+
+
+def test_criterion_8_residuals_certified_with_padding():
+    """Criterion 8's residual loop at horizon N + 64: finite certificates."""
+    residual_pts = PointSet(
+        tuple(0.9 * np.exp(2j * np.pi * k / 8) for k in range(8)) + (0.0, 0.45j)
+    )
+    for fam_a, fam_b in (("1", "0"), ("sqrt(n+1)", "0"), ("1", "1/(n+1)")):
+        seq = make_pair(fam_a, fam_b, 512 + 64)
+        for residual, certificate in adjoint_residual_grid(seq, residual_pts, 512):
+            assert math.isfinite(certificate)
+            assert residual <= certificate + 1e-10
+    _report(8, "residuals certified by finite bounds at horizon N + 64")
 
 
 def test_criterion_9_scaling_invariance(tmp_path):

@@ -353,6 +353,57 @@ def test_kernel_flags_nonconvergent_points(tmp_path, capsys):
     assert report["gram_least_eigenvalue"] is None
 
 
+def test_kernel_sweep_independent_of_pad(tmp_path):
+    # the pad serves the residual certificate only
+    spec = write_spec(tmp_path, "base.json", {"label": "base", "a": "sqrt(n+1)", "b": "0.5"})
+    outs = {}
+    for pad in (0, 64):
+        outs[pad] = tmp_path / f"pad{pad}"
+        assert main(["kernel", "--spec", str(spec), "--order", "128", "--pad", str(pad),
+                     "--grid", "0.98:6", "--tol", "1e-10", "--out", str(outs[pad])]) == 0
+    sweeps = [(out / "kernel_sweep.csv").read_bytes() for out in outs.values()]
+    assert sweeps[0] == sweeps[1]
+    (_, unpadded), (_, padded) = (read_csv(out / "kernel_residuals.csv") for out in outs.values())
+    assert [row[:3] for row in unpadded] == [row[:3] for row in padded]
+    # a non-finite certificate is written as an empty cell
+    assert [row[3] for row in unpadded] == [""] * 6
+    assert all(float(row[2]) <= float(row[3]) for row in padded)
+    for pad, out in outs.items():
+        assert json.loads((out / "kernel_report.json").read_text())["pad"] == pad
+
+
+def test_kernel_report_records_reduced_pad(tmp_path, capsys):
+    values = [[1.0, 0.0]] * 75  # explicit lists end at index 74
+    spec = write_spec(tmp_path, "flat.json", {"label": "flat", "a": values, "b": "0"})
+    out = tmp_path / "out"
+    assert main(["kernel", "--spec", str(spec), "--order", "64", "--pad", "16",
+                 "--grid", "0.5:4", "--out", str(out)]) == 0
+    assert "padding reduced to 10 rows" in capsys.readouterr().err
+    report = json.loads((out / "kernel_report.json").read_text())
+    assert report["pad"] == 10
+
+
+def test_kernel_takes_no_factorization_but_the_gram_eigenvalues(tmp_path, monkeypatch):
+    # every numpy.linalg call is recorded; vector 2-norms factor nothing
+    calls = []
+    for name in dir(np.linalg):
+        original = getattr(np.linalg, name)
+        if name.startswith("_") or name == "test" or not callable(original) or isinstance(original, type):
+            continue
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(args[0]), kwargs.get("ord", args[1:2])))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    out = tmp_path / "out"
+    assert main(["kernel", "--spec", str(bergman_spec(tmp_path)), "--order", "256",
+                 "--grid", "0.7:8", "--tol", "1e-10", "--out", str(out)]) == 0
+    norms = [c for c in calls if c[0] == "norm"]
+    assert [c for c in calls if c[0] != "norm"] == [("eigvalsh", (8, 8), ())]
+    assert norms and all(len(shape) == 1 and ord in ((), None) for _, shape, ord in norms)
+
+
 # -------------------------------------------------------------------- batch
 
 

@@ -10,6 +10,7 @@ from trishift import (
     CoefficientSpec,
     KernelDivergenceError,
     PointSet,
+    SequencePair,
     adjoint_eigen_check,
     adjoint_eigen_residual,
     adjoint_residual_grid,
@@ -23,7 +24,7 @@ from trishift import (
     materialize,
     parse_sequence_expr,
 )
-from trishift.kernels import KernelValue, _basis_values
+from trishift.kernels import KernelValue, _basis_values, _growth_tables
 
 
 def make_pair(a_text, b_text, N):
@@ -242,6 +243,25 @@ def test_kernel_certificate_overflow_past_stop_is_silent():
     assert kv.converged
 
 
+def test_shared_growth_tables_keep_values_bit_identical():
+    # a sweep forms the certificate's sequence-only factors once
+    rng = np.random.default_rng(89)
+    H = 256
+    a = (1.0 + 0.5 * rng.uniform(size=H + 1)) * np.exp(2j * np.pi * rng.uniform(size=H + 1))
+    b = 0.4 * rng.uniform(size=H + 1) * np.exp(2j * np.pi * rng.uniform(size=H + 1))
+    families = [family_pair(f, H) for f in CORPUS] + [SequencePair(a, b, H)]
+    for seq in families:
+        tables = _growth_tables(seq)
+        for z in PARITY_POINTS:
+            for w in PARITY_POINTS:
+                want = eval_kernel(seq, z, w, 1e-10)
+                got = eval_kernel(seq, z, w, 1e-10, _tables=tables)
+                assert bits(got.value) == bits(want.value), (z, w)
+                assert got.terms_used == want.terms_used
+                assert got.tail_estimate.hex() == want.tail_estimate.hex()
+                assert got.converged == want.converged
+
+
 def test_kernel_rejects_boundary_points():
     seq = szego(16)
     with pytest.raises(ValueError):
@@ -362,6 +382,72 @@ def test_adjoint_residual_below_certificate_on_grid():
         seq = make_pair(fam[0], fam[1], 512)
         for residual, cert in adjoint_residual_grid(seq, pts, 512):
             assert residual <= cert + 1e-10
+
+
+def test_adjoint_residual_below_certificate_on_padded_grid():
+    # the grid test above at horizon N + 64, where every certificate is finite
+    pts = PointSet(
+        tuple(
+            r * np.exp(2j * np.pi * k / 5)
+            for r in (0.1, 0.3, 0.5, 0.7, 0.9)
+            for k in range(5)
+        )
+    )
+    for fam in (("1", "0"), ("sqrt(n+1)", "0"), ("1", "1/(n+1)")):
+        seq = make_pair(fam[0], fam[1], 512 + 64)
+        for residual, cert in adjoint_residual_grid(seq, pts, 512):
+            assert math.isfinite(cert)
+            assert residual <= cert + 1e-10
+
+
+def cross_term(seq4, w, N):
+    """Exact ||P_N M* (I - P_N) kappa_w|| / ||P_N kappa_w||, from the shift's
+    discarded block and the kernel coefficients out to the horizon of seq4."""
+    H4 = seq4.horizon
+    block = build_shift(seq4, H4).entries[N:, :N]
+    kappa = kernel_coefficients(seq4, w, H4)
+    return np.linalg.norm(block.conj().T @ kappa[N:]) / np.linalg.norm(kappa[:N])
+
+
+def test_adjoint_certificate_bounds_exact_cross_term():
+    N, H = 128, 160
+    pts = PointSet(
+        (0.98, -0.98, 0.98j, 0.98 * cmath.exp(2j), 0.5 + 0.5j, -0.9j, 0.3, 0.0)
+    )
+    rng = np.random.default_rng(97)
+    # unimodular a and |b| <= 0.005: the coefficient ratios stay below
+    # 1 / 0.98, so the certificate is finite at |w| = 0.98
+    a = np.exp(2j * np.pi * rng.uniform(size=4 * H + 1))
+    b = 0.005 * rng.uniform(size=4 * H + 1) * np.exp(2j * np.pi * rng.uniform(size=4 * H + 1))
+    families = [make_pair("sqrt(n+1)", "0.5", 4 * H)]
+    families += [
+        family_pair(f, 4 * H)
+        for f in CORPUS
+        if f.name in ("bergman", "harmonic-b", "high-const-b")
+    ]
+    families.append(SequencePair(a, b, 4 * H))
+    cases = [(seq4, pts) for seq4 in families]
+    # b_n = 0.9 e^{in}: the discarded block spreads over many columns, and
+    # its largest column alone would not bound the cross term at these points
+    n = np.arange(4 * H + 1)
+    rotating = SequencePair(np.ones(4 * H + 1), 0.9 * np.exp(1j * n), 4 * H)
+    cases.append((rotating, PointSet((0.5 * cmath.exp(1j * math.pi / 6), 0.3j))))
+    for seq4, points in cases:
+        grid = adjoint_residual_grid(seq4.trimmed(H), points, N)
+        for w, (_, cert) in zip(points, grid):
+            assert math.isfinite(cert)
+            assert cross_term(seq4, w, N) <= cert
+
+
+def test_adjoint_certificate_infinite_without_tail_bound():
+    pts = PointSet((0.0, 0.3, 0.9j, -0.98))
+    # horizon == N: no rows past the window
+    for seq in (make_pair("sqrt(n+1)", "0.5", 64), family_pair(CORPUS[4], 64)):
+        assert all(cert == math.inf for _, cert in adjoint_residual_grid(seq, pts, 64))
+    # r_hat >= 1: padding, but no geometric closure
+    seq = make_pair("1", "1.2", 96)
+    assert build_shift(seq, 64).tail_bound is None
+    assert all(cert == math.inf for _, cert in adjoint_residual_grid(seq, pts, 64))
 
 
 def test_kernel_coefficients_definition():
