@@ -10,9 +10,10 @@ materialized horizon, sliced to the first N columns.
 The dense analysis rests on one thin SVD ``T = U S W^H`` of that tall
 section.  The polar factor is ``V = U W^H`` and ``|T| = W S W^H``; the kernel
 rank is read from ``S``; the ``I - T*T`` column tails are the column norms of
-``(I - S^2) W^H``.  The near-singular test therefore compares a singular
-value that double precision resolves.  Sections whose imaginary part is
-exactly zero are factored and multiplied as real arrays.
+``(I - S^2) W^H``, and those of the remainder ``T - V`` of ``(S - I) W^H``.
+The near-singular test therefore compares a singular value that double
+precision resolves.  Sections whose imaginary part is exactly zero are
+factored and multiplied as real arrays.
 """
 
 from __future__ import annotations
@@ -95,10 +96,10 @@ class EquivalenceDiagnostics:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """Polar split T = V |T| recast as isometry plus remainder."""
+    """Polar split T = V |T| recast as isometry plus remainder, as numbers:
+    the column norms of the remainder ``T - V`` and the isometry defect of
+    ``V``.  The sections themselves come from :func:`polar_decompose`."""
 
-    isometry_factor: TruncatedOperator
-    compact_part: TruncatedOperator
     column_decay: np.ndarray
     isometry_defect: float
 
@@ -321,11 +322,13 @@ def compact_isometry_split(
 ) -> DecompositionResult:
     """Split the shift section into its polar isometry plus remainder.
 
-    The polar isometry comes from the thin SVD of the column-exact tall
-    section; the returned sections are the leading N x N windows, while
-    ``column_decay`` holds the full-column remainder norms.  ``margin``
-    columns at the right edge are excluded from the isometry-defect
-    statistic to suppress boundary artifacts.
+    With ``T = U S W^H`` the thin SVD of the column-exact tall section, the
+    polar isometry is ``V = U W^H`` and the remainder ``T - V = U (S - I)
+    W^H``; ``U`` has orthonormal columns, so ``column_decay``, the remainder's
+    full-column norms, is the column norms of ``(S - I) W^H`` and the
+    remainder is never formed.  ``isometry_defect`` is the largest column
+    norm of ``V^H V - I``, where ``margin`` columns at the right edge are
+    excluded to suppress boundary artifacts.
     """
     if N < 8:
         raise ValueError("decomposition needs N >= 8")
@@ -333,20 +336,15 @@ def compact_isometry_split(
     if N > H:
         raise ValueError(f"N = {N} exceeds the materialized horizon {H}")
     section = _ShiftSection(seq, N) if _section is None else _section
-    V = _polar_isometry(*section.svd)
-    remainder = section.tall - V
-    column_decay = np.linalg.norm(remainder, axis=0)
+    u, s, wh = section.svd
+    V = _polar_isometry(u, s, wh)
+    column_decay = np.linalg.norm((s - 1.0)[:, None] * wh, axis=0)
     vtv = V.conj().T @ V
     defect_cols = np.linalg.norm(vtv - np.eye(N), axis=0)
     interior = max(1, N - max(margin, 0))
     isometry_defect = float(defect_cols[:interior].max())
     column_decay.flags.writeable = False
-    return DecompositionResult(
-        isometry_factor=TruncatedOperator(V[:N], N, 0, None, N),
-        compact_part=TruncatedOperator(remainder[:N], N, 0, None, N),
-        column_decay=column_decay,
-        isometry_defect=isometry_defect,
-    )
+    return DecompositionResult(column_decay, isometry_defect)
 
 
 def neumann_error_curve(

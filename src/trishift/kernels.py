@@ -20,7 +20,8 @@ N-window is exactly ``P_N M* (I - P_N) kappa_w / ||P_N kappa_w||``, and
 block.  Its certificate is therefore
 ``sqrt(sum_j tail_j^2) ||(I - P_N) kappa_w|| / ||P_N kappa_w||`` from the
 shift section's column tail bounds ``tail_j``: no operator norm, and no
-factorization.
+factorization.  A finite certificate also carries the rounding of the
+computed residual, which is far above that term where ``kappa_w`` decays fast.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from .operators import (
     build_shift,
 )
 from .sequences import SequencePair
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+_ROW_BLOCK = 32  # rows of |A| formed at a time by adjoint_residual_grid
 
 
 class KernelDivergenceError(ArithmeticError):
@@ -273,20 +278,35 @@ def adjoint_residual_grid(
     geometrically with the largest coefficient ratio measured on the
     window's trailing quarter.  The certificate is inf when the shift has no
     tail bound (``r_hat >= 1`` or horizon ``<= N``) or that ratio reaches 1.
+
+    A finite certificate adds the rounding term
+    ``gamma_{N+2} (|| |A| |kappa_w| || / ||P_N kappa_w|| + |w|)``: the
+    componentwise error bound of the computed ``A kappa_w - conj(w) kappa_w``
+    (each row of the adjoint section ``A`` has at most N - 1 nonzeros),
+    relative to ``||P_N kappa_w||``, with ``gamma_n = n u / (1 - n u)``.
+    ``|A| |kappa_w|`` is one real product for the whole grid, a block of
+    rows of ``|A|`` at a time.
     """
-    Astar, tails = _adjoint_entries(seq, N)
-    block = math.inf if tails is None else _geometric_tail_norm(tails, 0.0)
     H = seq.horizon
     start = max(1, (3 * N) // 4)
+    mags = np.abs([kernel_coefficients(seq, w, H + 1) for w in pts]).reshape(-1, H + 1)
+    Astar, tails = _adjoint_entries(seq, N)
+    block = math.inf if tails is None else _geometric_tail_norm(tails, 0.0)
+    if tails is not None:
+        # || |A| |kappa_w| ||^2 for every point, a block of rows at a time
+        # so that no second N x N array is held
+        spread_sq = sum(
+            np.square(np.abs(Astar[i : i + _ROW_BLOCK]) @ mags[:, :N].T).sum(axis=0)
+            for i in range(0, N, _ROW_BLOCK)
+        )
+        gamma = (N + 2) * _UNIT_ROUNDOFF / (1.0 - (N + 2) * _UNIT_ROUNDOFF)
     out = []
-    for w in pts:
-        coeffs = kernel_coefficients(seq, w, H + 1)
-        kappa = coeffs[:N]
+    for k, w in enumerate(pts):
+        kappa = kernel_coefficients(seq, w, N)
         resid_vec = Astar @ kappa - np.conj(w) * kappa
         norm_kappa = float(np.linalg.norm(kappa))
         residual = float(np.linalg.norm(resid_vec)) / norm_kappa
-        mags = np.abs(coeffs)
-        cur, nxt = mags[start : N - 1], mags[start + 1 : N]
+        cur, nxt = mags[k, start : N - 1], mags[k, start + 1 : N]
         live = cur > 0.0
         if np.any(~live & (nxt > 0.0)):  # a zero coefficient before a nonzero one
             decay = math.inf
@@ -295,8 +315,9 @@ def adjoint_residual_grid(
         if decay >= 1.0 or tails is None:
             certificate = math.inf
         else:
-            rest = _geometric_tail_norm(mags[N:], decay)
-            certificate = block * rest / norm_kappa
+            rest = _geometric_tail_norm(mags[k, N:], decay)
+            spread = math.sqrt(spread_sq[k]) / norm_kappa
+            certificate = block * rest / norm_kappa + gamma * (spread + abs(w))
         out.append((residual, certificate))
     return out
 

@@ -340,29 +340,6 @@ def neumann_partial_sum(
     return TruncatedOperator(total, W.order, W.basis_offset, None, window)
 
 
-def dense_json(op: TruncatedOperator) -> dict:
-    """Dense export: row-major [re, im] pairs plus order and basis offset."""
-    doc = {
-        "n": op.order,
-        "offset": op.basis_offset,
-        "entries": [[float(z.real), float(z.imag)] for z in op.entries.ravel()],
-    }
-    if op.rows != op.order:
-        doc["rows"] = op.rows
-    return doc
-
-
-def sparse_triplets(op: TruncatedOperator) -> list[tuple[int, int, float, float]]:
-    """Nonzero entries as (row, col, re, im), row-major."""
-    rows, cols = np.nonzero(op.entries)
-    order = np.lexsort((cols, rows))
-    out = []
-    for k in order:
-        z = op.entries[rows[k], cols[k]]
-        out.append((int(rows[k]), int(cols[k]), float(z.real), float(z.imag)))
-    return out
-
-
 __all__ = [
     "BlockSet",
     "TruncatedOperator",
@@ -371,8 +348,6 @@ __all__ = [
     "build_left_inverse",
     "build_shift",
     "build_tail_blocks",
-    "dense_json",
     "monomial_in_basis",
     "neumann_partial_sum",
-    "sparse_triplets",
 ]

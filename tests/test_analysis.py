@@ -283,21 +283,6 @@ def test_split_alternating_stays_large():
     assert np.min(deco.column_decay[:48]) > 0.1
 
 
-def test_split_reproduces_section():
-    rng = np.random.default_rng(59)
-    seq = random_pair(rng, 56)
-    N = 40
-    deco = compact_isometry_split(seq, N, margin=8)
-    T = build_shift(seq, 56).entries[:N, :N]
-    _, P = polar_decompose(
-        TruncatedOperator(build_shift(seq, 56).entries[:, :N], N)
-    )
-    recon = deco.isometry_factor.entries @ P.entries
-    assert np.max(np.abs(recon - T)) < 1e-10
-    total = deco.isometry_factor.entries + deco.compact_part.entries
-    assert np.max(np.abs(total - T)) < 1e-12
-
-
 def _gram_reference(seq, N, margin, rank_tol=1e-8):
     """Dense reference: I - T*T from the column Gram matrix, the polar factor
     from a full Hermitian eigendecomposition of it, ranks from two SVDs."""

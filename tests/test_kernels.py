@@ -450,6 +450,29 @@ def test_adjoint_certificate_infinite_without_tail_bound():
     assert all(cert == math.inf for _, cert in adjoint_residual_grid(seq, pts, 64))
 
 
+def test_adjoint_residual_below_certificate_strictly():
+    # the kernel command's residual rows at order 256 with its default pad of
+    # 64, on grids 0.5:8 and 0.98:32, for the corpus and the benchmark family:
+    # 840 rows, compared with no slack.  At |w| = 0.5 the residual is rounding
+    # noise far above the truncation term, so this needs the rounding term
+    N = 256
+    seqs = [family_pair(fam, N + 64) for fam in CORPUS]
+    seqs.append(make_pair("sqrt(n+1)", "0.5", N + 64))
+    rows = finite = 0
+    for radius, count in ((0.5, 8), (0.98, 32)):
+        pts = PointSet(
+            tuple(radius * cmath.exp(2j * math.pi * j / count) for j in range(count))
+        )
+        for seq in seqs:
+            for residual, cert in adjoint_residual_grid(seq, pts, N):
+                rows += 1
+                finite += math.isfinite(cert)
+                assert residual <= cert
+    assert rows == 840
+    assert finite >= 488
+    assert adjoint_residual_grid(seqs[-1], PointSet(()), N) == []
+
+
 def test_kernel_coefficients_definition():
     seq = make_pair("1", "0.5", 32)
     w = 0.4 + 0.2j

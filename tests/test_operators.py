@@ -17,13 +17,11 @@ from trishift import (
     compact_isometry_split,
     d_coefficients,
     defect_matrix,
-    dense_json,
     materialize,
     monomial_in_basis,
     neumann_partial_sum,
     parse_sequence_expr,
     polar_decompose,
-    sparse_triplets,
 )
 
 from corpus_families import CORPUS, family_pair
@@ -366,26 +364,7 @@ def test_tail_blocks_preconditions():
         build_tail_blocks(seq, -1, 12)
 
 
-# ------------------------------------------------------------------- exports
-
-
-def test_sparse_triplets_roundtrip():
-    seq = make_pair("1", "1/(n+1)", 10)
-    op = build_shift(seq, 6)
-    dense = np.zeros((6, 6), dtype=complex)
-    for row, col, re_, im_ in sparse_triplets(op):
-        dense[row, col] = re_ + 1j * im_
-    assert np.array_equal(dense, op.entries)
-
-
-def test_dense_json_schema():
-    seq = make_pair("1", "0.5", 10)
-    op = build_shift(seq, 4)
-    doc = dense_json(op)
-    assert doc["n"] == 4
-    assert doc["offset"] == 0
-    assert len(doc["entries"]) == 16
-    assert doc["entries"][4] == [1.0, 0.0]  # row 1, col 0
+# ----------------------------------------------------------- sections and memory
 
 
 def test_truncated_operator_validation():
@@ -428,6 +407,8 @@ def _every_section(seq, N):
     tall = build_shift(seq, seq.horizon).entries[:, :N]
     V, P = polar_decompose(TruncatedOperator(tall, N))
     split = compact_isometry_split(seq, N)
+    with pytest.raises(ValueError):
+        split.column_decay[0] = 1.0
     return {
         "shift": build_shift(seq, N),
         "adjoint": build_adjoint(seq, N),
@@ -442,8 +423,6 @@ def _every_section(seq, N):
         "neumann": neumann_partial_sum(W, D, 3),
         "V": V,
         "P": P,
-        "isometry": split.isometry_factor,
-        "compact": split.compact_part,
         "defect": defect_matrix(seq, N),
     }
 
@@ -485,6 +464,23 @@ def test_builders_hold_one_dense_array_per_section():
     K = N - 1
     units = _peak_traced_bytes(build_blocks, seq, N) / (16 * K * K)
     assert units <= 4.1, units
+
+
+def test_split_result_holds_no_section():
+    # measured in H x N real sections; the split's numbers are O(N), so a
+    # kept window or remainder section would add about one per section
+    N = 512
+    seq = make_pair("sqrt(n+1)", "0.5", N + 64)
+    H = seq.horizon
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        split = compact_isometry_split(seq, N)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert split.column_decay.shape == (N,)
+    assert held / (8 * H * N) <= 0.05
 
 
 def test_corpus_members_build_cleanly():
