@@ -8,16 +8,20 @@ are computed from column-exact tall sections: the shift built on the full
 materialized horizon, sliced to the first N columns.
 
 The dense analysis rests on one thin SVD ``T = U S W^H`` of that tall
-section.  The polar factor is ``V = U W^H`` and ``|T| = W S W^H``; the kernel
-rank is read from ``S``; the ``I - T*T`` column tails are the column norms of
-``(I - S^2) W^H``, and those of the remainder ``T - V`` of ``(S - I) W^H``.
-The near-singular test therefore compares a singular value that double
-precision resolves.  Sections whose imaginary part is exactly zero are
-factored and multiplied as real arrays.
+section.  The polar factor is ``V = U W^H`` and ``|T| = W S W^H``; the
+``I - T*T`` column tails are the column norms of ``(I - S^2) W^H``, and those
+of the remainder ``T - V`` of ``(S - I) W^H``.  The near-singular test
+therefore compares a singular value that double precision resolves.  The
+kernel and cokernel ranks need no factorization: the left-inverse section is
+an exact left inverse of the tall section and of the square section's
+nonzero block, and its Frobenius norm bounds their least singular values in
+O(N^2).  Sections whose imaginary part is exactly zero are factored and
+multiplied as real arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +43,9 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_SINGULAR_FLOOR = 1e-10
 DEFAULT_MARGIN = 64
+
+ROUTE_CERTIFIED = "certified"
+ROUTE_SVD = "svd"
 
 
 class NearSingularError(ArithmeticError):
@@ -79,9 +86,22 @@ class CriterionReport:
 
 @dataclass(frozen=True)
 class IndexData:
+    """Kernel and cokernel dimensions, and how each rank was decided.
+
+    A route is ``"certified"`` when a left inverse proved the rank full and
+    ``"svd"`` when singular values counted it.  A margin is
+    ``2 * DEFAULT_RANK_TOL * s_up * ||X||_F`` for the section's left inverse
+    ``X``: the rank is certified below 1.  It is ``None`` when no finite
+    bound exists.
+    """
+
     dim_ker: int
     dim_coker: int
     index: int
+    ker_route: str
+    coker_route: str
+    ker_margin: float | None
+    coker_margin: float | None
 
 
 @dataclass(frozen=True)
@@ -159,9 +179,12 @@ class _ShiftSection:
 
     ``tall`` is its first ``N`` columns (column-exact) and ``square`` the
     leading ``N x N`` window.  ``svd`` is the thin SVD ``(U, s, W^H)`` of the
-    tall section, with ``s`` descending, and ``ltstar_profile`` the column
-    norms of ``L - T*`` over the first ``N`` columns.  Each is computed on
-    first use and kept.
+    tall section, with ``s`` descending.  One horizon left-inverse section
+    ``L`` gives ``ltstar_profile``, the column norms of ``L - T*`` over the
+    first ``N`` columns, and ``left_inverse_norms``, the Frobenius norms of
+    the exact left inverses that decide the index ranks; ``L`` itself is
+    dropped before anything else runs.  Each is computed on first use and
+    kept.
     """
 
     def __init__(self, seq: SequencePair, N: int) -> None:
@@ -184,15 +207,31 @@ class _ShiftSection:
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.linalg.svd(self.tall, full_matrices=False)
 
-    @cached_property
+    @property
     def ltstar_profile(self) -> np.ndarray:
-        L = build_left_inverse(self.seq, self.seq.horizon).entries
+        return self._left_inverse_data[0]
+
+    @property
+    def left_inverse_norms(self) -> tuple[float, float]:
+        """``(||L[:N]||_F, ||L[:N-1, 1:]||_F)``: the first is ``inf`` when
+        the horizon holds no row ``N`` of the tall section."""
+        return self._left_inverse_data[1:]
+
+    @cached_property
+    def _left_inverse_data(self) -> tuple[np.ndarray, float, float]:
+        N, H = self.N, self.seq.horizon
+        L = _narrow(build_left_inverse(self.seq, H).entries)
         # T* is the conjugate transpose of the horizon section, which is how
         # build_adjoint defines the adjoint
-        tstar = self.full[: self.N].conj().T
-        profile = np.linalg.norm(L[:, : self.N] - tstar, axis=0)
+        tstar = self.full[:N].conj().T
+        profile = np.linalg.norm(L[:, :N] - tstar, axis=0)
         profile.flags.writeable = False
-        return profile
+        # row i of L lives on columns <= i + 1 and column 0 is zero, so the
+        # rows below hold all of L[:N, :N+1] and of L[:N-1, 1:N]
+        rows = np.linalg.norm(L[:N], axis=1)
+        fro_square = math.hypot(*rows[: N - 1])
+        fro_tall = math.hypot(fro_square, rows[N - 1]) if H > N else math.inf
+        return profile, fro_tall, fro_square
 
 
 def column_norm_profile(
@@ -226,20 +265,71 @@ def index_data(seq: SequencePair, N: int) -> IndexData:
 
     The kernel rank uses the column-exact tall section (full columns, no
     truncation loss); the cokernel uses the square section, whose column
-    space is exactly the window part of the range.  Only singular values are
-    computed.
+    space is exactly the window part of the range.  Each rank is certified
+    in O(N^2) from the left-inverse section; a values-only SVD counts it
+    only when that certificate fails.
     """
-    section = _ShiftSection(seq, N)
-    s_tall = np.linalg.svd(section.tall, compute_uv=False)
-    return _index_data(section, s_tall)
+    H = seq.horizon
+    if N > H:
+        raise ValueError(f"N = {N} exceeds the materialized horizon {H}")
+    return _index_data(_ShiftSection(seq, N), None)
 
 
-def _index_data(section: _ShiftSection, s_tall: np.ndarray) -> IndexData:
-    N = section.N
-    dim_ker = N - _numerical_rank(s_tall)
-    s_square = np.linalg.svd(section.square, compute_uv=False)
-    dim_coker = N - _numerical_rank(s_square)
-    return IndexData(dim_ker=dim_ker, dim_coker=dim_coker, index=dim_ker - dim_coker)
+def _index_data(section: _ShiftSection, s_tall: np.ndarray | None) -> IndexData:
+    """Index data of ``section``, given the tall section's singular values
+    ``s_tall`` when they are already computed.
+
+    ``L T = I``, ``L`` has one superdiagonal and ``T`` is strictly lower
+    triangular, so ``L[:N] @ tall = I_N`` and ``sigma_min(tall) >= 1 /
+    ||L[:N]||_F``.  The square section is ``[[0, 0], [R, 0]]`` with ``R =
+    square[1:, :N-1]`` and ``L[:N-1, 1:N] @ R = I_{N-1}``: its singular
+    values are ``R``'s, each at least ``1 / ||L[:N-1, 1:N]||_F``, and one
+    exact zero.  ``s_up`` bounds the largest singular value of both
+    sections: ``s_tall[0]``, else ``||tall||_F``.  A rank is certified full
+    when ``2 * DEFAULT_RANK_TOL * s_up * ||X||_F < 1``; the factor 2 covers
+    the entries' rounding (``gamma_H`` relative) and the SVD's (about ``N
+    eps s_max``), so the SVD would count the same rank.  Otherwise that
+    section's values-only SVD counts it.
+    """
+    fro_tall, fro_square = section.left_inverse_norms
+    tall = section.tall
+    s_up = float(np.linalg.norm(tall) if s_tall is None else s_tall[0])
+    dim_ker, ker_route, ker_margin = _rank_deficiency(
+        tall, 0, s_up, fro_tall, s_tall
+    )
+    dim_coker, coker_route, coker_margin = _rank_deficiency(
+        section.square, 1, s_up, fro_square
+    )
+    return IndexData(
+        dim_ker=dim_ker,
+        dim_coker=dim_coker,
+        index=dim_ker - dim_coker,
+        ker_route=ker_route,
+        coker_route=coker_route,
+        ker_margin=ker_margin,
+        coker_margin=coker_margin,
+    )
+
+
+def _rank_deficiency(
+    E: np.ndarray,
+    certified: int,
+    s_up: float,
+    fro: float,
+    s: np.ndarray | None = None,
+) -> tuple[int, str, float | None]:
+    """``(columns - rank, route, margin)`` of the section ``E``: the
+    deficiency is ``certified`` when its left inverse's norm ``fro``
+    certifies it, else counted from the singular values ``s`` (computed when
+    not given)."""
+    margin = 2.0 * DEFAULT_RANK_TOL * s_up * fro
+    if not math.isfinite(margin):
+        margin = None
+    elif margin < 1.0:
+        return certified, ROUTE_CERTIFIED, margin
+    if s is None:
+        s = np.linalg.svd(E, compute_uv=False)
+    return E.shape[1] - _numerical_rank(s), ROUTE_SVD, margin
 
 
 def _numerical_rank(s: np.ndarray) -> int:
@@ -268,6 +358,7 @@ def equivalence_diagnostics(
     if N > H:
         raise ValueError(f"N = {N} exceeds the materialized horizon {H}")
     section = _ShiftSection(seq, N) if _section is None else _section
+    tails_ltstar = section.ltstar_profile  # its left inverse is gone before the SVD
     _, s, wh = section.svd
     tails_itt = np.linalg.norm((1.0 - s * s)[:, None] * wh, axis=0)
     square = section.square
@@ -275,7 +366,7 @@ def equivalence_diagnostics(
     tails_ittstar = np.linalg.norm(np.eye(N) - proj, axis=0)
     return EquivalenceDiagnostics(
         tails_itt=tails_itt,
-        tails_ltstar=section.ltstar_profile,
+        tails_ltstar=tails_ltstar,
         tails_ittstar=tails_ittstar,
         index_data=_index_data(section, s),
     )

@@ -15,7 +15,12 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .analysis import CriterionReport, DecompositionResult, EquivalenceDiagnostics
+from .analysis import (
+    CriterionReport,
+    DecompositionResult,
+    EquivalenceDiagnostics,
+    IndexData,
+)
 from .sequences import AssumptionReport
 
 
@@ -83,6 +88,17 @@ def decomposition_dict(deco: DecompositionResult) -> dict:
     }
 
 
+def index_data_dict(data: IndexData) -> dict:
+    return {
+        "dim_ker": data.dim_ker,
+        "dim_coker": data.dim_coker,
+        "ker_route": data.ker_route,
+        "coker_route": data.coker_route,
+        "ker_margin": data.ker_margin,
+        "coker_margin": data.coker_margin,
+    }
+
+
 def check_report(label: str, N: int, rep: AssumptionReport, crit: CriterionReport) -> dict:
     return {
         "label": label,
@@ -123,6 +139,7 @@ def full_report(
             "I_minus_TTstar": to_jsonable(diag.tails_ittstar),
         },
         "index": diag.index_data.index,
+        "index_data": index_data_dict(diag.index_data),
         "decomposition": decomposition_dict(deco),
     }
 
@@ -195,6 +212,7 @@ __all__ = [
     "decomposition_dict",
     "flatten_scalars",
     "full_report",
+    "index_data_dict",
     "render_json",
     "sanitize",
     "to_jsonable",

@@ -225,7 +225,7 @@ def test_criterion_8_kernel_suite():
     for fam_a, fam_b in (("1", "0"), ("sqrt(n+1)", "0"), ("1", "1/(n+1)")):
         seq = make_pair(fam_a, fam_b, 512)
         for residual, certificate in adjoint_residual_grid(seq, residual_pts, 512):
-            assert residual <= certificate + 1e-10
+            assert residual <= certificate
 
     for fam in CORPUS[::4]:
         seq = family_pair(fam, 128)
@@ -247,7 +247,7 @@ def test_criterion_8_residuals_certified_with_padding():
         seq = make_pair(fam_a, fam_b, 512 + 64)
         for residual, certificate in adjoint_residual_grid(seq, residual_pts, 512):
             assert math.isfinite(certificate)
-            assert residual <= certificate + 1e-10
+            assert residual <= certificate
     _report(8, "residuals certified by finite bounds at horizon N + 64")
 
 

@@ -332,6 +332,87 @@ def test_single_svd_core_matches_gram_reference():
         assert (d.dim_ker, d.dim_coker, d.index) == index
 
 
+def _index_tuple(d):
+    return (d.dim_ker, d.dim_coker, d.index)
+
+
+@pytest.mark.parametrize("N", [64, 256])
+def test_certified_ranks_match_gram_reference_on_corpus(N):
+    pad = 64
+    for fam in CORPUS:
+        seq = family_pair(fam, N + pad)
+        want = _gram_reference(seq, N, pad)[4]
+        for d in (index_data(seq, N), equivalence_diagnostics(seq, N).index_data):
+            assert (d.ker_route, d.coker_route) == ("certified", "certified"), fam.name
+            assert 0.0 < d.ker_margin < 1.0 and 0.0 < d.coker_margin < 1.0
+            assert _index_tuple(d) == want, fam.name
+
+
+def test_certified_ranks_match_gram_reference_on_random_families():
+    rng = np.random.default_rng(83)
+    for _ in range(6):
+        N = int(rng.integers(16, 96))
+        seq = random_pair(rng, N + 16)
+        want = _gram_reference(seq, N, 16)[4]
+        for d in (index_data(seq, N), equivalence_diagnostics(seq, N).index_data):
+            assert (d.ker_route, d.coker_route) == ("certified", "certified")
+            assert _index_tuple(d) == want
+
+
+def _growing_left_inverse_pair(k, H):
+    # |b_n/a_{n+1}| = 10 with alternating signs for n < k: the running
+    # products of both sections reach 10^k before the ratio drops to 1/2
+    b = [10.0 * (-1) ** n for n in range(k)] + [0.5] * (H + 1 - k)
+    return materialize(CoefficientSpec([1.0] * (H + 1), b, "grow"), H)
+
+
+@pytest.mark.parametrize("k", [4, 20])
+def test_rank_fallback_matches_gram_reference(k):
+    N = 64
+    seq = _growing_left_inverse_pair(k, N + 32)
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular at k = 20
+        want = _gram_reference(seq, N, 16)[4]
+    for d in (index_data(seq, N), equivalence_diagnostics(seq, N).index_data):
+        assert (d.ker_route, d.coker_route) == ("svd", "svd")
+        assert d.ker_margin >= 1.0 and d.coker_margin >= 1.0
+        assert _index_tuple(d) == want
+    if k == 4:  # the SVD still resolves the full ranks
+        assert want == (0, 1, -1)
+
+
+def test_kernel_rank_falls_back_without_a_row_past_the_window():
+    # on horizon N the tall section is the square one: its last column is
+    # cut, no left inverse exists, and the SVD counts the kernel
+    seq = make_pair("sqrt(n+1)", "0.5", 32)
+    d = index_data(seq, 32)
+    assert (d.ker_route, d.ker_margin) == ("svd", None)
+    assert d.coker_route == "certified"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = _gram_reference(seq, 32, 0)[4]
+    assert _index_tuple(d) == want == (1, 1, 0)
+
+
+def test_index_rejects_order_past_horizon():
+    with pytest.raises(ValueError, match="exceeds the materialized horizon"):
+        index_data(make_pair("1", "0", 32), 40)
+
+
+def test_index_svd_calls_only_on_fallback(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    d = index_data(make_pair("sqrt(n+1)", "0.5", 128), 64)
+    assert _index_tuple(d) == (0, 1, -1)
+    assert calls == []
+    equivalence_diagnostics(_growing_left_inverse_pair(4, 96), 64)
+    assert calls == [True, False]  # the thin SVD, then the square's values
+
+
 # ------------------------------------------------------------------- neumann
 
 

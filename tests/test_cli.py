@@ -196,6 +196,30 @@ def test_profile_outputs(tmp_path):
     assert all(v >= b - 1e-12 for v, b in zip(values, bounds))
 
 
+def test_profile_takes_one_svd_when_the_index_is_certified(tmp_path, monkeypatch):
+    spec = write_spec(
+        tmp_path, "base.json", {"label": "baseline", "a": "sqrt(n+1)", "b": "0.5"}
+    )
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    out = tmp_path / "out"
+    code = main(["profile", "--spec", str(spec), "--order", "64", "--out", str(out)])
+    assert code == 0
+    assert calls == [True]  # the tall section's thin SVD
+    report = json.loads((out / "profile_report.json").read_text())
+    assert report["index"] == -1
+    data = report["index_data"]
+    assert (data["dim_ker"], data["dim_coker"]) == (0, 1)
+    assert (data["ker_route"], data["coker_route"]) == ("certified", "certified")
+    assert 0.0 < data["ker_margin"] < 1.0 and 0.0 < data["coker_margin"] < 1.0
+
+
 def test_profile_constant_b_is_flat_zero(tmp_path):
     spec = write_spec(tmp_path, "iso.json", {"label": "iso", "a": "1", "b": "0.5"})
     out = tmp_path / "out"

@@ -381,7 +381,7 @@ def test_adjoint_residual_below_certificate_on_grid():
     for fam in (("1", "0"), ("sqrt(n+1)", "0"), ("1", "1/(n+1)")):
         seq = make_pair(fam[0], fam[1], 512)
         for residual, cert in adjoint_residual_grid(seq, pts, 512):
-            assert residual <= cert + 1e-10
+            assert residual <= cert
 
 
 def test_adjoint_residual_below_certificate_on_padded_grid():
@@ -397,7 +397,7 @@ def test_adjoint_residual_below_certificate_on_padded_grid():
         seq = make_pair(fam[0], fam[1], 512 + 64)
         for residual, cert in adjoint_residual_grid(seq, pts, 512):
             assert math.isfinite(cert)
-            assert residual <= cert + 1e-10
+            assert residual <= cert
 
 
 def cross_term(seq4, w, N):
