@@ -15,8 +15,8 @@ therefore compares a singular value that double precision resolves.  The
 kernel and cokernel ranks need no factorization: the left-inverse section is
 an exact left inverse of the tall section and of the square section's
 nonzero block, and its Frobenius norm bounds their least singular values in
-O(N^2).  Sections whose imaginary part is exactly zero are factored and
-multiplied as real arrays.
+O(N^2).  Sections carry their sequence pair's dtype, so real families are
+factored and multiplied in real arithmetic.
 """
 
 from __future__ import annotations
@@ -164,15 +164,6 @@ def check_main_criterion(
     )
 
 
-def _narrow(E: np.ndarray) -> np.ndarray:
-    """Complex ``E`` as a contiguous real array when its imaginary part is
-    exactly zero, so that real families are factored, normed and multiplied
-    in real arithmetic; otherwise ``E`` unchanged."""
-    if not E.imag.any():
-        return np.ascontiguousarray(E.real)
-    return E
-
-
 class _ShiftSection:
     """The shift section on the full materialized horizon, built once and
     shared by the analyses of one run.
@@ -193,7 +184,7 @@ class _ShiftSection:
 
     @cached_property
     def full(self) -> np.ndarray:
-        return _narrow(build_shift(self.seq, self.seq.horizon).entries)
+        return build_shift(self.seq, self.seq.horizon).entries
 
     @property
     def tall(self) -> np.ndarray:
@@ -220,7 +211,7 @@ class _ShiftSection:
     @cached_property
     def _left_inverse_data(self) -> tuple[np.ndarray, float, float]:
         N, H = self.N, self.seq.horizon
-        L = _narrow(build_left_inverse(self.seq, H).entries)
+        L = build_left_inverse(self.seq, H).entries
         # T* is the conjugate transpose of the horizon section, which is how
         # build_adjoint defines the adjoint
         tstar = self.full[:N].conj().T
@@ -389,12 +380,12 @@ def polar_decompose(T: TruncatedOperator) -> tuple[TruncatedOperator, TruncatedO
 
     Both come from one thin SVD ``T = U S W^H``: ``V = U W^H`` and
     ``P = W S W^H``, symmetrised so that P is exactly Hermitian.  V inherits
-    T's shape (tall sections give V orthonormal columns).  Sections with no
-    imaginary part are factored in real arithmetic.  Raises
+    T's shape (tall sections give V orthonormal columns).  Real sections are
+    factored in real arithmetic.  Raises
     :class:`NearSingularError` when the least singular value of T is at or
     below ``DEFAULT_SINGULAR_FLOOR``.
     """
-    u, s, wh = np.linalg.svd(_narrow(T.entries), full_matrices=False)
+    u, s, wh = np.linalg.svd(T.entries, full_matrices=False)
     V = _polar_isometry(u, s, wh)
     P = (wh.conj().T * s) @ wh
     P = (P + P.conj().T) / 2.0
@@ -446,9 +437,8 @@ def neumann_error_curve(
 
     ``r`` is the supremum of the weights that enter the weighted shift
     (``|b_n/a_{n+1}|`` for n >= n0+2 on the horizon) and M0 the largest
-    coupling coefficient magnitude.  Blocks with no imaginary part are
-    multiplied and normed in real arithmetic.  Raises
-    :class:`BoundUnavailableError` when r >= 1.
+    coupling coefficient magnitude.  Raises :class:`BoundUnavailableError`
+    when r >= 1.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -461,12 +451,11 @@ def neumann_error_curve(
         )
     m0 = float(np.abs(c_coefficients(seq)).max())
     rows: list[tuple[int, float, float]] = []
-    assembled = _narrow(A2.entries)
-    sums = _neumann_partial_sums(_narrow(W.entries), _narrow(D.entries))
+    sums = _neumann_partial_sums(W.entries, D.entries)
     for m in range(m_max + 1):
         total = next(sums, None)
         if total is not None:  # otherwise the terms vanished: S_m = S_{m-1}
-            err = float(np.linalg.norm(assembled - total, 2))
+            err = float(np.linalg.norm(A2.entries - total, 2))
         bound = m0 * r ** (m + 1) / (1.0 - r) if r > 0.0 else 0.0
         rows.append((m, err, bound))
     return rows

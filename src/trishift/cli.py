@@ -476,3 +476,7 @@ __all__ = [
     "RunConfig",
     "main",
 ]
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -226,7 +226,7 @@ def defect_matrix(seq: SequencePair, N: int) -> TruncatedOperator:
     if N < 4:
         raise ValueError("defect section needs N >= 4")
     M = build_shift(seq, N).entries
-    C = np.eye(N, dtype=complex) - M @ M.conj().T
+    C = np.eye(N, dtype=M.dtype) - M @ M.conj().T
     C = (C + C.conj().T) / 2.0
     return TruncatedOperator(C, N, 0, None, N)
 
@@ -234,6 +234,14 @@ def defect_matrix(seq: SequencePair, N: int) -> TruncatedOperator:
 def kernel_coefficients(seq: SequencePair, w: complex, count: int) -> np.ndarray:
     """Basis coefficients of k(. , w): entry n is conj(f_n(w))."""
     return np.conj(_basis_values(seq, complex(w), count))
+
+
+def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for a complex vector ``x``.  A real ``A`` is applied to the
+    real and imaginary parts apart, so that it is never cast to complex."""
+    if np.iscomplexobj(A):
+        return A @ x
+    return A @ x.real + 1j * (A @ x.imag)
 
 
 def adjoint_eigen_residual(
@@ -285,11 +293,13 @@ def adjoint_residual_grid(
     (each row of the adjoint section ``A`` has at most N - 1 nonzeros),
     relative to ``||P_N kappa_w||``, with ``gamma_n = n u / (1 - n u)``.
     ``|A| |kappa_w|`` is one real product for the whole grid, a block of
-    rows of ``|A|`` at a time.
+    rows of ``|A|`` at a time.  Each point's residual applies ``A`` on its
+    own, so one point's residual is bit for bit its residual in any grid.
     """
     H = seq.horizon
     start = max(1, (3 * N) // 4)
-    mags = np.abs([kernel_coefficients(seq, w, H + 1) for w in pts]).reshape(-1, H + 1)
+    coeffs = np.array([kernel_coefficients(seq, w, H + 1) for w in pts]).reshape(-1, H + 1)
+    mags = np.abs(coeffs)
     Astar, tails = _adjoint_entries(seq, N)
     block = math.inf if tails is None else _geometric_tail_norm(tails, 0.0)
     if tails is not None:
@@ -302,8 +312,8 @@ def adjoint_residual_grid(
         gamma = (N + 2) * _UNIT_ROUNDOFF / (1.0 - (N + 2) * _UNIT_ROUNDOFF)
     out = []
     for k, w in enumerate(pts):
-        kappa = kernel_coefficients(seq, w, N)
-        resid_vec = Astar @ kappa - np.conj(w) * kappa
+        kappa = coeffs[k, :N]
+        resid_vec = _apply(Astar, kappa) - np.conj(w) * kappa
         norm_kappa = float(np.linalg.norm(kappa))
         residual = float(np.linalg.norm(resid_vec)) / norm_kappa
         cur, nxt = mags[k, start : N - 1], mags[k, start + 1 : N]
@@ -346,11 +356,11 @@ def defect_apply(seq: SequencePair, coeffs: np.ndarray, w: complex) -> complex:
     f[: coeffs.size] = coeffs
     kappa = kernel_coefficients(seq, w, H)
     M = build_shift(seq, H).entries
-    gamma = kappa - np.conj(w) * (M @ kappa)
+    gamma = kappa - np.conj(w) * _apply(M, kappa)
     route_pairing = complex(np.vdot(gamma, f))
     C = defect_matrix(seq, H).entries
     basis_vals = _basis_values(seq, w, H)
-    route_matrix = complex(np.sum((C @ f) * basis_vals))
+    route_matrix = complex(np.sum(_apply(C, f) * basis_vals))
     norm_f = float(np.linalg.norm(f))
     scale = 1.0 + norm_f * float(np.linalg.norm(kappa))
     # |kappa_{H-1}| proxies the truncation quality of both routes

@@ -19,9 +19,10 @@ section's entries and its rest the column's tail bound, so every section is
 bit for bit the leading window of the horizon section.  The adjoint section
 is the conjugate transpose of the shift section.
 
-A section owns the array it is built from: every builder hands a fresh
-buffer to :class:`TruncatedOperator`, which freezes it in place instead of
-copying it, and keeps no writable alias to it.
+Every section takes the dtype of its :class:`SequencePair`: float64 for a
+real family, complex128 otherwise.  A section owns the array it is built
+from: every builder hands a fresh buffer to :class:`TruncatedOperator`, which
+freezes it in place instead of copying it, and keeps no writable alias to it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ class TruncatedOperator:
     same-size sections are exact.
 
     The arrays passed become the section's storage and are made read-only
-    in place; only a dtype conversion copies them.
+    in place.  Float64 and complex128 entries are kept as they are; any
+    other dtype is converted into a new complex128 array.
     """
 
     entries: np.ndarray
@@ -63,7 +65,9 @@ class TruncatedOperator:
     exact_window: int | None = None
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = np.asarray(self.entries)
+        if entries.dtype not in (np.float64, np.complex128):
+            entries = entries.astype(np.complex128)
         if entries.ndim != 2:
             raise ValueError("entries must be a matrix")
         rows, cols = entries.shape
@@ -142,7 +146,7 @@ def _running_columns(
         tail = np.zeros(len(starts))
     for j, start in enumerate(starts):
         f = first + j
-        vals = np.empty(H - f + 1, dtype=complex)
+        vals = np.empty(H - f + 1, dtype=seq.a.dtype)
         vals[0] = start
         vals[1:] = start * np.cumprod(ratios[f:])
         head = vals[: max(rows - j, 0)]
@@ -175,7 +179,7 @@ def monomial_in_basis(seq: SequencePair, n: int, M: int) -> np.ndarray:
     if n < 0 or M < 0:
         raise ValueError("n and M must be nonnegative")
     _require_horizon(seq, n + M, "monomial expansion")
-    coef = np.empty(M + 1, dtype=complex)
+    coef = np.empty(M + 1, dtype=seq.a.dtype)
     _running_columns(seq, coef[:, None], [1.0 / seq.a[n]], n)
     return coef
 
@@ -199,7 +203,7 @@ def build_shift(seq: SequencePair, N: int) -> TruncatedOperator:
     if N < 2:
         raise ValueError("section order must be at least 2")
     _require_horizon(seq, N, "shift section")
-    M = np.zeros((N, N), dtype=complex)
+    M = np.zeros((N, N), dtype=seq.a.dtype)
     tail = _fill_shift(seq, M)
     return TruncatedOperator(M, N, 0, tail, N)
 
@@ -213,7 +217,7 @@ def _adjoint_entries(
     if N < 2:
         raise ValueError("section order must be at least 2")
     _require_horizon(seq, N, "adjoint section")
-    A = np.zeros((N, N), dtype=complex)
+    A = np.zeros((N, N), dtype=seq.a.dtype)
     tail = _fill_shift(seq, A.T)  # shift columns land on contiguous rows of A
     np.conjugate(A, out=A)
     return A, tail
@@ -233,7 +237,7 @@ def build_left_inverse(seq: SequencePair, N: int) -> TruncatedOperator:
         raise ValueError("section order must be at least 2")
     _require_horizon(seq, N, "left-inverse section")
     a = seq.a
-    L = np.zeros((N, N), dtype=complex)
+    L = np.zeros((N, N), dtype=seq.a.dtype)
     idx = np.arange(N - 1)
     L[idx, idx + 1] = a[1:N] / a[: N - 1]
     d = d_coefficients(seq)  # d[k] = d_{k+1}
@@ -262,15 +266,15 @@ def build_blocks(seq: SequencePair, N: int) -> BlockSet:
     diag = a[2 : K + 2] / a[1 : K + 1] - np.conj(a[1 : K + 1] / a[2 : K + 2])
     b1 = TruncatedOperator(np.diag(diag), K, 1, None, K)
 
-    Z2 = np.zeros((K, K), dtype=complex)
+    Z2 = np.zeros((K, K), dtype=seq.a.dtype)
     _running_columns(seq, Z2, -c_coefficients(seq)[1 : K + 1], 3)
     b2 = TruncatedOperator(Z2, K, 1, None, min(K, seq.horizon - 2))
 
-    Z3 = np.zeros((K, K), dtype=complex)
+    Z3 = np.zeros((K, K), dtype=seq.a.dtype)
     _running_columns(seq, Z3, d_coefficients(seq)[:K], 1)
     b3 = TruncatedOperator(Z3, K, 1, None, K)
 
-    U = np.zeros((K, K), dtype=complex)
+    U = np.zeros((K, K), dtype=seq.a.dtype)
     idx = np.arange(K - 1)
     U[idx + 1, idx] = 1.0
     u_tail = np.zeros(K)
@@ -297,7 +301,7 @@ def build_tail_blocks(
     K = N - n0 - 2
     c = c_coefficients(seq)
 
-    W = np.zeros((K, K), dtype=complex)
+    W = np.zeros((K, K), dtype=seq.a.dtype)
     if K > 1:
         q = np.arange(K - 1)
         W[q + 1, q] = seq.b[n0 + 2 : n0 + 1 + K] / seq.a[n0 + 3 : n0 + 2 + K]
@@ -306,7 +310,7 @@ def build_tail_blocks(
     D = np.diag(-c[n0 : n0 + K])
     d_op = TruncatedOperator(D, K, n0, None, K)
 
-    A2 = np.zeros((K, K), dtype=complex)
+    A2 = np.zeros((K, K), dtype=seq.a.dtype)
     _running_columns(seq, A2, -c[n0 : n0 + K], n0 + 2)
     a2_op = TruncatedOperator(A2, K, n0, None, K)
     return w_op, d_op, a2_op

@@ -11,10 +11,12 @@ nonzero) and ``b_0..b_N`` on a finite horizon.  From it we derive
   ``c_n`` by ``d_{n+1} = -(a_{n+2}/a_n) c_n``.
 
 Every formula is evaluated in ratio form (entrywise quotients of the raw
-arrays, never renormalized products), so an exactly representable rescaling
-``(a, b) -> (lambda a, lambda b)`` leaves all derived quantities bit-for-bit
-unchanged.  All functions are pure; arrays are frozen read-only after
-construction.
+arrays, never renormalized products).  Real families are stored as real
+arrays, whose division is correctly rounded, so for them an exactly
+representable rescaling ``(a, b) -> (lambda a, lambda b)`` leaves all derived
+quantities bit-for-bit unchanged; complex division rounds a reciprocal, so
+complex families keep that invariance only for powers of two.  All
+functions are pure; arrays are frozen read-only after construction.
 """
 
 from __future__ import annotations
@@ -89,6 +91,9 @@ class SequencePair:
     """Materialized coefficient arrays on a finite horizon.
 
     ``a`` and ``b`` have length ``horizon + 1`` and every ``a[n]`` is nonzero.
+    They are float64 when both imaginary parts are exactly zero and
+    complex128 otherwise; every section and product built from the pair
+    takes that dtype, so real families run in real arithmetic throughout.
     """
 
     a: np.ndarray
@@ -109,6 +114,8 @@ class SequencePair:
         zero = np.flatnonzero(a == 0)
         if zero.size:
             raise ZeroCoefficientError(int(zero[0]))
+        if not (a.imag.any() or b.imag.any()):
+            a, b = a.real.copy(), b.real.copy()
         a.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "a", a)

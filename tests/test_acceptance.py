@@ -271,7 +271,14 @@ def test_criterion_9_scaling_invariance(tmp_path):
             "b": [[3.0 * v, 0.0] for v in dyadic],
         },
     }
-    for group, pair in (("expr", specs), ("list", list_specs)):
+    # real division is correctly rounded, so a real family is invariant under
+    # any exactly representable factor, not only under powers of two
+    affine_specs = {
+        "base": {"label": "scaling-affine", "a": "n+1", "b": "0.5"},
+        "scaled": {"label": "scaling-affine", "a": "3*(n+1)", "b": "1.5"},
+    }
+    groups = (("expr", specs), ("list", list_specs), ("affine", affine_specs))
+    for group, pair in groups:
         outputs = {}
         for tag, doc in pair.items():
             spec_path = tmp_path / f"{group}-{tag}.json"

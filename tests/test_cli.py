@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -491,6 +494,27 @@ def test_complex_list_spec_end_to_end(tmp_path):
     assert code == 0
     report = json.loads((out / "decompose_report.json").read_text())
     assert max(report["decomposition"]["column_decay"]) < 1e-10
+
+
+def test_module_invocation_runs_the_cli(tmp_path):
+    # `python -m trishift.cli` runs the same entry point as the console script
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cases = (
+        ("szego", {"label": "szego", "a": "1", "b": "0"}, EXIT_HOLDS),
+        ("alt", {"label": "alt-a-2", "a": "2^((-1)^n)", "b": "0"}, EXIT_FAILS),
+    )
+    for name, doc, expected in cases:
+        spec = write_spec(tmp_path, f"{name}.json", doc)
+        out = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, "-m", "trishift.cli", "check", "--spec", str(spec),
+             "--order", "64", "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == expected, done.stderr
+        assert (out / "check_report.json").exists()
 
 
 def test_batch_validation(tmp_path):

@@ -395,10 +395,15 @@ def test_section_takes_ownership_of_its_array():
     assert not A.flags.writeable and not tail.flags.writeable
     with pytest.raises(ValueError):
         A[0, 0] = 1.0
-    # another dtype is converted into a new array; the original is untouched
+    # a real section is kept in place too
     R = np.eye(3)
-    assert TruncatedOperator(R, 3).entries is not R
-    assert R.flags.writeable
+    assert TruncatedOperator(R, 3).entries is R
+    assert not R.flags.writeable
+    # another dtype is converted into a new array; the original is untouched
+    Z = np.eye(3, dtype=np.int64)
+    op = TruncatedOperator(Z, 3)
+    assert op.entries is not Z and op.entries.dtype == np.complex128
+    assert Z.flags.writeable
 
 
 def _every_section(seq, N):
@@ -427,6 +432,27 @@ def _every_section(seq, N):
     }
 
 
+def test_sections_take_the_dtype_of_their_pair():
+    # real families are stored, built and multiplied as float64; a complex
+    # entry in either list makes the whole pair complex128
+    N = 24
+    H = 40
+    rng = np.random.default_rng(13)
+    real_list = rng.uniform(0.5, 2.0, H + 1) + 0j
+    complex_b = 0.2 * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1))
+    cases = (
+        (make_pair("sqrt(n+1)", "0.5", H), np.float64),
+        (materialize(CoefficientSpec(real_list, 0.5 * real_list), H), np.float64),
+        (materialize(CoefficientSpec(real_list, complex_b), H), np.complex128),
+        (random_pair(rng, H), np.complex128),
+    )
+    for seq, dtype in cases:
+        assert seq.a.dtype == dtype and seq.b.dtype == dtype
+        assert monomial_in_basis(seq, 2, 5).dtype == dtype
+        for name, op in _every_section(seq, N).items():
+            assert op.entries.dtype == dtype, (name, dtype)
+
+
 def test_every_section_and_tail_bound_rejects_writes():
     N = 24
     rng = np.random.default_rng(7)
@@ -445,25 +471,31 @@ def test_every_section_and_tail_bound_rejects_writes():
 
 
 def _peak_traced_bytes(build, *args):
+    """Peak traced bytes while ``build(*args)`` runs, and its result."""
     tracemalloc.start()
     try:
-        build(*args)
-        return tracemalloc.get_traced_memory()[1]
+        result = build(*args)
+        return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
 
 
 def test_builders_hold_one_dense_array_per_section():
-    # measured in K x K complex sections; a copy in the constructor would
-    # add one per section
+    # measured in K x K sections of the section's own itemsize (8 bytes for
+    # a real family, 16 for a complex one); a copy in the constructor, or a
+    # complex work array behind a real section, would add at least one per
+    # section
     N = 512
-    seq = make_pair("sqrt(n+1)", "0.5", N + 64)
-    for build in (build_shift, build_left_inverse, build_adjoint):
-        units = _peak_traced_bytes(build, seq, N) / (16 * N * N)
-        assert units <= 1.1, (build.__name__, units)
     K = N - 1
-    units = _peak_traced_bytes(build_blocks, seq, N) / (16 * K * K)
-    assert units <= 4.1, units
+    rng = np.random.default_rng(29)
+    for seq in (make_pair("sqrt(n+1)", "0.5", N + 64), random_pair(rng, N + 64)):
+        for build in (build_shift, build_left_inverse, build_adjoint):
+            peak, op = _peak_traced_bytes(build, seq, N)
+            units = peak / (op.entries.itemsize * N * N)
+            assert units <= 1.1, (build.__name__, seq.a.dtype, units)
+        peak, blocks = _peak_traced_bytes(build_blocks, seq, N)
+        units = peak / (blocks.b2.entries.itemsize * K * K)
+        assert units <= 4.1, (seq.a.dtype, units)
 
 
 def test_split_result_holds_no_section():
