@@ -451,7 +451,7 @@ def neumann_error_curve(
         )
     m0 = float(np.abs(c_coefficients(seq)).max())
     rows: list[tuple[int, float, float]] = []
-    sums = _neumann_partial_sums(W.entries, D.entries)
+    sums = _neumann_partial_sums(np.diagonal(W.entries, -1), D.entries)
     for m in range(m_max + 1):
         total = next(sums, None)
         if total is not None:  # otherwise the terms vanished: S_m = S_{m-1}

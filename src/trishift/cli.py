@@ -34,10 +34,10 @@ from .analysis import (
 from .expr import EvalError, ExprSyntaxError
 from .kernels import (
     PointSet,
-    _growth_tables,
     _hermitian,
-    adjoint_residual_grid,
-    eval_kernel,
+    _point_parts,
+    _residual_grid,
+    _sweep,
 )
 from .reporting import (
     check_report,
@@ -337,13 +337,11 @@ def _run_kernel(cfg: RunConfig) -> int:
         tuple(radius * cmath.exp(2j * math.pi * j / count) for j in range(count))
     )
     pts = list(points)
-    tables = _growth_tables(seq)
+    # one set of basis values per point, on the padded pair, serves the
+    # sweep (which reads prefixes of it) and the residual grid
+    parts = _point_parts(seq_full, pts)
     # k(w, z) = conj(k(z, w)) term by term; 0.0 - imag keeps a zero unsigned
-    pairs = {
-        (i, j): eval_kernel(seq, pts[i], pts[j], cfg.tol, _tables=tables)
-        for i in range(count)
-        for j in range(i, count)
-    }
+    pairs = _sweep(seq, pts, parts, cfg.tol)
     sweep_rows = []
     converged_pairs = 0
     for i, zi in enumerate(pts):
@@ -377,7 +375,7 @@ def _run_kernel(cfg: RunConfig) -> int:
         least_eig = float(np.linalg.eigvalsh(G)[0])
     else:
         _warn("Gram least eigenvalue omitted (some pairs did not converge)")
-    residuals = adjoint_residual_grid(seq_full, points, cfg.order)
+    residuals = _residual_grid(seq_full, pts, cfg.order, parts)
     write_csv(
         cfg.out / "kernel_residuals.csv",
         ["re_w", "im_w", "residual", "certificate"],

@@ -12,7 +12,12 @@ gives the stopping index, then the basis values and their products up to it
 are formed as split real and imaginary arrays, each complex product as
 ``(ar br - ai bi, ar bi + ai br)`` with every operation rounded on its own,
 and summed sequentially.  The result is bit for bit the term-by-term sum.
-The certificate's sequence-only factors are formed once per sweep.
+A sweep over a point set forms each point's basis values once, over the
+whole horizon, and each pair sums a prefix of them; the certificate depends
+on the pair only through rho = |z||w|, so it is formed once per distinct
+rho, and its sequence-only factors once per sweep.  Prefixes of the running
+powers and of the elementwise passes are the values a shorter pass forms, so
+every pair is bit for bit its single-pair evaluation.
 
 Because ``M* kappa_w = conj(w) kappa_w``, the adjoint residual on the
 N-window is exactly ``P_N M* (I - P_N) kappa_w / ||P_N kappa_w||``, and
@@ -27,6 +32,7 @@ computed residual, which is far above that term where ``kappa_w`` decays fast.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +147,36 @@ def _growth_tables(seq: SequencePair) -> tuple[np.ndarray, np.ndarray]:
         return growth * growth, np.float_power(np.append(suffix, suffix[-1]), 2)
 
 
+def _stop_index(
+    tables: tuple[np.ndarray, np.ndarray], rho: float, tol: float
+) -> tuple[int, float, bool]:
+    """Terms used, tail certificate and converged flag of :func:`eval_kernel`
+    at ``rho = |z||w|``; they depend on the pair through ``rho`` alone."""
+    growth_sq, suffix_sq = tables
+    # the certificate runs over the whole horizon; past the stopping index
+    # its terms may overflow, and those are never used
+    with np.errstate(all="ignore"):
+        q = suffix_sq * rho
+        s = growth_sq * _powers(rho, growth_sq.size)
+        tail = np.where(q < 1.0, s * q / (1.0 - q), math.inf)
+    stops = np.flatnonzero(tail < tol)
+    count = int(stops[0]) + 1 if stops.size else growth_sq.size
+    return count, float(tail[count - 1]), bool(stops.size)
+
+
+def _pair_sum(
+    z_parts: tuple[np.ndarray, np.ndarray],
+    w_parts: tuple[np.ndarray, np.ndarray],
+    count: int,
+) -> complex:
+    """sum_{m < count} f_m(z) conj(f_m(w)) from the two points' split basis
+    parts (each at least ``count`` long), summed sequentially."""
+    (zr, zi), (wr, wi) = z_parts, w_parts
+    re, im = _times(zr[:count], zi[:count], wr[:count], -wi[:count])
+    # + 0.0 as the running total starts from +0.0
+    return complex(np.cumsum(re)[-1] + 0.0, np.cumsum(im)[-1] + 0.0)
+
+
 def eval_kernel(
     seq: SequencePair,
     z: complex,
@@ -156,30 +192,54 @@ def eval_kernel(
     ``Q`` is the suffix maximum of the measured term-growth ratios.  If the
     horizon is exhausted first, the value is returned with
     ``converged=False`` and the last certificate (infinite when none exists).
-    A sweep passes ``_growth_tables(seq)`` once as ``_tables``.
+    A caller holding ``_growth_tables(seq)`` may pass it as ``_tables``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     z, w = complex(z), complex(w)
     if abs(z) >= 1.0 or abs(w) >= 1.0:
         raise ValueError("kernel arguments must lie strictly inside the unit disc")
-    H = seq.horizon
-    rho = abs(z) * abs(w)
-    growth_sq, suffix_sq = _growth_tables(seq) if _tables is None else _tables
-    # the certificate runs over the whole horizon; past the stopping index
-    # its terms may overflow, and those are never used
-    with np.errstate(all="ignore"):
-        q = suffix_sq * rho
-        s = growth_sq * _powers(rho, H + 1)
-        tail = np.where(q < 1.0, s * q / (1.0 - q), math.inf)
-    stops = np.flatnonzero(tail < tol)
-    count = int(stops[0]) + 1 if stops.size else H + 1
-    zr, zi = _basis_parts(seq, z, count)
-    wr, wi = _basis_parts(seq, w, count)
-    re, im = _times(zr, zi, wr, -wi)  # f_m(z) conj(f_m(w))
-    # sequential sums; + 0.0 as the running total starts from +0.0
-    total = complex(np.cumsum(re)[-1] + 0.0, np.cumsum(im)[-1] + 0.0)
-    return KernelValue(total, count, float(tail[count - 1]), bool(stops.size))
+    tables = _growth_tables(seq) if _tables is None else _tables
+    count, tail, converged = _stop_index(tables, abs(z) * abs(w), tol)
+    value = _pair_sum(_basis_parts(seq, z, count), _basis_parts(seq, w, count), count)
+    return KernelValue(value, count, tail, converged)
+
+
+def _point_parts(
+    seq: SequencePair, points: Iterable[complex]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each point's split basis parts over the whole horizon of ``seq``."""
+    return [_basis_parts(seq, complex(z), seq.horizon + 1) for z in points]
+
+
+def _sweep(
+    seq: SequencePair,
+    points: list[complex],
+    parts: list[tuple[np.ndarray, np.ndarray]],
+    tol: float,
+) -> dict[tuple[int, int], KernelValue]:
+    """:func:`eval_kernel` at every pair ``i <= j`` of ``points``, bit for bit.
+
+    ``parts`` holds each point's :func:`_point_parts`, on ``seq`` or on a
+    longer pair that it trims: prefixes of the running powers and of the
+    elementwise passes are the values a shorter pass forms.  The stopping
+    index is formed once per distinct ``rho = |z||w|``.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    tables = _growth_tables(seq)
+    stops: dict[float, tuple[int, float, bool]] = {}
+    radii = [abs(z) for z in points]
+    out = {}
+    for i in range(len(points)):
+        for j in range(i, len(points)):
+            rho = radii[i] * radii[j]
+            if rho not in stops:
+                stops[rho] = _stop_index(tables, rho, tol)
+            count, tail, converged = stops[rho]
+            value = _pair_sum(parts[i], parts[j], count)
+            out[(i, j)] = KernelValue(value, count, tail, converged)
+    return out
 
 
 def _hermitian(upper: dict[tuple[int, int], complex], k: int) -> np.ndarray:
@@ -200,20 +260,15 @@ def gram_matrix(seq: SequencePair, pts: PointSet, tol: float = 1e-10) -> np.ndar
     """
     if len(pts) == 0:
         raise ValueError("point set must be nonempty")
-    k = len(pts)
     points = list(pts)
-    tables = _growth_tables(seq)
-    upper = {}
-    for i in range(k):
-        for j in range(i, k):
-            kv = eval_kernel(seq, points[i], points[j], tol, _tables=tables)
-            if not kv.converged:
-                raise KernelDivergenceError(
-                    f"kernel tail not certified for pair ({i}, {j}); "
-                    f"estimate {kv.tail_estimate:.3e}"
-                )
-            upper[(i, j)] = kv.value
-    return _hermitian(upper, k)
+    pairs = _sweep(seq, points, _point_parts(seq, points), tol)
+    for (i, j), kv in pairs.items():
+        if not kv.converged:
+            raise KernelDivergenceError(
+                f"kernel tail not certified for pair ({i}, {j}); "
+                f"estimate {kv.tail_estimate:.3e}"
+            )
+    return _hermitian({ij: kv.value for ij, kv in pairs.items()}, len(points))
 
 
 def defect_matrix(seq: SequencePair, N: int) -> TruncatedOperator:
@@ -225,10 +280,20 @@ def defect_matrix(seq: SequencePair, N: int) -> TruncatedOperator:
     """
     if N < 4:
         raise ValueError("defect section needs N >= 4")
-    M = build_shift(seq, N).entries
-    C = np.eye(N, dtype=M.dtype) - M @ M.conj().T
-    C = (C + C.conj().T) / 2.0
+    C = _defect_entries(build_shift(seq, N).entries)
     return TruncatedOperator(C, N, 0, None, N)
+
+
+def _defect_entries(M: np.ndarray) -> np.ndarray:
+    """``I - M M*`` from the shift section ``M``, symmetrized, with at most
+    two more arrays of its size alive beside ``M``."""
+    C = M @ M.conj().T
+    # I - C in place: 0 - x, then + 1 on the diagonal, rounds as 1 - x does
+    np.subtract(0.0, C, out=C)
+    C.flat[:: C.shape[0] + 1] += 1.0
+    C += C.conj().T
+    C /= 2.0
+    return C
 
 
 def kernel_coefficients(seq: SequencePair, w: complex, count: int) -> np.ndarray:
@@ -296,9 +361,22 @@ def adjoint_residual_grid(
     rows of ``|A|`` at a time.  Each point's residual applies ``A`` on its
     own, so one point's residual is bit for bit its residual in any grid.
     """
+    return _residual_grid(seq, list(pts), N, _point_parts(seq, pts))
+
+
+def _residual_grid(
+    seq: SequencePair,
+    pts: list[complex],
+    N: int,
+    parts: list[tuple[np.ndarray, np.ndarray]],
+) -> list[tuple[float, float]]:
+    """:func:`adjoint_residual_grid` from each point's :func:`_point_parts`
+    on ``seq``: entry n of kappa_w is conj(f_n(w)), n <= H."""
     H = seq.horizon
     start = max(1, (3 * N) // 4)
-    coeffs = np.array([kernel_coefficients(seq, w, H + 1) for w in pts]).reshape(-1, H + 1)
+    coeffs = np.empty((len(pts), H + 1), dtype=complex)
+    for row, (re, im) in zip(coeffs, parts):
+        row.real, row.imag = re, -im
     mags = np.abs(coeffs)
     Astar, tails = _adjoint_entries(seq, N)
     block = math.inf if tails is None else _geometric_tail_norm(tails, 0.0)
@@ -354,12 +432,12 @@ def defect_apply(seq: SequencePair, coeffs: np.ndarray, w: complex) -> complex:
         raise ValueError("defect evaluation needs horizon >= 4")
     f = np.zeros(H, dtype=complex)
     f[: coeffs.size] = coeffs
-    kappa = kernel_coefficients(seq, w, H)
+    basis_vals = _basis_values(seq, w, H)
+    kappa = np.conj(basis_vals)
     M = build_shift(seq, H).entries
     gamma = kappa - np.conj(w) * _apply(M, kappa)
     route_pairing = complex(np.vdot(gamma, f))
-    C = defect_matrix(seq, H).entries
-    basis_vals = _basis_values(seq, w, H)
+    C = _defect_entries(M)
     route_matrix = complex(np.sum(_apply(C, f) * basis_vals))
     norm_f = float(np.linalg.norm(f))
     scale = 1.0 + norm_f * float(np.linalg.norm(kappa))

@@ -219,7 +219,8 @@ def _adjoint_entries(
     _require_horizon(seq, N, "adjoint section")
     A = np.zeros((N, N), dtype=seq.a.dtype)
     tail = _fill_shift(seq, A.T)  # shift columns land on contiguous rows of A
-    np.conjugate(A, out=A)
+    if np.iscomplexobj(A):
+        np.conjugate(A, out=A)
     return A, tail
 
 
@@ -316,14 +317,30 @@ def build_tail_blocks(
     return w_op, d_op, a2_op
 
 
-def _neumann_partial_sums(W: np.ndarray, D: np.ndarray):
+def _neumann_partial_sums(weights: np.ndarray, D: np.ndarray):
     """Yield the partial sums S_0, S_1, ... of sum_k (-1)^k W^k D, stopping
-    once a term vanishes: every later partial sum equals the last one."""
+    once a term vanishes: every later partial sum equals the last one.
+
+    ``W`` is the weighted shift with subdiagonal ``weights``, so ``W @ term``
+    is ``term`` moved down one row, row ``q + 1`` scaled by ``weights[q]``:
+    the products a matrix multiply adds besides those are exact zeros.  A
+    complex product is formed as ``(wr tr - wi ti, wr ti + wi tr)`` with each
+    operation rounded on its own, as the matrix multiply rounds it (a complex
+    array multiply rounds differently)."""
+    negated = -weights[:, None]
+    wr, wi = negated.real, negated.imag
     total = D.copy()
     term = D
     while True:
         yield total
-        term = -(W @ term)
+        shifted = np.zeros(term.shape, np.result_type(negated, term))
+        if np.iscomplexobj(shifted):
+            tr, ti = term[:-1].real, term[:-1].imag
+            shifted[1:].real = wr * tr - wi * ti
+            shifted[1:].imag = wr * ti + wi * tr
+        else:
+            np.multiply(negated, term[:-1], out=shifted[1:])
+        term = shifted
         if not term.any():
             return
         total = total + term
@@ -333,12 +350,17 @@ def neumann_partial_sum(
     W: TruncatedOperator, D: TruncatedOperator, m: int
 ) -> TruncatedOperator:
     """Alternating partial sum S_m = sum_{k<=m} (-1)^k W^k D by iterated
-    multiplication; exact on the window because the shift section is nilpotent."""
+    multiplication; exact on the window because the shift section is nilpotent.
+    ``W`` must be a weighted shift, nonzero on its subdiagonal only, as
+    :func:`build_tail_blocks` builds it."""
     if m < 0:
         raise ValueError("partial-sum order must be nonnegative")
     if W.entries.shape != D.entries.shape or W.basis_offset != D.basis_offset:
         raise ValueError("W and D must be same-shape sections at the same offset")
-    for total in itertools.islice(_neumann_partial_sums(W.entries, D.entries), m + 1):
+    weights = np.diagonal(W.entries, -1)
+    if np.count_nonzero(W.entries) != np.count_nonzero(weights):
+        raise ValueError("W must be a weighted shift: nonzero on the subdiagonal only")
+    for total in itertools.islice(_neumann_partial_sums(weights, D.entries), m + 1):
         pass
     window = min(W.exact_window, D.exact_window)
     return TruncatedOperator(total, W.order, W.basis_offset, None, window)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from trishift import cli, load_spec_file, materialize
+from trishift import cli, eval_kernel, kernels, load_spec_file, materialize
 from trishift.cli import (
     EXIT_FAILS,
     EXIT_HOLDS,
@@ -330,14 +330,14 @@ def test_kernel_csv_cells_parse_as_numbers(tmp_path):
 def test_kernel_evaluates_each_unordered_pair_once(tmp_path, monkeypatch):
     # k(w, z) = conj(k(z, w)) term by term, so the mirrored rows equal a
     # direct evaluation bit for bit
-    original = cli.eval_kernel
+    original = kernels._pair_sum
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[1:3])
+        calls.append(args[2])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "eval_kernel", counting)
+    monkeypatch.setattr(kernels, "_pair_sum", counting)
     spec = write_spec(
         tmp_path, "alt.json", {"label": "alt", "a": "sqrt(n+1)", "b": "0.5*(-1)^n"}
     )
@@ -352,9 +352,40 @@ def test_kernel_evaluates_each_unordered_pair_once(tmp_path, monkeypatch):
     for row in rows:
         z = complex(float(row[0]), float(row[1]))
         w = complex(float(row[2]), float(row[3]))
-        kv = original(seq, z, w, 1e-10)
+        kv = eval_kernel(seq, z, w, 1e-10)
         assert row[4:] == [repr(kv.value.real), repr(kv.value.imag),
                            str(kv.terms_used), repr(kv.tail_estimate), "1"]
+
+
+def test_kernel_forms_basis_values_once_per_point(tmp_path, monkeypatch):
+    # the sweep and the residual grid share one set per point, formed on the
+    # padded pair
+    original = kernels._basis_parts
+    calls = []
+
+    def counting(seq, z, count):
+        calls.append(count)
+        return original(seq, z, count)
+
+    monkeypatch.setattr(kernels, "_basis_parts", counting)
+    out = tmp_path / "out"
+    assert main(["kernel", "--spec", str(bergman_spec(tmp_path)), "--order", "128",
+                 "--pad", "16", "--grid", "0.6:8", "--out", str(out)]) == 0
+    assert calls == [128 + 16 + 1] * 8
+
+
+def test_kernel_outputs_byte_identical_across_runs(tmp_path):
+    spec = write_spec(
+        tmp_path, "alt.json", {"label": "alt", "a": "sqrt(n+1)", "b": "0.5*(-1)^n"}
+    )
+    names = ("kernel_report.json", "kernel_sweep.csv", "kernel_residuals.csv")
+    outs = []
+    for sub in ("one", "two"):
+        out = tmp_path / sub
+        assert main(["kernel", "--spec", str(spec), "--order", "128",
+                     "--grid", "0.9:12", "--out", str(out)]) == 0
+        outs.append([(out / name).read_bytes() for name in names])
+    assert outs[0] == outs[1]
 
 
 def test_kernel_grid_validation(tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +25,14 @@ from trishift import (
     materialize,
     parse_sequence_expr,
 )
-from trishift.kernels import KernelValue, _basis_values, _growth_tables
+from trishift import kernels
+from trishift.kernels import (
+    KernelValue,
+    _basis_values,
+    _growth_tables,
+    _point_parts,
+    _sweep,
+)
 
 
 def make_pair(a_text, b_text, N):
@@ -260,6 +268,67 @@ def test_shared_growth_tables_keep_values_bit_identical():
                 assert got.terms_used == want.terms_used
                 assert got.tail_estimate.hex() == want.tail_estimate.hex()
                 assert got.converged == want.converged
+
+
+def assert_same_value(got, want):
+    assert bits(got.value) == bits(want.value)
+    assert got.terms_used == want.terms_used
+    assert got.tail_estimate.hex() == want.tail_estimate.hex()
+    assert got.converged == want.converged
+
+
+def test_sweep_matches_reference_on_seeded_grids():
+    # radii drawn from a few values give repeated rho = |z||w| groups; 2^n
+    # at |z| = 0.9 cannot be certified at tol 1e-8; the zero points carry
+    # signed zeros
+    rng = np.random.default_rng(101)
+    H = 256
+    a = (1.0 + 0.5 * rng.uniform(size=H + 1)) * np.exp(2j * np.pi * rng.uniform(size=H + 1))
+    b = 0.4 * rng.uniform(size=H + 1) * np.exp(2j * np.pi * rng.uniform(size=H + 1))
+    cases = [
+        (family_pair(f, H), 1e-10)
+        for f in CORPUS
+        if f.name in ("bergman-const-b", "high-const-b", "alt-b-half")
+    ]
+    cases.append((SequencePair(a, b, H), 1e-10))
+    cases.append((make_pair("2^n", "0", 24), 1e-8))
+    diverged = 0
+    for seq, tol in cases:
+        radii = rng.choice((0.0, 0.3, 0.5, 0.7, 0.85), size=8)
+        points = [r * cmath.exp(2j * math.pi * rng.uniform()) for r in radii]
+        points += [complex(-0.0, -0.0), complex(0.0, -0.0), 0.9, -0.9j]
+        pairs = _sweep(seq, points, _point_parts(seq, points), tol)
+        assert len(pairs) == len(points) * (len(points) + 1) // 2
+        assert len({abs(points[i]) * abs(points[j]) for i, j in pairs}) >= 6
+        for (i, j), got in pairs.items():
+            want = reference_eval_kernel(seq, points[i], points[j], tol)
+            assert_same_value(got, want)
+            assert_same_value(eval_kernel(seq, points[i], points[j], tol), want)
+        if all(kv.converged for kv in pairs.values()):
+            G = gram_matrix(seq, PointSet(tuple(points)), tol)
+            for (i, j), kv in pairs.items():
+                assert bits(G[i, j]) == bits(kv.value)
+                if i < j:
+                    assert bits(G[j, i]) == bits(np.conj(kv.value))
+        else:
+            diverged += 1
+            with pytest.raises(KernelDivergenceError):
+                gram_matrix(seq, PointSet(tuple(points)), tol)
+    assert 0 < diverged < len(cases)
+
+
+def test_sweep_forms_basis_values_once_per_point(monkeypatch):
+    calls = []
+    original = kernels._basis_parts
+
+    def counting(seq, z, count):
+        calls.append(count)
+        return original(seq, z, count)
+
+    monkeypatch.setattr(kernels, "_basis_parts", counting)
+    pts = PointSet(tuple(0.5 * cmath.exp(2j * math.pi * k / 12) for k in range(12)))
+    gram_matrix(szego(128), pts, 1e-10)
+    assert calls == [129] * 12
 
 
 def test_kernel_rejects_boundary_points():
@@ -517,6 +586,25 @@ def test_defect_apply_consistency_at_origin():
     f[:10] = coeffs
     expect = (C @ f)[0] * seq.a[0]
     assert abs(value - expect) < 1e-10
+
+
+def test_defect_apply_holds_three_sections_at_peak():
+    # in H x H sections of the pair's itemsize: the shift section, the
+    # product and one temporary; a second shift section would make four
+    H = 512
+    rng = np.random.default_rng(103)
+    a = (1.0 + 0.5 * rng.uniform(size=H + 1)) * np.exp(2j * np.pi * rng.uniform(size=H + 1))
+    b = 0.3 * rng.uniform(size=H + 1) * np.exp(2j * np.pi * rng.uniform(size=H + 1))
+    coeffs = np.array([1.0, 0.5j, -0.25])
+    for seq in (make_pair("sqrt(n+1)", "0.5", H), SequencePair(a, b, H)):
+        tracemalloc.start()
+        try:
+            defect_apply(seq, coeffs, 0.3 + 0.2j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        units = peak / (seq.a.itemsize * H * H)
+        assert units <= 3.1, (seq.a.dtype, units)
 
 
 def test_defect_apply_validates_input():

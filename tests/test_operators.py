@@ -356,6 +356,17 @@ def test_neumann_partial_sum_base_cases():
         assert np.max(np.abs(neumann_partial_sum(W, zero, m).entries)) == 0.0
 
 
+def test_neumann_partial_sum_requires_a_weighted_shift():
+    seq = make_pair("1", "1/(n+1)", 20)
+    W, D, _ = build_tail_blocks(seq, 1, 14)
+    for q, r in ((0, 0), (2, 0), (5, 7)):
+        entries = W.entries.copy()
+        entries[r, q] = 0.5
+        other = TruncatedOperator(entries, W.order, W.basis_offset)
+        with pytest.raises(ValueError):
+            neumann_partial_sum(other, D, 2)
+
+
 def test_tail_blocks_preconditions():
     seq = make_pair("1", "0", 12)
     with pytest.raises(ValueError):
