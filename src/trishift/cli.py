@@ -161,6 +161,20 @@ def _build_parser() -> argparse.ArgumentParser:
 _ENTRY_KEYS = {"spec", "order", "tol", "window", "r_target", "pad", "out", "format", "grid"}
 
 
+def _entry_value(merged: dict, key: str, kind: type):
+    """``merged[key]`` as ``kind``; a boolean, a value ``kind`` does not take,
+    or a non-integral number for an integer raises ConfigError naming ``key``."""
+    value = merged[key]
+    try:
+        converted = kind(value)
+        if isinstance(value, bool) or (isinstance(value, float) and converted != value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        what = {int: "an integer", float: "a number"}.get(kind, "a path")
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+    return converted
+
+
 def _merge_config(entry: dict, flags: dict) -> RunConfig:
     unknown = set(entry) - _ENTRY_KEYS
     if unknown:
@@ -168,21 +182,19 @@ def _merge_config(entry: dict, flags: dict) -> RunConfig:
     merged = dict(DEFAULTS)
     merged.update(entry)
     merged.update({k: v for k, v in flags.items() if v is not None})
-    spec = merged.get("spec")
-    if spec is None:
+    if merged.get("spec") is None:
         raise ConfigError("a sequence spec path is required (--spec or batch entry)")
-    order = int(merged["order"])
-    pad = merged["pad"]
-    if pad is None:  # unspecified: a quarter of the window, capped at 64
-        pad = min(64, order // 4)
+    order = _entry_value(merged, "order", int)
+    if merged["pad"] is None:  # unspecified: a quarter of the window, capped at 64
+        merged["pad"] = min(64, order // 4)
     cfg = RunConfig(
-        spec_path=Path(spec),
+        spec_path=_entry_value(merged, "spec", Path),
         order=order,
-        tol=float(merged["tol"]),
-        window=None if merged["window"] is None else int(merged["window"]),
-        r_target=float(merged["r_target"]),
-        pad=int(pad),
-        out=Path(merged["out"]),
+        tol=_entry_value(merged, "tol", float),
+        window=None if merged["window"] is None else _entry_value(merged, "window", int),
+        r_target=_entry_value(merged, "r_target", float),
+        pad=_entry_value(merged, "pad", int),
+        out=_entry_value(merged, "out", Path),
         fmt=str(merged["format"]),
         grid=None if merged["grid"] is None else str(merged["grid"]),
     )

@@ -1,6 +1,10 @@
 """Kernel-side evaluation: basis functions, the kernel sum, Gram matrices,
 the defect of the shift, and the adjoint eigenvector identity.
 
+Each identity has one public route: :func:`gram_matrix` for positivity,
+:func:`defect_matrix` for ``I - M M*``, and :func:`adjoint_residual_grid` for
+``M* k_w = conj(w) k_w`` on a point set (one point is a one-point grid).
+
 The kernel k(z, w) = sum_n f_n(z) conj(f_n(w)) with f_n(z) = (a_n + b_n z) z^n
 is summed with a certified stopping rule: the tail is bounded geometrically
 using the measured trailing growth of (|a_n| + |b_n|).  When the certificate
@@ -52,14 +56,6 @@ _ROW_BLOCK = 32  # rows of |A| formed at a time by adjoint_residual_grid
 
 class KernelDivergenceError(ArithmeticError):
     """The kernel tail could not be certified below tolerance."""
-
-
-class AdjointIdentityError(AssertionError):
-    """The adjoint eigenvector residual exceeded its certified tail."""
-
-
-class DefectMismatchError(AssertionError):
-    """The two evaluation routes of the defect disagreed beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -127,13 +123,6 @@ def _basis_parts(
     return _times(a.real + bzr, a.imag + bzi, zp.real, zp.imag)
 
 
-def _basis_values(seq: SequencePair, z: complex, count: int) -> np.ndarray:
-    """f_0(z)..f_{count-1}(z) via a running power (no large exponentials)."""
-    out = np.empty(count, dtype=complex)
-    out.real, out.imag = _basis_parts(seq, complex(z), count)
-    return out
-
-
 def _growth_tables(seq: SequencePair) -> tuple[np.ndarray, np.ndarray]:
     """The sequence-only factors of :func:`eval_kernel`'s certificate:
     ``(|a_m| + |b_m|)^2`` and the squared suffix maximum of the growth
@@ -182,8 +171,6 @@ def eval_kernel(
     z: complex,
     w: complex,
     tol: float = 1e-10,
-    *,
-    _tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> KernelValue:
     """Partial kernel sum with a measured-growth geometric tail certificate.
 
@@ -192,15 +179,13 @@ def eval_kernel(
     ``Q`` is the suffix maximum of the measured term-growth ratios.  If the
     horizon is exhausted first, the value is returned with
     ``converged=False`` and the last certificate (infinite when none exists).
-    A caller holding ``_growth_tables(seq)`` may pass it as ``_tables``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     z, w = complex(z), complex(w)
     if abs(z) >= 1.0 or abs(w) >= 1.0:
         raise ValueError("kernel arguments must lie strictly inside the unit disc")
-    tables = _growth_tables(seq) if _tables is None else _tables
-    count, tail, converged = _stop_index(tables, abs(z) * abs(w), tol)
+    count, tail, converged = _stop_index(_growth_tables(seq), abs(z) * abs(w), tol)
     value = _pair_sum(_basis_parts(seq, z, count), _basis_parts(seq, w, count), count)
     return KernelValue(value, count, tail, converged)
 
@@ -280,25 +265,14 @@ def defect_matrix(seq: SequencePair, N: int) -> TruncatedOperator:
     """
     if N < 4:
         raise ValueError("defect section needs N >= 4")
-    C = _defect_entries(build_shift(seq, N).entries)
-    return TruncatedOperator(C, N, 0, None, N)
-
-
-def _defect_entries(M: np.ndarray) -> np.ndarray:
-    """``I - M M*`` from the shift section ``M``, symmetrized, with at most
-    two more arrays of its size alive beside ``M``."""
+    M = build_shift(seq, N).entries
     C = M @ M.conj().T
     # I - C in place: 0 - x, then + 1 on the diagonal, rounds as 1 - x does
     np.subtract(0.0, C, out=C)
-    C.flat[:: C.shape[0] + 1] += 1.0
+    C.flat[:: N + 1] += 1.0
     C += C.conj().T
     C /= 2.0
-    return C
-
-
-def kernel_coefficients(seq: SequencePair, w: complex, count: int) -> np.ndarray:
-    """Basis coefficients of k(. , w): entry n is conj(f_n(w))."""
-    return np.conj(_basis_values(seq, complex(w), count))
+    return TruncatedOperator(C, N, 0, None, N)
 
 
 def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -309,39 +283,11 @@ def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return A @ x.real + 1j * (A @ x.imag)
 
 
-def adjoint_eigen_residual(
-    seq: SequencePair, w: complex, N: int
-) -> tuple[float, float]:
-    """Relative residual of M* kappa_w = conj(w) kappa_w on the N-window,
-    together with its tail certificate (see :func:`adjoint_residual_grid`):
-    inf when the shift section has no tail bound or the kernel coefficients
-    do not decay on the trailing quarter of the window."""
-    if abs(complex(w)) >= 1.0:
-        raise ValueError("w must lie strictly inside the unit disc")
-    if not 2 <= N <= seq.horizon:
-        raise ValueError(f"N must lie in [2, horizon = {seq.horizon}]")
-    return adjoint_residual_grid(seq, PointSet((w,)), N)[0]
-
-
-def adjoint_eigen_check(
-    seq: SequencePair, w: complex, N: int, tol: float = 1e-10
-) -> float:
-    """Residual of the adjoint eigenvector identity, self-checked against the
-    certified tail: raises :class:`AdjointIdentityError` when a finite
-    certificate is exceeded by more than ``tol``."""
-    residual, certificate = adjoint_eigen_residual(seq, w, N)
-    if math.isfinite(certificate) and residual > certificate + tol:
-        raise AdjointIdentityError(
-            f"residual {residual:.3e} exceeds certified tail "
-            f"{certificate:.3e} + tol {tol:.1e}"
-        )
-    return residual
-
-
 def adjoint_residual_grid(
     seq: SequencePair, pts: PointSet, N: int
 ) -> list[tuple[float, float]]:
-    """:func:`adjoint_eigen_residual` per point, sharing one adjoint section.
+    """Relative residual of ``M* kappa_w = conj(w) kappa_w`` on the N-window
+    at each point w, with its certificate, sharing one adjoint section.
 
     The residual ``||P_N M* (I - P_N) kappa_w|| / ||P_N kappa_w||`` is at
     most ``F ||(I - P_N) kappa_w|| / ||P_N kappa_w||``, where ``F``, the
@@ -410,60 +356,13 @@ def _residual_grid(
     return out
 
 
-def defect_apply(seq: SequencePair, coeffs: np.ndarray, w: complex) -> complex:
-    """Evaluate the defect applied to a function at w by two routes.
-
-    Route one pairs the coefficient vector against the expansion of
-    (1 - z conj(w)) k(., w); route two applies the defect section and
-    evaluates pointwise.  The two must agree within a tolerance scaled by the
-    truncation quality; disagreement raises :class:`DefectMismatchError`.
-    Returns the first route's value.
-    """
-    w = complex(w)
-    if abs(w) >= 1.0:
-        raise ValueError("w must lie strictly inside the unit disc")
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.ndim != 1 or coeffs.size == 0:
-        raise ValueError("coeffs must be a nonempty vector")
-    H = seq.horizon
-    if coeffs.size > H:
-        raise ValueError(f"coeffs length {coeffs.size} exceeds horizon {H}")
-    if H < 4:
-        raise ValueError("defect evaluation needs horizon >= 4")
-    f = np.zeros(H, dtype=complex)
-    f[: coeffs.size] = coeffs
-    basis_vals = _basis_values(seq, w, H)
-    kappa = np.conj(basis_vals)
-    M = build_shift(seq, H).entries
-    gamma = kappa - np.conj(w) * _apply(M, kappa)
-    route_pairing = complex(np.vdot(gamma, f))
-    C = _defect_entries(M)
-    route_matrix = complex(np.sum(_apply(C, f) * basis_vals))
-    norm_f = float(np.linalg.norm(f))
-    scale = 1.0 + norm_f * float(np.linalg.norm(kappa))
-    # |kappa_{H-1}| proxies the truncation quality of both routes
-    threshold = max(1e-8 * scale, 10.0 * float(np.abs(kappa[H - 1])) * max(norm_f, 1.0))
-    if abs(route_pairing - route_matrix) > threshold:
-        raise DefectMismatchError(
-            f"defect routes disagree by {abs(route_pairing - route_matrix):.3e} "
-            f"(threshold {threshold:.3e})"
-        )
-    return route_pairing
-
-
 __all__ = [
-    "AdjointIdentityError",
-    "DefectMismatchError",
     "KernelDivergenceError",
     "KernelValue",
     "PointSet",
-    "adjoint_eigen_check",
-    "adjoint_eigen_residual",
     "adjoint_residual_grid",
-    "defect_apply",
     "defect_matrix",
     "eval_basis",
     "eval_kernel",
     "gram_matrix",
-    "kernel_coefficients",
 ]

@@ -253,13 +253,25 @@ def test_profile_factors_tall_section_once(tmp_path, monkeypatch):
 
 
 def test_profile_skips_neumann_when_unbounded(tmp_path, capsys):
-    spec = write_spec(tmp_path, "hot.json", {"label": "hot", "a": "1", "b": "1.2"})
-    out = tmp_path / "out"
-    code = main(["profile", "--spec", str(spec), "--order", "32",
-                 "--pad", "8", "--out", str(out)])
-    assert code == 0
-    assert not (out / "neumann_error.csv").exists()
-    assert "Neumann curve not emitted" in capsys.readouterr().err
+    one, half, hot = [1.0, 0.0], [0.5, 0.0], [1.5, 0.0]
+    cases = {
+        "hot": ({"a": "1", "b": "1.2"}, "tail ratio never drops below r-target"),
+        # the tail ratio drops at index 30, too late for a block below order 32
+        "late": ({"a": [one] * 41, "b": [one] * 30 + [half] * 11},
+                 "horizon too small for tail blocks"),
+        # it drops at once, but |b/a| = 1.5 in the pad leaves no tail bound
+        "hot-pad": ({"a": [one] * 41, "b": [half] * 32 + [hot] * 9},
+                    "no geometric bound exists"),
+    }
+    for label, (doc, reason) in cases.items():
+        spec = write_spec(tmp_path, f"{label}.json", {"label": label, **doc})
+        out = tmp_path / label
+        code = main(["profile", "--spec", str(spec), "--order", "32",
+                     "--pad", "8", "--out", str(out)])
+        assert code == 0, label
+        assert not (out / "neumann_error.csv").exists(), label
+        err = capsys.readouterr().err
+        assert reason in err and "Neumann curve not emitted" in err, label
 
 
 def test_profile_neumann_csv_contract(tmp_path):
@@ -548,7 +560,7 @@ def test_module_invocation_runs_the_cli(tmp_path):
         assert (out / "check_report.json").exists()
 
 
-def test_batch_validation(tmp_path):
+def test_batch_validation(tmp_path, capsys):
     bad = tmp_path / "batch.json"
     bad.write_text(json.dumps({"spec": "x"}), encoding="utf-8")
     assert main(["check", "--batch", str(bad)]) == EXIT_VALIDATION
@@ -556,3 +568,20 @@ def test_batch_validation(tmp_path):
     assert main(["check", "--batch", str(bad)]) == EXIT_VALIDATION
     bad.write_text("[]", encoding="utf-8")
     assert main(["check", "--batch", str(bad)]) == EXIT_VALIDATION
+    # a malformed value is a validation error naming its key, not a traceback;
+    # booleans and non-integral numbers are not integers
+    spec = write_spec(tmp_path, "szego.json", {"label": "szego", "a": "1", "b": "0"})
+    capsys.readouterr()
+    for entry in (
+        {"order": "big"}, {"spec": 5}, {"window": "x"}, {"order": 100.7},
+        {"pad": 2.9}, {"window": 4.5}, {"order": True}, {"pad": False},
+        {"tol": "x"}, {"r_target": None}, {"out": 3},
+    ):
+        bad.write_text(json.dumps([{"spec": str(spec), **entry}]), encoding="utf-8")
+        assert main(["check", "--batch", str(bad)]) == EXIT_VALIDATION, entry
+        (key,) = entry
+        assert capsys.readouterr().err.startswith(f"trishift: error: {key} must be ")
+    # an integral number is an integer
+    good = [{"spec": str(spec), "order": 64.0, "pad": 8.0, "out": str(tmp_path / "ok")}]
+    bad.write_text(json.dumps(good), encoding="utf-8")
+    assert main(["check", "--batch", str(bad)]) == EXIT_HOLDS

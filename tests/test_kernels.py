@@ -1,6 +1,5 @@
 import cmath
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,24 +11,19 @@ from trishift import (
     KernelDivergenceError,
     PointSet,
     SequencePair,
-    adjoint_eigen_check,
-    adjoint_eigen_residual,
     adjoint_residual_grid,
     build_shift,
-    defect_apply,
     defect_matrix,
     eval_basis,
     eval_kernel,
     gram_matrix,
-    kernel_coefficients,
     materialize,
     parse_sequence_expr,
 )
 from trishift import kernels
 from trishift.kernels import (
     KernelValue,
-    _basis_values,
-    _growth_tables,
+    _basis_parts,
     _point_parts,
     _sweep,
 )
@@ -185,7 +179,9 @@ def bits(x):
 def assert_matches_reference(seq, points, tol):
     for z in points:
         ref = reference_basis_values(seq, complex(z), seq.horizon + 1)
-        assert _basis_values(seq, z, seq.horizon + 1).tobytes() == ref.tobytes()
+        re, im = _basis_parts(seq, complex(z), seq.horizon + 1)
+        assert re.tobytes() == ref.real.tobytes()
+        assert im.tobytes() == ref.imag.tobytes()
         for w in points:
             want = reference_eval_kernel(seq, z, w, tol)
             got = eval_kernel(seq, z, w, tol)
@@ -249,25 +245,6 @@ def test_kernel_certificate_overflow_past_stop_is_silent():
     assert kv.value == (1.0416666666598402 + 0j)
     assert kv.terms_used == 8
     assert kv.converged
-
-
-def test_shared_growth_tables_keep_values_bit_identical():
-    # a sweep forms the certificate's sequence-only factors once
-    rng = np.random.default_rng(89)
-    H = 256
-    a = (1.0 + 0.5 * rng.uniform(size=H + 1)) * np.exp(2j * np.pi * rng.uniform(size=H + 1))
-    b = 0.4 * rng.uniform(size=H + 1) * np.exp(2j * np.pi * rng.uniform(size=H + 1))
-    families = [family_pair(f, H) for f in CORPUS] + [SequencePair(a, b, H)]
-    for seq in families:
-        tables = _growth_tables(seq)
-        for z in PARITY_POINTS:
-            for w in PARITY_POINTS:
-                want = eval_kernel(seq, z, w, 1e-10)
-                got = eval_kernel(seq, z, w, 1e-10, _tables=tables)
-                assert bits(got.value) == bits(want.value), (z, w)
-                assert got.terms_used == want.terms_used
-                assert got.tail_estimate.hex() == want.tail_estimate.hex()
-                assert got.converged == want.converged
 
 
 def assert_same_value(got, want):
@@ -428,14 +405,15 @@ def test_defect_matches_product_and_trace_real():
 
 def test_adjoint_residual_zero_at_origin():
     seq = make_pair("sqrt(n+1)", "1/(n+2)", 64)
-    residual, cert = adjoint_eigen_residual(seq, 0.0, 48)
+    [(residual, cert)] = adjoint_residual_grid(seq, PointSet((0.0,)), 48)
     assert residual == 0.0
     assert cert == 0.0
 
 
 def test_adjoint_residual_szego():
-    residual = adjoint_eigen_check(szego(256), 0.5, 256, tol=1e-10)
+    [(residual, cert)] = adjoint_residual_grid(szego(256), PointSet((0.5,)), 256)
     assert residual < 1e-10
+    assert residual <= cert
 
 
 def test_adjoint_residual_below_certificate_on_grid():
@@ -474,7 +452,7 @@ def cross_term(seq4, w, N):
     discarded block and the kernel coefficients out to the horizon of seq4."""
     H4 = seq4.horizon
     block = build_shift(seq4, H4).entries[N:, :N]
-    kappa = kernel_coefficients(seq4, w, H4)
+    kappa = np.conj(reference_basis_values(seq4, w, H4))
     return np.linalg.norm(block.conj().T @ kappa[N:]) / np.linalg.norm(kappa[:N])
 
 
@@ -542,74 +520,9 @@ def test_adjoint_residual_below_certificate_strictly():
     assert adjoint_residual_grid(seqs[-1], PointSet(()), N) == []
 
 
-def test_kernel_coefficients_definition():
-    seq = make_pair("1", "0.5", 32)
-    w = 0.4 + 0.2j
-    kappa = kernel_coefficients(seq, w, 8)
-    for n in range(8):
-        assert abs(kappa[n] - np.conj(eval_basis(seq, n, w))) < 1e-15
-
-
 def test_adjoint_residual_uses_consistent_operator():
     # the one-point residual is the grid's, bit for bit
     seq = make_pair("1", "1/(n+1)", 128)
-    one = adjoint_eigen_residual(seq, 0.4, 128)
+    one = adjoint_residual_grid(seq, PointSet((0.4,)), 128)[0]
     grid = adjoint_residual_grid(seq, PointSet((0.4, 0.3j, -0.7)), 128)
     assert np.array(one).tobytes() == np.array(grid[0]).tobytes()
-
-
-# ------------------------------------------------------------- defect apply
-
-
-def test_defect_apply_projects_onto_first_basis_vector():
-    seq = szego(128)
-    for w in (0.0, 0.3, -0.5j, 0.6 + 0.2j):
-        value = defect_apply(seq, np.array([1.0 + 0j]), w)
-        assert abs(value - 1.0) < 1e-10
-
-
-def test_defect_apply_annihilates_second_basis_vector():
-    seq = szego(128)
-    for w in (0.2, -0.4, 0.5j):
-        value = defect_apply(seq, np.array([0.0, 1.0 + 0j]), w)
-        assert abs(value) < 1e-10
-
-
-def test_defect_apply_consistency_at_origin():
-    seq = make_pair("sqrt(n+1)", "1/(n+2)", 64)
-    rng = np.random.default_rng(79)
-    coeffs = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    value = defect_apply(seq, coeffs, 0.0)
-    # at w = 0 the pairing reduces to the zeroth coefficient of the defect image
-    C = defect_matrix(seq, 64).entries
-    f = np.zeros(64, dtype=complex)
-    f[:10] = coeffs
-    expect = (C @ f)[0] * seq.a[0]
-    assert abs(value - expect) < 1e-10
-
-
-def test_defect_apply_holds_three_sections_at_peak():
-    # in H x H sections of the pair's itemsize: the shift section, the
-    # product and one temporary; a second shift section would make four
-    H = 512
-    rng = np.random.default_rng(103)
-    a = (1.0 + 0.5 * rng.uniform(size=H + 1)) * np.exp(2j * np.pi * rng.uniform(size=H + 1))
-    b = 0.3 * rng.uniform(size=H + 1) * np.exp(2j * np.pi * rng.uniform(size=H + 1))
-    coeffs = np.array([1.0, 0.5j, -0.25])
-    for seq in (make_pair("sqrt(n+1)", "0.5", H), SequencePair(a, b, H)):
-        tracemalloc.start()
-        try:
-            defect_apply(seq, coeffs, 0.3 + 0.2j)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        units = peak / (seq.a.itemsize * H * H)
-        assert units <= 3.1, (seq.a.dtype, units)
-
-
-def test_defect_apply_validates_input():
-    seq = szego(16)
-    with pytest.raises(ValueError):
-        defect_apply(seq, np.ones(20, dtype=complex), 0.3)
-    with pytest.raises(ValueError):
-        defect_apply(seq, np.ones(4, dtype=complex), 1.5)
