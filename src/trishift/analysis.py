@@ -42,7 +42,6 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_SINGULAR_FLOOR = 1e-10
-DEFAULT_MARGIN = 64
 
 ROUTE_CERTIFIED = "certified"
 ROUTE_SVD = "svd"
@@ -92,16 +91,19 @@ class IndexData:
     ``"svd"`` when singular values counted it.  A margin is
     ``2 * DEFAULT_RANK_TOL * s_up * ||X||_F`` for the section's left inverse
     ``X``: the rank is certified below 1.  It is ``None`` when no finite
-    bound exists.
+    bound exists.  The index is ``dim_ker - dim_coker``.
     """
 
     dim_ker: int
     dim_coker: int
-    index: int
     ker_route: str
     coker_route: str
     ker_margin: float | None
     coker_margin: float | None
+
+    @property
+    def index(self) -> int:
+        return self.dim_ker - self.dim_coker
 
 
 @dataclass(frozen=True)
@@ -294,7 +296,6 @@ def _index_data(section: _ShiftSection, s_tall: np.ndarray | None) -> IndexData:
     return IndexData(
         dim_ker=dim_ker,
         dim_coker=dim_coker,
-        index=dim_ker - dim_coker,
         ker_route=ker_route,
         coker_route=coker_route,
         ker_margin=ker_margin,
@@ -389,18 +390,11 @@ def polar_decompose(T: TruncatedOperator) -> tuple[TruncatedOperator, TruncatedO
     V = _polar_isometry(u, s, wh)
     P = (wh.conj().T * s) @ wh
     P = (P + P.conj().T) / 2.0
-    return (
-        TruncatedOperator(V, T.order, T.basis_offset, None, T.exact_window),
-        TruncatedOperator(P, T.order, T.basis_offset, None, T.exact_window),
-    )
+    return TruncatedOperator(V), TruncatedOperator(P)
 
 
 def compact_isometry_split(
-    seq: SequencePair,
-    N: int,
-    margin: int = DEFAULT_MARGIN,
-    *,
-    _section: _ShiftSection | None = None,
+    seq: SequencePair, N: int, *, _section: _ShiftSection | None = None
 ) -> DecompositionResult:
     """Split the shift section into its polar isometry plus remainder.
 
@@ -409,8 +403,8 @@ def compact_isometry_split(
     W^H``; ``U`` has orthonormal columns, so ``column_decay``, the remainder's
     full-column norms, is the column norms of ``(S - I) W^H`` and the
     remainder is never formed.  ``isometry_defect`` is the largest column
-    norm of ``V^H V - I``, where ``margin`` columns at the right edge are
-    excluded to suppress boundary artifacts.
+    norm of ``V^H V - I`` over all N columns: every column of ``V`` is
+    orthonormal to rounding, the right edge included.
     """
     if N < 8:
         raise ValueError("decomposition needs N >= 8")
@@ -422,9 +416,7 @@ def compact_isometry_split(
     V = _polar_isometry(u, s, wh)
     column_decay = np.linalg.norm((s - 1.0)[:, None] * wh, axis=0)
     vtv = V.conj().T @ V
-    defect_cols = np.linalg.norm(vtv - np.eye(N), axis=0)
-    interior = max(1, N - max(margin, 0))
-    isometry_defect = float(defect_cols[:interior].max())
+    isometry_defect = float(np.linalg.norm(vtv - np.eye(N), axis=0).max())
     column_decay.flags.writeable = False
     return DecompositionResult(column_decay, isometry_defect)
 

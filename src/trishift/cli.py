@@ -32,13 +32,7 @@ from .analysis import (
     _ShiftSection,
 )
 from .expr import EvalError, ExprSyntaxError
-from .kernels import (
-    PointSet,
-    _hermitian,
-    _point_parts,
-    _residual_grid,
-    _sweep,
-)
+from .kernels import PointSet, _point_parts, _residual_grid, _sweep
 from .reporting import (
     check_report,
     decompose_report,
@@ -117,6 +111,8 @@ class RunConfig:
             raise ConfigError(f"r-target must lie in (0, 1), got {self.r_target}")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.fmt!r}")
+        if self.grid is not None:
+            _parse_grid(self.grid)
 
 
 def _warn(message: str) -> None:
@@ -146,7 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--window", type=int, default=None, help="trailing window (default N/4)")
         sp.add_argument("--r-target", dest="r_target", type=float, default=None,
                         help="tail-ratio target (default 0.95)")
-        sp.add_argument("--pad", type=int, default=None, help="evaluation padding rows (default 64)")
+        sp.add_argument("--pad", type=int, default=None,
+                        help="evaluation padding rows (default min(64, N/4))")
         sp.add_argument("--out", type=Path, default=None, help="output directory (default .)")
         sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None,
                         help="report format (default json)")
@@ -264,7 +261,7 @@ def _run_decompose(cfg: RunConfig) -> int:
     seq_full = _materialize_padded(cfg, spec)
     seq_rep = seq_full.trimmed(cfg.order)
     assumptions = validate_assumptions(seq_rep, cfg.r_target)
-    deco = compact_isometry_split(seq_full, cfg.order, margin=cfg.pad)
+    deco = compact_isometry_split(seq_full, cfg.order)
     report = decompose_report(spec.label, cfg.order, assumptions, deco)
     write_report(report, _report_path(cfg, "decompose_report"), cfg.fmt)
     write_csv(
@@ -285,9 +282,7 @@ def _run_profile(cfg: RunConfig) -> int:
     section = _ShiftSection(seq_full, cfg.order)
     profile, lower_sq = column_norm_profile(seq_full, cfg.order, _section=section)
     diag = equivalence_diagnostics(seq_full, cfg.order, _section=section)
-    deco = compact_isometry_split(
-        seq_full, cfg.order, margin=cfg.pad, _section=section
-    )
+    deco = compact_isometry_split(seq_full, cfg.order, _section=section)
     report = full_report(
         spec.label, cfg.order, assumptions, crit, profile, diag, deco
     )
@@ -352,38 +347,28 @@ def _run_kernel(cfg: RunConfig) -> int:
     # one set of basis values per point, on the padded pair, serves the
     # sweep (which reads prefixes of it) and the residual grid
     parts = _point_parts(seq_full, pts)
-    # k(w, z) = conj(k(z, w)) term by term; 0.0 - imag keeps a zero unsigned
-    pairs = _sweep(seq, pts, parts, cfg.tol)
-    sweep_rows = []
-    converged_pairs = 0
-    for i, zi in enumerate(pts):
-        for j, wj in enumerate(pts):
-            kv = pairs[(min(i, j), max(i, j))]
-            im_k = kv.value.imag if i <= j else 0.0 - kv.value.imag
-            sweep_rows.append(
-                (
-                    zi.real, zi.imag, wj.real, wj.imag,
-                    kv.value.real, im_k,
-                    kv.terms_used, kv.tail_estimate, int(kv.converged),
-                )
-            )
-            if kv.converged:
-                converged_pairs += 1
-            else:
-                _warn(
-                    f"kernel tail not certified at pair ({i}, {j}); "
-                    f"estimate {kv.tail_estimate:.3e}"
-                )
+    G, terms, tails, converged = _sweep(seq, pts, parts, cfg.tol)
+    for i, j in np.argwhere(~converged):
+        _warn(
+            f"kernel tail not certified at pair ({i}, {j}); "
+            f"estimate {tails[i, j]:.3e}"
+        )
     cfg.out.mkdir(parents=True, exist_ok=True)
     write_csv(
         cfg.out / "kernel_sweep.csv",
         ["re_z", "im_z", "re_w", "im_w", "re_k", "im_k",
          "terms_used", "tail_estimate", "converged"],
-        sweep_rows,
+        [
+            (
+                zi.real, zi.imag, wj.real, wj.imag, G[i, j].real, G[i, j].imag,
+                int(terms[i, j]), tails[i, j], int(converged[i, j]),
+            )
+            for i, zi in enumerate(pts)
+            for j, wj in enumerate(pts)
+        ],
     )
     least_eig: float | None = None
-    if converged_pairs == len(pts) ** 2:
-        G = _hermitian({ij: kv.value for ij, kv in pairs.items()}, count)
+    if converged.all():
         least_eig = float(np.linalg.eigvalsh(G)[0])
     else:
         _warn("Gram least eigenvalue omitted (some pairs did not converge)")
@@ -402,9 +387,9 @@ def _run_kernel(cfg: RunConfig) -> int:
         "pad": seq_full.horizon - cfg.order,
         "grid": {"radius": radius, "count": count},
         "gram_least_eigenvalue": least_eig,
-        "pairs_converged": converged_pairs,
+        "pairs_converged": int(converged.sum()),
         "pairs_total": len(pts) ** 2,
-        "max_terms_used": max(kv.terms_used for kv in pairs.values()),
+        "max_terms_used": int(terms.max()),
         "max_residual": max(r for r, _ in residuals),
     }
     write_report(report, _report_path(cfg, "kernel_report"), cfg.fmt)

@@ -202,58 +202,61 @@ def _sweep(
     points: list[complex],
     parts: list[tuple[np.ndarray, np.ndarray]],
     tol: float,
-) -> dict[tuple[int, int], KernelValue]:
-    """:func:`eval_kernel` at every pair ``i <= j`` of ``points``, bit for bit.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`eval_kernel` at every pair of ``points``, bit for bit.
 
-    ``parts`` holds each point's :func:`_point_parts`, on ``seq`` or on a
-    longer pair that it trims: prefixes of the running powers and of the
-    elementwise passes are the values a shorter pass forms.  The stopping
-    index is formed once per distinct ``rho = |z||w|``.
+    Returns k x k arrays of the values, terms used, tail estimates and
+    converged flags.  Each pair ``i <= j`` is evaluated once; ``(j, i)``
+    mirrors it with ``k(w, z) = conj(k(z, w))`` term by term, the imaginary
+    part negated as ``0.0 - imag`` so that a zero stays unsigned.  ``parts``
+    holds each point's :func:`_point_parts`, on ``seq`` or on a longer pair
+    that it trims: prefixes of the running powers and of the elementwise
+    passes are the values a shorter pass forms.  The stopping index is
+    formed once per distinct ``rho = |z||w|``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     tables = _growth_tables(seq)
     stops: dict[float, tuple[int, float, bool]] = {}
     radii = [abs(z) for z in points]
-    out = {}
-    for i in range(len(points)):
-        for j in range(i, len(points)):
+    k = len(points)
+    values = np.empty((k, k), dtype=complex)
+    terms = np.empty((k, k), dtype=int)
+    tails = np.empty((k, k))
+    converged = np.empty((k, k), dtype=bool)
+    for i in range(k):
+        for j in range(i, k):
             rho = radii[i] * radii[j]
             if rho not in stops:
                 stops[rho] = _stop_index(tables, rho, tol)
-            count, tail, converged = stops[rho]
+            count, tail, conv = stops[rho]
             value = _pair_sum(parts[i], parts[j], count)
-            out[(i, j)] = KernelValue(value, count, tail, converged)
-    return out
-
-
-def _hermitian(upper: dict[tuple[int, int], complex], k: int) -> np.ndarray:
-    """The k x k matrix with the given upper triangle (``i <= j``), its
-    lower triangle filled by conjugation so that it is exactly Hermitian."""
-    G = np.empty((k, k), dtype=complex)
-    for (i, j), value in upper.items():
-        G[j, i] = np.conj(value)
-        G[i, j] = value
-    return G
+            values[j, i] = complex(value.real, 0.0 - value.imag)
+            values[i, j] = value  # second, so the diagonal keeps the value
+            terms[i, j] = terms[j, i] = count
+            tails[i, j] = tails[j, i] = tail
+            converged[i, j] = converged[j, i] = conv
+    return values, terms, tails, converged
 
 
 def gram_matrix(seq: SequencePair, pts: PointSet, tol: float = 1e-10) -> np.ndarray:
     """Hermitian Gram matrix G[i, j] = k(z_i, z_j) on the point set.
 
     The upper triangle is evaluated and the lower filled by conjugation, so
-    the result is exactly Hermitian; non-convergence at any pair raises.
+    the result is exactly Hermitian and each entry is bit for bit its
+    :func:`eval_kernel`; non-convergence at any pair raises.
     """
     if len(pts) == 0:
         raise ValueError("point set must be nonempty")
     points = list(pts)
-    pairs = _sweep(seq, points, _point_parts(seq, points), tol)
-    for (i, j), kv in pairs.items():
-        if not kv.converged:
-            raise KernelDivergenceError(
-                f"kernel tail not certified for pair ({i}, {j}); "
-                f"estimate {kv.tail_estimate:.3e}"
-            )
-    return _hermitian({ij: kv.value for ij, kv in pairs.items()}, len(points))
+    G, _, tails, converged = _sweep(seq, points, _point_parts(seq, points), tol)
+    if not converged.all():
+        i, j = np.argwhere(~converged)[0]  # converged is symmetric: i <= j
+        raise KernelDivergenceError(
+            f"kernel tail not certified for pair ({i}, {j}); "
+            f"estimate {tails[i, j]:.3e}"
+        )
+    return G
 
 
 def defect_matrix(seq: SequencePair, N: int) -> TruncatedOperator:
@@ -272,7 +275,7 @@ def defect_matrix(seq: SequencePair, N: int) -> TruncatedOperator:
     C.flat[:: N + 1] += 1.0
     C += C.conj().T
     C /= 2.0
-    return TruncatedOperator(C, N, 0, None, N)
+    return TruncatedOperator(C)
 
 
 def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:

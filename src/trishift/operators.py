@@ -3,9 +3,9 @@
 Matrix convention: column ``j`` of a section lists the basis coefficients of
 the image of the ``j``-th basis vector, so sections compare entrywise against
 the operator written out column by column.  The shift section is strictly
-lower triangular and the left-inverse section carries one superdiagonal;
-products of sections are therefore exact on leading windows whose size is
-recorded in ``exact_window``.
+lower triangular and the left-inverse section carries one superdiagonal.
+A section is its matrix plus, where one is certified, a bound on each
+column's discarded mass; its order is its column count.
 
 Deep column entries are generated by running products (multiply-accumulate
 down the column) rather than quotients of long products, so growing
@@ -44,14 +44,14 @@ from .sequences import (
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """A dense finite section together with truncation metadata.
+    """A dense finite section: a matrix plus, optionally, its column tail
+    bounds.
 
-    ``entries`` has shape ``(rows, order)`` with ``rows >= order``; builders
-    return square sections, while analysis routines may carry extra evaluated
-    rows so that column Gram products are exact.  ``tail_bound`` (when
-    available) bounds the l2 mass of each column's discarded rows;
-    ``exact_window`` is the leading window on which products against
-    same-size sections are exact.
+    ``entries`` has at least as many rows as columns, and its column count
+    is the section's ``order``; builders return square sections, while
+    analysis routines may carry extra evaluated rows so that column Gram
+    products are exact.  ``tail_bound`` (when available) bounds the l2 mass
+    of each column's discarded rows.
 
     The arrays passed become the section's storage and are made read-only
     in place.  Float64 and complex128 entries are kept as they are; any
@@ -59,10 +59,7 @@ class TruncatedOperator:
     """
 
     entries: np.ndarray
-    order: int
-    basis_offset: int = 0
     tail_bound: np.ndarray | None = None
-    exact_window: int | None = None
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries)
@@ -71,17 +68,12 @@ class TruncatedOperator:
         if entries.ndim != 2:
             raise ValueError("entries must be a matrix")
         rows, cols = entries.shape
-        if cols != self.order:
-            raise ValueError(f"entries have {cols} columns, order is {self.order}")
-        if rows < self.order:
-            raise ValueError("entries must have at least `order` rows")
-        window = self.order if self.exact_window is None else self.exact_window
-        if not 0 <= window <= self.order:
-            raise ValueError("exact_window must lie in [0, order]")
+        if rows < cols:
+            raise ValueError(f"entries have {rows} rows, fewer than their {cols} columns")
         tail = self.tail_bound
         if tail is not None:
             tail = np.asarray(tail, dtype=float)
-            if tail.shape != (self.order,):
+            if tail.shape != (cols,):
                 raise ValueError("tail_bound must have one entry per column")
             if not np.all(np.isfinite(tail)) or np.any(tail < 0):
                 raise ValueError("tail_bound entries must be finite and nonnegative")
@@ -89,19 +81,18 @@ class TruncatedOperator:
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "tail_bound", tail)
-        object.__setattr__(self, "exact_window", window)
 
     @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
+    def order(self) -> int:
+        return self.entries.shape[1]
 
 
 @dataclass(frozen=True)
 class BlockSet:
     """Diagonal/lower-triangular blocks of the compressed difference operator.
 
-    All four sections act on the span of the basis vectors from index 1 on
-    (``basis_offset == 1``); ``u`` is the unweighted unilateral shift there.
+    All four sections are K x K and act on the span of the basis vectors
+    from index 1 on; ``u`` is the unweighted unilateral shift there.
     """
 
     b1: TruncatedOperator
@@ -112,9 +103,8 @@ class BlockSet:
     def __post_init__(self) -> None:
         k = self.b1.order
         for name in ("b1", "b2", "b3", "u"):
-            op = getattr(self, name)
-            if op.order != k or op.basis_offset != 1:
-                raise ValueError(f"block {name} must be {k}x{k} at basis offset 1")
+            if getattr(self, name).entries.shape != (k, k):
+                raise ValueError(f"block {name} must be {k}x{k}")
 
 
 def _require_horizon(seq: SequencePair, needed: int, what: str) -> None:
@@ -205,7 +195,7 @@ def build_shift(seq: SequencePair, N: int) -> TruncatedOperator:
     _require_horizon(seq, N, "shift section")
     M = np.zeros((N, N), dtype=seq.a.dtype)
     tail = _fill_shift(seq, M)
-    return TruncatedOperator(M, N, 0, tail, N)
+    return TruncatedOperator(M, tail)
 
 
 def _adjoint_entries(
@@ -228,7 +218,7 @@ def build_adjoint(seq: SequencePair, N: int) -> TruncatedOperator:
     """N x N section of the adjoint: the conjugate transpose of the shift
     section.  Its columns are finitely supported, so nothing is discarded."""
     A, _ = _adjoint_entries(seq, N)
-    return TruncatedOperator(A, N, 0, np.zeros(N), N)
+    return TruncatedOperator(A, np.zeros(N))
 
 
 def build_left_inverse(seq: SequencePair, N: int) -> TruncatedOperator:
@@ -245,7 +235,7 @@ def build_left_inverse(seq: SequencePair, N: int) -> TruncatedOperator:
     tail = _running_columns(seq, L[1:, 1:], d[: N - 1], 1)
     if tail is not None:  # the first column is zero
         tail = np.concatenate(([0.0], tail))
-    return TruncatedOperator(L, N, 0, tail, N - 1)
+    return TruncatedOperator(L, tail)
 
 
 def build_blocks(seq: SequencePair, N: int) -> BlockSet:
@@ -256,7 +246,7 @@ def build_blocks(seq: SequencePair, N: int) -> BlockSet:
     triangular: ``b2`` holds the negated shift columns 1.. from row 3 on and
     ``b3`` the left-inverse columns 1.. from row 1 on.  The bottom row of
     ``b2`` needs one coefficient beyond the horizon-N data and is
-    zero-filled; ``exact_window`` records this.
+    zero-filled.
     """
     if N < 3:
         raise ValueError("block construction needs N >= 3")
@@ -265,22 +255,22 @@ def build_blocks(seq: SequencePair, N: int) -> BlockSet:
     K = N - 1
 
     diag = a[2 : K + 2] / a[1 : K + 1] - np.conj(a[1 : K + 1] / a[2 : K + 2])
-    b1 = TruncatedOperator(np.diag(diag), K, 1, None, K)
+    b1 = TruncatedOperator(np.diag(diag))
 
     Z2 = np.zeros((K, K), dtype=seq.a.dtype)
     _running_columns(seq, Z2, -c_coefficients(seq)[1 : K + 1], 3)
-    b2 = TruncatedOperator(Z2, K, 1, None, min(K, seq.horizon - 2))
+    b2 = TruncatedOperator(Z2)
 
     Z3 = np.zeros((K, K), dtype=seq.a.dtype)
     _running_columns(seq, Z3, d_coefficients(seq)[:K], 1)
-    b3 = TruncatedOperator(Z3, K, 1, None, K)
+    b3 = TruncatedOperator(Z3)
 
     U = np.zeros((K, K), dtype=seq.a.dtype)
     idx = np.arange(K - 1)
     U[idx + 1, idx] = 1.0
     u_tail = np.zeros(K)
     u_tail[K - 1] = 1.0  # the cut subdiagonal entry of the last column
-    u = TruncatedOperator(U, K, 1, u_tail, K)
+    u = TruncatedOperator(U, u_tail)
     return BlockSet(b1=b1, b2=b2, b3=b3, u=u)
 
 
@@ -289,7 +279,7 @@ def build_tail_blocks(
 ) -> tuple[TruncatedOperator, TruncatedOperator, TruncatedOperator]:
     """Weighted-shift/diagonal/assembled sections driving the geometric tail.
 
-    All three sections are K x K with K = N - n0 - 2 at basis offset n0: the
+    All three sections are K x K with K = N - n0 - 2, indexed from n0: the
     weighted shift ``W`` with weights b_{n0+2+q}/a_{n0+3+q}, the diagonal
     ``D`` of -c_{n0+q}, and the directly assembled lower-triangular ``A2``
     whose columns alternate running products seeded by -c_{n0+q}.
@@ -306,14 +296,14 @@ def build_tail_blocks(
     if K > 1:
         q = np.arange(K - 1)
         W[q + 1, q] = seq.b[n0 + 2 : n0 + 1 + K] / seq.a[n0 + 3 : n0 + 2 + K]
-    w_op = TruncatedOperator(W, K, n0, None, K)
+    w_op = TruncatedOperator(W)
 
     D = np.diag(-c[n0 : n0 + K])
-    d_op = TruncatedOperator(D, K, n0, None, K)
+    d_op = TruncatedOperator(D)
 
     A2 = np.zeros((K, K), dtype=seq.a.dtype)
     _running_columns(seq, A2, -c[n0 : n0 + K], n0 + 2)
-    a2_op = TruncatedOperator(A2, K, n0, None, K)
+    a2_op = TruncatedOperator(A2)
     return w_op, d_op, a2_op
 
 
@@ -355,15 +345,14 @@ def neumann_partial_sum(
     :func:`build_tail_blocks` builds it."""
     if m < 0:
         raise ValueError("partial-sum order must be nonnegative")
-    if W.entries.shape != D.entries.shape or W.basis_offset != D.basis_offset:
-        raise ValueError("W and D must be same-shape sections at the same offset")
+    if W.entries.shape != D.entries.shape:
+        raise ValueError("W and D must be same-shape sections")
     weights = np.diagonal(W.entries, -1)
     if np.count_nonzero(W.entries) != np.count_nonzero(weights):
         raise ValueError("W must be a weighted shift: nonzero on the subdiagonal only")
     for total in itertools.islice(_neumann_partial_sums(weights, D.entries), m + 1):
         pass
-    window = min(W.exact_window, D.exact_window)
-    return TruncatedOperator(total, W.order, W.basis_offset, None, window)
+    return TruncatedOperator(total)
 
 
 __all__ = [

@@ -22,7 +22,8 @@ functions are pure; arrays are frozen read-only after construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -88,9 +89,10 @@ class CoefficientSpec:
 
 @dataclass(frozen=True)
 class SequencePair:
-    """Materialized coefficient arrays on a finite horizon.
+    """Materialized coefficient arrays ``a_0..a_N`` and ``b_0..b_N``.
 
-    ``a`` and ``b`` have length ``horizon + 1`` and every ``a[n]`` is nonzero.
+    ``a`` and ``b`` are one-dimensional, of one length ``N + 1 >= 3``, and
+    every ``a[n]`` is nonzero; the horizon ``N`` is read off their length.
     They are float64 when both imaginary parts are exactly zero and
     complex128 otherwise; every section and product built from the pair
     takes that dtype, so real families run in real arithmetic throughout.
@@ -98,16 +100,14 @@ class SequencePair:
 
     a: np.ndarray
     b: np.ndarray
-    horizon: int
 
     def __post_init__(self) -> None:
         a = np.array(self.a, dtype=complex)
         b = np.array(self.b, dtype=complex)
-        if self.horizon < 2:
-            raise ValueError("horizon must be at least 2")
-        if a.shape != (self.horizon + 1,) or b.shape != (self.horizon + 1,):
+        if a.ndim != 1 or a.shape != b.shape or a.size < 3:
             raise ValueError(
-                f"coefficient arrays must have length horizon+1 = {self.horizon + 1}"
+                "coefficient arrays must be one-dimensional, of one length, "
+                "with at least 3 entries"
             )
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("coefficient arrays must be finite")
@@ -121,13 +121,17 @@ class SequencePair:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
+    @property
+    def horizon(self) -> int:
+        return self.a.size - 1
+
     def trimmed(self, horizon: int) -> "SequencePair":
         """Restriction to a shorter horizon (shares no mutable state)."""
         if horizon > self.horizon:
             raise HorizonError(
                 f"cannot trim to horizon {horizon}; only {self.horizon} available"
             )
-        return SequencePair(self.a[: horizon + 1], self.b[: horizon + 1], horizon)
+        return SequencePair(self.a[: horizon + 1], self.b[: horizon + 1])
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,9 @@ class AssumptionReport:
     ``eps_hat``/``m_hat`` bound ``|a_n/a_{n+1}|`` over the full horizon;
     ``r_hat`` is the max of ``|b_n/a_{n+1}|`` over the trailing window (the
     finite proxy for a limsup); ``n0_hat`` is the first index from which that
-    ratio stays <= ``r_target`` (-1 when never attained).
+    ratio stays <= ``r_target`` (-1 when never attained).  The four
+    assumption flags follow from these: every ``a_n`` is nonzero because
+    :class:`SequencePair` rejects a zero.
     """
 
     eps_hat: float
@@ -145,16 +151,16 @@ class AssumptionReport:
     r_hat: float
     n0_hat: int
     tail_window: int
-    a_nonzero: bool = True
-    ratio_bounded_below: bool = field(default=True)
-    ratio_bounded_above: bool = field(default=True)
-    tail_ratio_below_target: bool = field(default=True)
+
+    @property
+    def tail_ratio_below_target(self) -> bool:
+        return self.n0_hat >= 0
 
     def flags(self) -> dict[str, bool]:
         return {
-            "a_nonzero": self.a_nonzero,
-            "ratio_bounded_below": self.ratio_bounded_below,
-            "ratio_bounded_above": self.ratio_bounded_above,
+            "a_nonzero": True,
+            "ratio_bounded_below": self.eps_hat > 0.0,
+            "ratio_bounded_above": math.isfinite(self.m_hat),
             "tail_ratio_below_target": self.tail_ratio_below_target,
         }
 
@@ -165,7 +171,7 @@ def materialize(spec: CoefficientSpec, N: int) -> SequencePair:
         raise ValueError("horizon N must be at least 2")
     a = _realize(spec.a_source, N, "a")
     b = _realize(spec.b_source, N, "b")
-    return SequencePair(a=a, b=b, horizon=N)
+    return SequencePair(a, b)
 
 
 def _realize(source: Source, N: int, name: str) -> np.ndarray:
@@ -196,22 +202,13 @@ def validate_assumptions(seq: SequencePair, r_target: float = 0.95) -> Assumptio
     # least n such that |b_m / a_{m+1}| <= r_target for all m >= n
     suffix_max = np.maximum.accumulate(t[::-1])[::-1]
     ok = suffix_max <= r_target
-    if ok[-1]:
-        n0_hat = int(np.argmax(ok))
-        attained = True
-    else:
-        n0_hat = -1
-        attained = False
+    n0_hat = int(np.argmax(ok)) if ok[-1] else -1
     return AssumptionReport(
         eps_hat=eps_hat,
         m_hat=m_hat,
         r_hat=r_hat,
         n0_hat=n0_hat,
         tail_window=tail_window,
-        a_nonzero=True,
-        ratio_bounded_below=eps_hat > 0.0,
-        ratio_bounded_above=bool(np.isfinite(m_hat)),
-        tail_ratio_below_target=attained,
     )
 
 

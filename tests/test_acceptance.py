@@ -134,12 +134,12 @@ def test_criterion_4_decomposition_oracle():
     N, pad = 512, 64
     interior = N - pad
     iso = make_pair("1", "0.5", N + pad)
-    deco = compact_isometry_split(iso, N, margin=pad)
+    deco = compact_isometry_split(iso, N)
     worst = float(deco.column_decay[:interior].max())
     assert worst < 1e-10, f"isometric family decay {worst:.2e}"
 
     alt = make_pair("1", "0.5*(-1)^n", N + pad)
-    deco_alt = compact_isometry_split(alt, N, margin=pad)
+    deco_alt = compact_isometry_split(alt, N)
     floor = float(deco_alt.column_decay[:interior].min())
     assert floor > 0.5, f"alternating family decay floor {floor:.3f}"
     _report(4, f"split oracle: isometric max {worst:.1e} < 1e-10, alternating min {floor:.2f} > 0.5")

@@ -35,7 +35,7 @@ def random_pair(rng, N, b_scale=0.2):
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, N + 1))
     a = mags * phases
     b = b_scale * (rng.uniform(-1, 1, N + 1) + 1j * rng.uniform(-1, 1, N + 1))
-    return SequencePair(a=a, b=b, horizon=N)
+    return SequencePair(a=a, b=b)
 
 
 # ----------------------------------------------------------------- criterion
@@ -177,7 +177,7 @@ def test_index_on_corpus_members():
 
 def test_polar_positive_diagonal():
     diag = np.diag(np.array([1.0, 0.5, 3.0], dtype=complex))
-    V, P = polar_decompose(TruncatedOperator(diag, 3))
+    V, P = polar_decompose(TruncatedOperator(diag))
     assert np.max(np.abs(P.entries - diag)) < 1e-12
     assert np.max(np.abs(V.entries - np.eye(3))) < 1e-12
 
@@ -185,7 +185,7 @@ def test_polar_positive_diagonal():
 def test_polar_isometric_section():
     # column-exact tall section of the unilateral shift is isometric
     seq = make_pair("1", "0", 24)
-    tall = TruncatedOperator(build_shift(seq, 20).entries[:, :16], 16)
+    tall = TruncatedOperator(build_shift(seq, 20).entries[:, :16])
     V, P = polar_decompose(tall)
     assert np.max(np.abs(P.entries - np.eye(16))) < 1e-12
     assert np.max(np.abs(V.entries - tall.entries)) < 1e-12
@@ -193,7 +193,7 @@ def test_polar_isometric_section():
 
 def test_polar_positive_scaling():
     seq = make_pair("1", "0", 24)
-    tall = TruncatedOperator(2.0 * build_shift(seq, 20).entries[:, :16], 16)
+    tall = TruncatedOperator(2.0 * build_shift(seq, 20).entries[:, :16])
     V, P = polar_decompose(tall)
     assert np.max(np.abs(P.entries - 2.0 * np.eye(16))) < 1e-12
     assert np.max(np.abs(V.entries - tall.entries / 2.0)) < 1e-12
@@ -209,7 +209,7 @@ def test_polar_rejects_singular_square_section():
 def test_polar_reconstructs_input():
     rng = np.random.default_rng(53)
     seq = random_pair(rng, 40)
-    tall = TruncatedOperator(build_shift(seq, 40).entries[:, :24], 24)
+    tall = TruncatedOperator(build_shift(seq, 40).entries[:, :24])
     V, P = polar_decompose(tall)
     assert np.max(np.abs(V.entries @ P.entries - tall.entries)) < 1e-10
     vtv = V.entries.conj().T @ V.entries
@@ -222,7 +222,7 @@ def test_polar_factor_positive_with_ratio_floor():
     from trishift import validate_assumptions
 
     seq = make_pair("sqrt(n+1)", "0", 48)
-    tall = TruncatedOperator(build_shift(seq, 48).entries[:, :32], 32)
+    tall = TruncatedOperator(build_shift(seq, 48).entries[:, :32])
     _, P = polar_decompose(tall)
     assert np.array_equal(P.entries, P.entries.conj().T)
     eigs = np.linalg.eigvalsh(P.entries)
@@ -230,7 +230,7 @@ def test_polar_factor_positive_with_ratio_floor():
     assert eigs[0] >= eps_hat - 1e-12
     rng = np.random.default_rng(61)
     seq2 = random_pair(rng, 40)
-    tall2 = TruncatedOperator(build_shift(seq2, 40).entries[:, :24], 24)
+    tall2 = TruncatedOperator(build_shift(seq2, 40).entries[:, :24])
     _, P2 = polar_decompose(tall2)
     assert np.linalg.eigvalsh(P2.entries)[0] > 0.0
 
@@ -247,7 +247,7 @@ def _conditioned_matrix(n, s_min, seed=7):
 def test_polar_isometric_when_least_singular_value_is_resolved():
     for s_min in (1e-6, 1e-8):
         A = _conditioned_matrix(200, s_min)
-        V, _ = polar_decompose(TruncatedOperator(A, 200))
+        V, _ = polar_decompose(TruncatedOperator(A))
         vtv = V.entries.conj().T @ V.entries
         assert np.max(np.abs(vtv - np.eye(200))) <= 1e-12, s_min
 
@@ -255,7 +255,7 @@ def test_polar_isometric_when_least_singular_value_is_resolved():
 def test_polar_reports_resolved_least_singular_value():
     A = _conditioned_matrix(200, 1e-11)
     with pytest.raises(NearSingularError) as info:
-        polar_decompose(TruncatedOperator(A, 200))
+        polar_decompose(TruncatedOperator(A))
     assert abs(info.value.least_singular - 1e-11) <= 1e-2 * 1e-11
 
 
@@ -264,7 +264,7 @@ def test_polar_reports_resolved_least_singular_value():
 
 def test_split_exact_isometry():
     seq = make_pair("1", "0.5", 96)
-    deco = compact_isometry_split(seq, 64, margin=16)
+    deco = compact_isometry_split(seq, 64)
     assert np.max(deco.column_decay) < 1e-10
     assert deco.isometry_defect < 1e-10
 
@@ -272,18 +272,18 @@ def test_split_exact_isometry():
 def test_split_bergman_rate():
     seq = make_pair("sqrt(n+1)", "0", 96)
     N = 64
-    deco = compact_isometry_split(seq, N, margin=16)
+    deco = compact_isometry_split(seq, N)
     w = np.abs(seq.a[:N] / seq.a[1 : N + 1])
     assert np.max(np.abs(deco.column_decay - (1.0 - w))) < 1e-10
 
 
 def test_split_alternating_stays_large():
     seq = make_pair("1", "0.5*(-1)^n", 96)
-    deco = compact_isometry_split(seq, 64, margin=16)
+    deco = compact_isometry_split(seq, 64)
     assert np.min(deco.column_decay[:48]) > 0.1
 
 
-def _gram_reference(seq, N, margin, rank_tol=1e-8):
+def _gram_reference(seq, N, rank_tol=1e-8):
     """Dense reference: I - T*T from the column Gram matrix, the polar factor
     from a full Hermitian eigendecomposition of it, ranks from two SVDs."""
     full = build_shift(seq, seq.horizon).entries
@@ -297,8 +297,7 @@ def _gram_reference(seq, N, margin, rank_tol=1e-8):
     s = np.sqrt(np.clip(eigvals, 0.0, None))
     V = tall @ ((U * (1.0 / s)) @ U.conj().T)
     column_decay = np.linalg.norm(tall - V, axis=0)
-    defect_cols = np.linalg.norm(V.conj().T @ V - eye, axis=0)
-    isometry_defect = float(defect_cols[: max(1, N - margin)].max())
+    isometry_defect = float(np.linalg.norm(V.conj().T @ V - eye, axis=0).max())
 
     def rank(m):
         sv = np.linalg.svd(m, compute_uv=False)
@@ -316,12 +315,11 @@ def test_single_svd_core_matches_gram_reference():
     real = SequencePair(
         a=rng.uniform(0.5, 2.0, N + pad + 1) * rng.choice([-1.0, 1.0], N + pad + 1),
         b=0.2 * rng.uniform(-1, 1, N + pad + 1),
-        horizon=N + pad,
     )
     for seq in (real, random_pair(rng, N + pad)):
-        itt, ittstar, decay, defect, index = _gram_reference(seq, N, pad)
+        itt, ittstar, decay, defect, index = _gram_reference(seq, N)
         diag = equivalence_diagnostics(seq, N)
-        deco = compact_isometry_split(seq, N, margin=pad)
+        deco = compact_isometry_split(seq, N)
         assert np.max(np.abs(diag.tails_itt - itt)) <= 1e-12
         assert np.max(np.abs(diag.tails_ittstar - ittstar)) <= 1e-12
         assert np.max(np.abs(deco.column_decay - decay)) <= 1e-12
@@ -341,7 +339,7 @@ def test_certified_ranks_match_gram_reference_on_corpus(N):
     pad = 64
     for fam in CORPUS:
         seq = family_pair(fam, N + pad)
-        want = _gram_reference(seq, N, pad)[4]
+        want = _gram_reference(seq, N)[4]
         for d in (index_data(seq, N), equivalence_diagnostics(seq, N).index_data):
             assert (d.ker_route, d.coker_route) == ("certified", "certified"), fam.name
             assert 0.0 < d.ker_margin < 1.0 and 0.0 < d.coker_margin < 1.0
@@ -353,7 +351,7 @@ def test_certified_ranks_match_gram_reference_on_random_families():
     for _ in range(6):
         N = int(rng.integers(16, 96))
         seq = random_pair(rng, N + 16)
-        want = _gram_reference(seq, N, 16)[4]
+        want = _gram_reference(seq, N)[4]
         for d in (index_data(seq, N), equivalence_diagnostics(seq, N).index_data):
             assert (d.ker_route, d.coker_route) == ("certified", "certified")
             assert _index_tuple(d) == want
@@ -371,7 +369,7 @@ def test_rank_fallback_matches_gram_reference(k):
     N = 64
     seq = _growing_left_inverse_pair(k, N + 32)
     with np.errstate(divide="ignore", invalid="ignore"):  # singular at k = 20
-        want = _gram_reference(seq, N, 16)[4]
+        want = _gram_reference(seq, N)[4]
     for d in (index_data(seq, N), equivalence_diagnostics(seq, N).index_data):
         assert (d.ker_route, d.coker_route) == ("svd", "svd")
         assert d.ker_margin >= 1.0 and d.coker_margin >= 1.0
@@ -388,7 +386,7 @@ def test_kernel_rank_falls_back_without_a_row_past_the_window():
     assert (d.ker_route, d.ker_margin) == ("svd", None)
     assert d.coker_route == "certified"
     with np.errstate(divide="ignore", invalid="ignore"):
-        want = _gram_reference(seq, 32, 0)[4]
+        want = _gram_reference(seq, 32)[4]
     assert _index_tuple(d) == want == (1, 1, 0)
 
 
@@ -483,7 +481,7 @@ def test_scaling_covariance_bitwise():
     assert np.array_equal(p_base, p_scaled)
     assert np.array_equal(lb_base, lb_scaled)
 
-    d_base = compact_isometry_split(base, N, margin=pad)
-    d_scaled = compact_isometry_split(scaled, N, margin=pad)
+    d_base = compact_isometry_split(base, N)
+    d_scaled = compact_isometry_split(scaled, N)
     assert np.array_equal(d_base.column_decay, d_scaled.column_decay)
     assert d_base.isometry_defect == d_scaled.isometry_defect

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from trishift import cli, eval_kernel, kernels, load_spec_file, materialize
 from trishift.cli import (
@@ -409,6 +410,26 @@ def test_kernel_grid_validation(tmp_path):
     assert main(base) == EXIT_VALIDATION  # --grid required
 
 
+def test_kernel_batch_with_a_malformed_grid_runs_no_member(tmp_path, capsys):
+    spec = write_spec(tmp_path, "s.json", {"label": "s", "a": "1", "b": "0"})
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([
+        {"spec": str(spec), "order": 32, "grid": "0.5:4", "out": str(tmp_path / "first")},
+        {"spec": str(spec), "order": 32, "grid": "2:8", "out": str(tmp_path / "second")},
+    ]), encoding="utf-8")
+    assert main(["kernel", "--batch", str(batch)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("trishift: error: grid ")
+    assert not (tmp_path / "first").exists()
+    assert not (tmp_path / "second").exists()
+
+
+def test_pad_help_states_the_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--help"])
+    assert exc.value.code == 0
+    assert "min(64, N/4)" in " ".join(capsys.readouterr().out.split())
+
+
 def test_kernel_flags_nonconvergent_points(tmp_path, capsys):
     spec = write_spec(tmp_path, "grow.json", {"label": "grow", "a": "2^n", "b": "0"})
     out = tmp_path / "out"
@@ -581,6 +602,11 @@ def test_batch_validation(tmp_path, capsys):
         assert main(["check", "--batch", str(bad)]) == EXIT_VALIDATION, entry
         (key,) = entry
         assert capsys.readouterr().err.startswith(f"trishift: error: {key} must be ")
+    # a malformed grid fails the batch up front, in every command
+    for entry in ({"grid": "2:8"}, {"grid": "0.5"}, {"grid": 5}):
+        bad.write_text(json.dumps([{"spec": str(spec), **entry}]), encoding="utf-8")
+        assert main(["check", "--batch", str(bad)]) == EXIT_VALIDATION, entry
+        assert capsys.readouterr().err.startswith("trishift: error: grid "), entry
     # an integral number is an integer
     good = [{"spec": str(spec), "order": 64.0, "pad": 8.0, "out": str(tmp_path / "ok")}]
     bad.write_text(json.dumps(good), encoding="utf-8")

@@ -267,26 +267,34 @@ def test_sweep_matches_reference_on_seeded_grids():
         for f in CORPUS
         if f.name in ("bergman-const-b", "high-const-b", "alt-b-half")
     ]
-    cases.append((SequencePair(a, b, H), 1e-10))
+    cases.append((SequencePair(a, b), 1e-10))
     cases.append((make_pair("2^n", "0", 24), 1e-8))
     diverged = 0
     for seq, tol in cases:
         radii = rng.choice((0.0, 0.3, 0.5, 0.7, 0.85), size=8)
         points = [r * cmath.exp(2j * math.pi * rng.uniform()) for r in radii]
         points += [complex(-0.0, -0.0), complex(0.0, -0.0), 0.9, -0.9j]
-        pairs = _sweep(seq, points, _point_parts(seq, points), tol)
-        assert len(pairs) == len(points) * (len(points) + 1) // 2
-        assert len({abs(points[i]) * abs(points[j]) for i, j in pairs}) >= 6
-        for (i, j), got in pairs.items():
-            want = reference_eval_kernel(seq, points[i], points[j], tol)
-            assert_same_value(got, want)
-            assert_same_value(eval_kernel(seq, points[i], points[j], tol), want)
-        if all(kv.converged for kv in pairs.values()):
+        values, terms, tails, converged = _sweep(
+            seq, points, _point_parts(seq, points), tol
+        )
+        k = len(points)
+        assert values.shape == terms.shape == tails.shape == converged.shape == (k, k)
+        assert len({abs(z) * abs(w) for z in points for w in points}) >= 6
+        for i in range(k):
+            for j in range(k):
+                want = reference_eval_kernel(seq, points[i], points[j], tol)
+                got = KernelValue(
+                    complex(values[i, j]), int(terms[i, j]),
+                    float(tails[i, j]), bool(converged[i, j]),
+                )
+                assert_same_value(got, want)
+                assert_same_value(eval_kernel(seq, points[i], points[j], tol), want)
+        if converged.all():
             G = gram_matrix(seq, PointSet(tuple(points)), tol)
-            for (i, j), kv in pairs.items():
-                assert bits(G[i, j]) == bits(kv.value)
-                if i < j:
-                    assert bits(G[j, i]) == bits(np.conj(kv.value))
+            for i in range(k):
+                for j in range(k):
+                    direct = eval_kernel(seq, points[i], points[j], tol)
+                    assert bits(G[i, j]) == bits(direct.value)
         else:
             diverged += 1
             with pytest.raises(KernelDivergenceError):
@@ -472,12 +480,12 @@ def test_adjoint_certificate_bounds_exact_cross_term():
         for f in CORPUS
         if f.name in ("bergman", "harmonic-b", "high-const-b")
     ]
-    families.append(SequencePair(a, b, 4 * H))
+    families.append(SequencePair(a, b))
     cases = [(seq4, pts) for seq4 in families]
     # b_n = 0.9 e^{in}: the discarded block spreads over many columns, and
     # its largest column alone would not bound the cross term at these points
     n = np.arange(4 * H + 1)
-    rotating = SequencePair(np.ones(4 * H + 1), 0.9 * np.exp(1j * n), 4 * H)
+    rotating = SequencePair(np.ones(4 * H + 1), 0.9 * np.exp(1j * n))
     cases.append((rotating, PointSet((0.5 * cmath.exp(1j * math.pi / 6), 0.3j))))
     for seq4, points in cases:
         grid = adjoint_residual_grid(seq4.trimmed(H), points, N)

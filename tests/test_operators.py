@@ -38,7 +38,7 @@ def random_pair(rng, N, b_scale=0.2):
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, N + 1))
     a = mags * phases
     b = b_scale * (rng.uniform(-1, 1, N + 1) + 1j * rng.uniform(-1, 1, N + 1))
-    return SequencePair(a=a, b=b, horizon=N)
+    return SequencePair(a=a, b=b)
 
 
 # ---------------------------------------------------------------- monomials
@@ -296,7 +296,6 @@ def test_blocks_offsets_and_structure():
     seq = make_pair("sqrt(n+1)", "1/(n+1)", 24)
     bl = build_blocks(seq, 12)
     for op in (bl.b1, bl.b2, bl.b3, bl.u):
-        assert op.basis_offset == 1
         assert op.order == 11
     assert np.max(np.abs(np.triu(bl.b2.entries, 1))) == 0.0
     assert np.max(np.abs(np.triu(bl.b3.entries, 1))) == 0.0
@@ -311,7 +310,7 @@ def test_tail_blocks_zero_coupling():
     W, D, A2 = build_tail_blocks(seq, 2, 16)
     assert np.max(np.abs(D.entries)) == 0.0
     assert np.max(np.abs(A2.entries)) == 0.0
-    assert W.order == 12 and W.basis_offset == 2
+    assert W.order == 12
 
 
 def test_tail_blocks_harmonic_family():
@@ -351,7 +350,7 @@ def test_neumann_partial_sum_base_cases():
     W, D, _ = build_tail_blocks(seq, 1, 14)
     S0 = neumann_partial_sum(W, D, 0)
     assert np.array_equal(S0.entries, D.entries)
-    zero = TruncatedOperator(np.zeros_like(D.entries), D.order, D.basis_offset)
+    zero = TruncatedOperator(np.zeros_like(D.entries))
     for m in (0, 3, 9):
         assert np.max(np.abs(neumann_partial_sum(W, zero, m).entries)) == 0.0
 
@@ -362,7 +361,7 @@ def test_neumann_partial_sum_requires_a_weighted_shift():
     for q, r in ((0, 0), (2, 0), (5, 7)):
         entries = W.entries.copy()
         entries[r, q] = 0.5
-        other = TruncatedOperator(entries, W.order, W.basis_offset)
+        other = TruncatedOperator(entries)
         with pytest.raises(ValueError):
             neumann_partial_sum(other, D, 2)
 
@@ -380,15 +379,13 @@ def test_tail_blocks_preconditions():
 
 def test_truncated_operator_validation():
     with pytest.raises(ValueError):
-        TruncatedOperator(np.zeros((3, 4), dtype=complex), 4)
+        TruncatedOperator(np.zeros((3, 4), dtype=complex))
     with pytest.raises(ValueError):
-        TruncatedOperator(np.zeros((4, 4), dtype=complex), 4, tail_bound=np.ones(3))
+        TruncatedOperator(np.zeros((4, 4), dtype=complex), tail_bound=np.ones(3))
     with pytest.raises(ValueError):
-        TruncatedOperator(np.zeros((4, 4), dtype=complex), 4, tail_bound=-np.ones(4))
-    with pytest.raises(ValueError):
-        TruncatedOperator(np.zeros((4, 4), dtype=complex), 4, exact_window=5)
-    op = TruncatedOperator(np.zeros((6, 4), dtype=complex), 4)
-    assert op.rows == 6 and op.exact_window == 4
+        TruncatedOperator(np.zeros((4, 4), dtype=complex), tail_bound=-np.ones(4))
+    op = TruncatedOperator(np.zeros((6, 4), dtype=complex))
+    assert op.order == 4
 
 
 def test_sections_are_frozen():
@@ -401,18 +398,18 @@ def test_sections_are_frozen():
 def test_section_takes_ownership_of_its_array():
     A = np.arange(12, dtype=complex).reshape(4, 3)
     tail = np.ones(3)
-    op = TruncatedOperator(A, 3, tail_bound=tail)
+    op = TruncatedOperator(A, tail_bound=tail)
     assert op.entries is A and op.tail_bound is tail
     assert not A.flags.writeable and not tail.flags.writeable
     with pytest.raises(ValueError):
         A[0, 0] = 1.0
     # a real section is kept in place too
     R = np.eye(3)
-    assert TruncatedOperator(R, 3).entries is R
+    assert TruncatedOperator(R).entries is R
     assert not R.flags.writeable
     # another dtype is converted into a new array; the original is untouched
     Z = np.eye(3, dtype=np.int64)
-    op = TruncatedOperator(Z, 3)
+    op = TruncatedOperator(Z)
     assert op.entries is not Z and op.entries.dtype == np.complex128
     assert Z.flags.writeable
 
@@ -421,7 +418,7 @@ def _every_section(seq, N):
     blocks = build_blocks(seq, N)
     W, D, A2 = build_tail_blocks(seq, 1, N)
     tall = build_shift(seq, seq.horizon).entries[:, :N]
-    V, P = polar_decompose(TruncatedOperator(tall, N))
+    V, P = polar_decompose(TruncatedOperator(tall))
     split = compact_isometry_split(seq, N)
     with pytest.raises(ValueError):
         split.column_decay[0] = 1.0

@@ -139,7 +139,7 @@ def test_c_d_identity_on_random_families():
         phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, N + 1))
         a = mags * phases
         b = rng.uniform(-0.6, 0.6, N + 1) + 1j * rng.uniform(-0.6, 0.6, N + 1)
-        seq = SequencePair(a=a, b=b, horizon=N)
+        seq = SequencePair(a=a, b=b)
         c = c_coefficients(seq)
         d = d_coefficients(seq)
         dev = np.abs(d[: N - 1] + (seq.a[2:] / seq.a[:-2]) * c)
@@ -154,7 +154,7 @@ def test_assumption_ordering_invariant():
         N = int(rng.integers(4, 64))
         a = rng.uniform(0.5, 2.0, N + 1) * np.exp(2j * np.pi * rng.uniform(0, 1, N + 1))
         b = 0.2 * rng.standard_normal(N + 1)
-        rep = validate_assumptions(SequencePair(a=a, b=b + 0j, horizon=N))
+        rep = validate_assumptions(SequencePair(a=a, b=b + 0j))
         assert 0.0 < rep.eps_hat <= rep.m_hat
         if rep.tail_ratio_below_target:
             assert 0 <= rep.n0_hat <= N
