@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -108,11 +107,15 @@ class IndexData:
 
 @dataclass(frozen=True)
 class EquivalenceDiagnostics:
-    """Per-column tail norms of the three compactness witnesses plus index."""
+    """Per-column tail norms of the three compactness witnesses, the
+    term-dropping floor of the ``L - T*`` profile, the polar split and the
+    index, all from one section and its one SVD."""
 
     tails_itt: np.ndarray        # ||(I - T*T) f_n||
     tails_ltstar: np.ndarray     # ||(L - T*) f_n||
     tails_ittstar: np.ndarray    # ||(I - TT*) f_n||
+    ltstar_lower_sq: np.ndarray  # floor of tails_ltstar**2
+    decomposition: DecompositionResult
     index_data: IndexData
 
 
@@ -166,70 +169,50 @@ def check_main_criterion(
     )
 
 
-class _ShiftSection:
-    """The shift section on the full materialized horizon, built once and
-    shared by the analyses of one run.
-
-    ``tall`` is its first ``N`` columns (column-exact) and ``square`` the
-    leading ``N x N`` window.  ``svd`` is the thin SVD ``(U, s, W^H)`` of the
-    tall section, with ``s`` descending.  One horizon left-inverse section
-    ``L`` gives ``ltstar_profile``, the column norms of ``L - T*`` over the
-    first ``N`` columns, and ``left_inverse_norms``, the Frobenius norms of
-    the exact left inverses that decide the index ranks; ``L`` itself is
-    dropped before anything else runs.  Each is computed on first use and
-    kept.
-    """
-
-    def __init__(self, seq: SequencePair, N: int) -> None:
-        self.seq = seq
-        self.N = N
-
-    @cached_property
-    def full(self) -> np.ndarray:
-        return build_shift(self.seq, self.seq.horizon).entries
-
-    @property
-    def tall(self) -> np.ndarray:
-        return self.full[:, : self.N]
-
-    @property
-    def square(self) -> np.ndarray:
-        return self.full[: self.N, : self.N]
-
-    @cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.linalg.svd(self.tall, full_matrices=False)
-
-    @property
-    def ltstar_profile(self) -> np.ndarray:
-        return self._left_inverse_data[0]
-
-    @property
-    def left_inverse_norms(self) -> tuple[float, float]:
-        """``(||L[:N]||_F, ||L[:N-1, 1:]||_F)``: the first is ``inf`` when
-        the horizon holds no row ``N`` of the tall section."""
-        return self._left_inverse_data[1:]
-
-    @cached_property
-    def _left_inverse_data(self) -> tuple[np.ndarray, float, float]:
-        N, H = self.N, self.seq.horizon
-        L = build_left_inverse(self.seq, H).entries
-        # T* is the conjugate transpose of the horizon section, which is how
-        # build_adjoint defines the adjoint
-        tstar = self.full[:N].conj().T
-        profile = np.linalg.norm(L[:, :N] - tstar, axis=0)
-        profile.flags.writeable = False
-        # row i of L lives on columns <= i + 1 and column 0 is zero, so the
-        # rows below hold all of L[:N, :N+1] and of L[:N-1, 1:N]
-        rows = np.linalg.norm(L[:N], axis=1)
-        fro_square = math.hypot(*rows[: N - 1])
-        fro_tall = math.hypot(fro_square, rows[N - 1]) if H > N else math.inf
-        return profile, fro_tall, fro_square
+def _horizon_section(seq: SequencePair, N: int) -> np.ndarray:
+    """The shift section on the full materialized horizon: its first ``N``
+    columns are the column-exact tall section, its leading ``N x N`` window
+    the square section."""
+    H = seq.horizon
+    if N > H:
+        raise ValueError(f"N = {N} exceeds the materialized horizon {H}")
+    return build_shift(seq, H).entries
 
 
-def column_norm_profile(
-    seq: SequencePair, N: int, *, _section: _ShiftSection | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _left_inverse_data(
+    seq: SequencePair, full: np.ndarray, N: int
+) -> tuple[np.ndarray, float, float]:
+    """From one horizon left-inverse section ``L``, dropped on return: the
+    column norms of ``L - T*`` over the first ``N`` columns (read-only), and
+    ``(||L[:N]||_F, ||L[:N-1, 1:]||_F)``, the Frobenius norms of the exact
+    left inverses that decide the index ranks.  The first norm is ``inf``
+    when the horizon holds no row ``N`` of the tall section."""
+    H = seq.horizon
+    L = build_left_inverse(seq, H).entries
+    # T* is the conjugate transpose of the horizon section, which is how
+    # build_adjoint defines the adjoint
+    tstar = full[:N].conj().T
+    profile = np.linalg.norm(L[:, :N] - tstar, axis=0)
+    profile.flags.writeable = False
+    # row i of L lives on columns <= i + 1 and column 0 is zero, so the
+    # rows below hold all of L[:N, :N+1] and of L[:N-1, 1:N]
+    rows = np.linalg.norm(L[:N], axis=1)
+    fro_square = math.hypot(*rows[: N - 1])
+    fro_tall = math.hypot(fro_square, rows[N - 1]) if H > N else math.inf
+    return profile, fro_tall, fro_square
+
+
+def _ltstar_floor(seq: SequencePair, N: int) -> np.ndarray:
+    """The ``lower_bound_sq`` of :func:`column_norm_profile`."""
+    rv = seq.a[1:] / seq.a[:-1] - np.conj(seq.a[:-1] / seq.a[1:])
+    c = c_coefficients(seq)
+    lower = np.zeros(N, dtype=float)
+    lower[1:] = np.abs(rv[: N - 1]) ** 2
+    lower[2:] += np.abs(c[: N - 2]) ** 2
+    return lower
+
+
+def column_norm_profile(seq: SequencePair, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Column norms of (left inverse - adjoint) plus a term-dropping floor.
 
     Sections are built on the full materialized horizon and the first N
@@ -241,16 +224,8 @@ def column_norm_profile(
     """
     if N < 4:
         raise ValueError("profile needs N >= 4")
-    H = seq.horizon
-    if N > H:
-        raise ValueError(f"N = {N} exceeds the materialized horizon {H}")
-    section = _ShiftSection(seq, N) if _section is None else _section
-    rv = seq.a[1:] / seq.a[:-1] - np.conj(seq.a[:-1] / seq.a[1:])
-    c = c_coefficients(seq)
-    lower = np.zeros(N, dtype=float)
-    lower[1:] = np.abs(rv[: N - 1]) ** 2
-    lower[2:] += np.abs(c[: N - 2]) ** 2
-    return section.ltstar_profile, lower
+    full = _horizon_section(seq, N)
+    return _left_inverse_data(seq, full, N)[0], _ltstar_floor(seq, N)
 
 
 def index_data(seq: SequencePair, N: int) -> IndexData:
@@ -262,15 +237,21 @@ def index_data(seq: SequencePair, N: int) -> IndexData:
     in O(N^2) from the left-inverse section; a values-only SVD counts it
     only when that certificate fails.
     """
-    H = seq.horizon
-    if N > H:
-        raise ValueError(f"N = {N} exceeds the materialized horizon {H}")
-    return _index_data(_ShiftSection(seq, N), None)
+    full = _horizon_section(seq, N)
+    _, fro_tall, fro_square = _left_inverse_data(seq, full, N)
+    return _index_data(full[:, :N], full[:N, :N], fro_tall, fro_square, None)
 
 
-def _index_data(section: _ShiftSection, s_tall: np.ndarray | None) -> IndexData:
-    """Index data of ``section``, given the tall section's singular values
-    ``s_tall`` when they are already computed.
+def _index_data(
+    tall: np.ndarray,
+    square: np.ndarray,
+    fro_tall: float,
+    fro_square: float,
+    s_tall: np.ndarray | None,
+) -> IndexData:
+    """Index data of the tall and square sections, given the Frobenius norms
+    of their left inverses and the tall section's singular values ``s_tall``
+    when they are already computed.
 
     ``L T = I``, ``L`` has one superdiagonal and ``T`` is strictly lower
     triangular, so ``L[:N] @ tall = I_N`` and ``sigma_min(tall) >= 1 /
@@ -284,14 +265,12 @@ def _index_data(section: _ShiftSection, s_tall: np.ndarray | None) -> IndexData:
     eps s_max``), so the SVD would count the same rank.  Otherwise that
     section's values-only SVD counts it.
     """
-    fro_tall, fro_square = section.left_inverse_norms
-    tall = section.tall
     s_up = float(np.linalg.norm(tall) if s_tall is None else s_tall[0])
     dim_ker, ker_route, ker_margin = _rank_deficiency(
         tall, 0, s_up, fro_tall, s_tall
     )
     dim_coker, coker_route, coker_margin = _rank_deficiency(
-        section.square, 1, s_up, fro_square
+        square, 1, s_up, fro_square
     )
     return IndexData(
         dim_ker=dim_ker,
@@ -331,36 +310,36 @@ def _numerical_rank(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
 
 
-def equivalence_diagnostics(
-    seq: SequencePair,
-    N: int,
-    *,
-    _section: _ShiftSection | None = None,
-) -> EquivalenceDiagnostics:
-    """Tail-norm profiles of I - T*T, L - T*, I - TT*, plus index data.
+def equivalence_diagnostics(seq: SequencePair, N: int) -> EquivalenceDiagnostics:
+    """Tail-norm profiles of I - T*T, L - T*, I - TT*, the floor of the
+    L - T* profile, the polar split and the index data.
 
     T*T comes from the tall section (columns padded to the horizon): with
-    ``T = U S W^H`` its tails are the column norms of ``(I - S^2) W^H``.  TT*
-    is exact on the window already because the shift rows are finitely
-    supported.
+    ``T = U S W^H`` its tails are the column norms of ``(I - S^2) W^H``, and
+    the split is :func:`compact_isometry_split`'s from the same SVD, so this
+    raises :class:`NearSingularError` where that does.  TT* is exact on the
+    window already because the shift rows are finitely supported.  The
+    profile and the floor are :func:`column_norm_profile`'s.
     """
     if N < 8:
         raise ValueError("equivalence diagnostics need N >= 8")
-    H = seq.horizon
-    if N > H:
-        raise ValueError(f"N = {N} exceeds the materialized horizon {H}")
-    section = _ShiftSection(seq, N) if _section is None else _section
-    tails_ltstar = section.ltstar_profile  # its left inverse is gone before the SVD
-    _, s, wh = section.svd
+    full = _horizon_section(seq, N)
+    tall, square = full[:, :N], full[:N, :N]
+    # the left inverse is gone before the SVD
+    tails_ltstar, fro_tall, fro_square = _left_inverse_data(seq, full, N)
+    u, s, wh = np.linalg.svd(tall, full_matrices=False)
     tails_itt = np.linalg.norm((1.0 - s * s)[:, None] * wh, axis=0)
-    square = section.square
+    # the split's products are gone before the N x N product below
+    decomposition = _polar_split(u, s, wh)
     proj = square @ square.conj().T
     tails_ittstar = np.linalg.norm(np.eye(N) - proj, axis=0)
     return EquivalenceDiagnostics(
         tails_itt=tails_itt,
         tails_ltstar=tails_ltstar,
         tails_ittstar=tails_ittstar,
-        index_data=_index_data(section, s),
+        ltstar_lower_sq=_ltstar_floor(seq, N),
+        decomposition=decomposition,
+        index_data=_index_data(tall, square, fro_tall, fro_square, s),
     )
 
 
@@ -393,9 +372,7 @@ def polar_decompose(T: TruncatedOperator) -> tuple[TruncatedOperator, TruncatedO
     return TruncatedOperator(V), TruncatedOperator(P)
 
 
-def compact_isometry_split(
-    seq: SequencePair, N: int, *, _section: _ShiftSection | None = None
-) -> DecompositionResult:
+def compact_isometry_split(seq: SequencePair, N: int) -> DecompositionResult:
     """Split the shift section into its polar isometry plus remainder.
 
     With ``T = U S W^H`` the thin SVD of the column-exact tall section, the
@@ -408,15 +385,16 @@ def compact_isometry_split(
     """
     if N < 8:
         raise ValueError("decomposition needs N >= 8")
-    H = seq.horizon
-    if N > H:
-        raise ValueError(f"N = {N} exceeds the materialized horizon {H}")
-    section = _ShiftSection(seq, N) if _section is None else _section
-    u, s, wh = section.svd
+    tall = _horizon_section(seq, N)[:, :N]
+    return _polar_split(*np.linalg.svd(tall, full_matrices=False))
+
+
+def _polar_split(u: np.ndarray, s: np.ndarray, wh: np.ndarray) -> DecompositionResult:
+    """:func:`compact_isometry_split` from the tall section's thin SVD."""
     V = _polar_isometry(u, s, wh)
     column_decay = np.linalg.norm((s - 1.0)[:, None] * wh, axis=0)
     vtv = V.conj().T @ V
-    isometry_defect = float(np.linalg.norm(vtv - np.eye(N), axis=0).max())
+    isometry_defect = float(np.linalg.norm(vtv - np.eye(s.size), axis=0).max())
     column_decay.flags.writeable = False
     return DecompositionResult(column_decay, isometry_defect)
 

@@ -2,7 +2,8 @@
 emit decomposition and profile reports, and sweep kernels.
 
 Exit codes: 0 = criterion holds, 1 = fails, 2 = inconclusive; 64 = I/O error,
-65 = validation error, 66 = near-singular section, 70 = unexpected failure.
+65 = validation or usage error, 66 = near-singular section, 70 = unexpected
+failure.
 Reports and CSVs go to files under --out; warnings go to stderr.
 """
 
@@ -13,7 +14,7 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +26,12 @@ from .analysis import (
     VERDICT_HOLDS,
     VERDICT_INCONCLUSIVE,
     check_main_criterion,
-    column_norm_profile,
     compact_isometry_split,
     equivalence_diagnostics,
     neumann_error_curve,
-    _ShiftSection,
 )
 from .expr import EvalError, ExprSyntaxError
-from .kernels import PointSet, _point_parts, _residual_grid, _sweep
+from .kernels import PointSet, adjoint_residual_grid, kernel_sweep
 from .reporting import (
     check_report,
     decompose_report,
@@ -57,16 +56,23 @@ EXIT_VALIDATION = 65
 EXIT_NEAR_SINGULAR = 66
 EXIT_SOFTWARE = 70
 
-DEFAULTS: dict[str, object] = {
-    "order": 512,
-    "tol": 1e-3,
-    "window": None,  # resolved to order // 4
-    "r_target": 0.95,
-    "pad": None,  # resolved to min(64, order // 4)
-    "out": ".",
-    "format": "json",
-    "grid": None,
-}
+# Each run option, declared once: (key, type, default, help).  The key names
+# the batch-entry key, the RunConfig field and, with "-" for "_", the flag.
+# A default of None means unset: window and pad are then resolved per run, as
+# their help says, while spec (and grid, for kernel) must be given.
+_OPTIONS: tuple[tuple[str, type, object, str], ...] = (
+    ("spec", Path, None, "sequence-spec JSON file"),
+    ("order", int, 512, "section order N"),
+    ("tol", float, 1e-3, "criterion tolerance"),
+    ("window", int, None, "trailing window (default N/4)"),
+    ("r_target", float, 0.95, "tail-ratio target"),
+    ("pad", int, None, "evaluation padding rows (default min(64, N/4))"),
+    ("out", Path, ".", "output directory"),
+    ("format", str, "json", "report format, json or csv"),
+    ("grid", str, None, "polar grid 'radius:count'"),
+)
+
+DEFAULTS: dict[str, object] = {key: default for key, _, default, _ in _OPTIONS}
 
 NEUMANN_M_MAX = 40
 NEUMANN_MAX_BLOCK = 256  # cap on the tail-block order for the error curve
@@ -82,45 +88,54 @@ class ConfigError(ValueError):
     """A run configuration violates its invariants."""
 
 
-@dataclass
-class RunConfig:
-    spec_path: Path
-    order: int
-    tol: float
-    window: int | None
-    r_target: float
-    pad: int
-    out: Path
-    fmt: str
-    grid: str | None
+def _validate(cfg) -> None:
+    if not 8 <= cfg.order <= 8192:
+        raise ConfigError(f"order must lie in [8, 8192], got {cfg.order}")
+    if not 0.0 < cfg.tol < 1.0:
+        raise ConfigError(f"tol must lie in (0, 1), got {cfg.tol}")
+    if not 0 <= cfg.pad < cfg.order:
+        raise ConfigError(
+            f"pad must satisfy 0 <= pad < order, got pad={cfg.pad}, order={cfg.order}"
+        )
+    if cfg.window is not None and not 1 <= cfg.window <= cfg.order // 2:
+        raise ConfigError(
+            f"window must lie in [1, order/2], got {cfg.window}"
+        )
+    if not 0.0 < cfg.r_target < 1.0:
+        raise ConfigError(f"r-target must lie in (0, 1), got {cfg.r_target}")
+    if cfg.format not in ("json", "csv"):
+        raise ConfigError(f"format must be json or csv, got {cfg.format!r}")
+    if cfg.grid is not None:
+        _parse_grid(cfg.grid)
 
-    def validate(self) -> None:
-        if not 8 <= self.order <= 8192:
-            raise ConfigError(f"order must lie in [8, 8192], got {self.order}")
-        if not 0.0 < self.tol < 1.0:
-            raise ConfigError(f"tol must lie in (0, 1), got {self.tol}")
-        if not 0 <= self.pad < self.order:
-            raise ConfigError(
-                f"pad must satisfy 0 <= pad < order, got pad={self.pad}, order={self.order}"
-            )
-        if self.window is not None and not 1 <= self.window <= self.order // 2:
-            raise ConfigError(
-                f"window must lie in [1, order/2], got {self.window}"
-            )
-        if not 0.0 < self.r_target < 1.0:
-            raise ConfigError(f"r-target must lie in (0, 1), got {self.r_target}")
-        if self.fmt not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {self.fmt!r}")
-        if self.grid is not None:
-            _parse_grid(self.grid)
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(key, kind) for key, kind, _, _ in _OPTIONS],
+    namespace={
+        "__doc__": "One run: a field per option, window and grid None when "
+                   "unset, pad resolved.",
+        "__module__": __name__,
+        "validate": _validate,
+    },
+)
 
 
 def _warn(message: str) -> None:
     print(f"trishift: warning: {message}", file=sys.stderr)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so that it exits with
+    EXIT_VALIDATION rather than argparse's 2, the inconclusive code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="trishift",
         description=(
             "Finite-section analysis of shifts on tridiagonal "
@@ -136,26 +151,16 @@ def _build_parser() -> argparse.ArgumentParser:
     ]
     for name, help_text in specs:
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--spec", type=Path, default=None, help="sequence-spec JSON file")
-        sp.add_argument("--order", type=int, default=None, help="section order N (default 512)")
-        sp.add_argument("--tol", type=float, default=None, help="criterion tolerance (default 1e-3)")
-        sp.add_argument("--window", type=int, default=None, help="trailing window (default N/4)")
-        sp.add_argument("--r-target", dest="r_target", type=float, default=None,
-                        help="tail-ratio target (default 0.95)")
-        sp.add_argument("--pad", type=int, default=None,
-                        help="evaluation padding rows (default min(64, N/4))")
-        sp.add_argument("--out", type=Path, default=None, help="output directory (default .)")
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None,
-                        help="report format (default json)")
+        for key, _, default, option_help in _OPTIONS:
+            if key == "grid" and name != "kernel":
+                continue  # a batch entry may carry a grid; only kernel reads it
+            if default is not None:
+                option_help = f"{option_help} (default {default})"
+            # every value arrives as text and is converted with batch values
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=option_help)
         sp.add_argument("--batch", type=Path, default=None,
                         help="JSON array of run configurations")
-        if name == "kernel":
-            sp.add_argument("--grid", type=str, default=None,
-                            help="polar grid 'radius:count'")
     return parser
-
-
-_ENTRY_KEYS = {"spec", "order", "tol", "window", "r_target", "pad", "out", "format", "grid"}
 
 
 def _entry_value(merged: dict, key: str, kind: type):
@@ -167,50 +172,34 @@ def _entry_value(merged: dict, key: str, kind: type):
         if isinstance(value, bool) or (isinstance(value, float) and converted != value):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
-        what = {int: "an integer", float: "a number"}.get(kind, "a path")
+        what = {int: "an integer", float: "a number", str: "a string"}.get(kind, "a path")
         raise ConfigError(f"{key} must be {what}, got {value!r}") from None
     return converted
 
 
 def _merge_config(entry: dict, flags: dict) -> RunConfig:
-    unknown = set(entry) - _ENTRY_KEYS
+    unknown = set(entry) - DEFAULTS.keys()
     if unknown:
         raise ConfigError(f"unknown batch entry keys: {sorted(unknown)}")
     merged = dict(DEFAULTS)
     merged.update(entry)
     merged.update({k: v for k, v in flags.items() if v is not None})
-    if merged.get("spec") is None:
+    if merged["spec"] is None:
         raise ConfigError("a sequence spec path is required (--spec or batch entry)")
-    order = _entry_value(merged, "order", int)
-    if merged["pad"] is None:  # unspecified: a quarter of the window, capped at 64
-        merged["pad"] = min(64, order // 4)
-    cfg = RunConfig(
-        spec_path=_entry_value(merged, "spec", Path),
-        order=order,
-        tol=_entry_value(merged, "tol", float),
-        window=None if merged["window"] is None else _entry_value(merged, "window", int),
-        r_target=_entry_value(merged, "r_target", float),
-        pad=_entry_value(merged, "pad", int),
-        out=_entry_value(merged, "out", Path),
-        fmt=str(merged["format"]),
-        grid=None if merged["grid"] is None else str(merged["grid"]),
-    )
+    values = {
+        key: None if merged[key] is None and default is None
+        else _entry_value(merged, key, kind)
+        for key, kind, default, _ in _OPTIONS
+    }
+    if values["pad"] is None:  # unspecified: a quarter of the window, capped at 64
+        values["pad"] = min(64, values["order"] // 4)
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
 
 def _resolve_configs(args: argparse.Namespace) -> list[RunConfig]:
-    flags = {
-        "spec": args.spec,
-        "order": args.order,
-        "tol": args.tol,
-        "window": args.window,
-        "r_target": args.r_target,
-        "pad": args.pad,
-        "out": args.out,
-        "format": args.fmt,
-        "grid": getattr(args, "grid", None),
-    }
+    flags = {key: getattr(args, key, None) for key in DEFAULTS}
     if args.batch is not None:
         text = args.batch.read_text(encoding="utf-8")
         try:
@@ -243,27 +232,27 @@ def _materialize_padded(cfg: RunConfig, spec: CoefficientSpec) -> SequencePair:
 
 def _report_path(cfg: RunConfig, stem: str) -> Path:
     cfg.out.mkdir(parents=True, exist_ok=True)
-    return cfg.out / f"{stem}.{cfg.fmt}"
+    return cfg.out / f"{stem}.{cfg.format}"
 
 
 def _run_check(cfg: RunConfig) -> int:
-    spec = load_spec_file(cfg.spec_path)
+    spec = load_spec_file(cfg.spec)
     seq = materialize(spec, cfg.order)
     assumptions = validate_assumptions(seq, cfg.r_target)
     crit = check_main_criterion(seq, cfg.tol, cfg.window)
     report = check_report(spec.label, cfg.order, assumptions, crit)
-    write_report(report, _report_path(cfg, "check_report"), cfg.fmt)
+    write_report(report, _report_path(cfg, "check_report"), cfg.format)
     return _VERDICT_EXIT[crit.verdict]
 
 
 def _run_decompose(cfg: RunConfig) -> int:
-    spec = load_spec_file(cfg.spec_path)
+    spec = load_spec_file(cfg.spec)
     seq_full = _materialize_padded(cfg, spec)
     seq_rep = seq_full.trimmed(cfg.order)
     assumptions = validate_assumptions(seq_rep, cfg.r_target)
     deco = compact_isometry_split(seq_full, cfg.order)
     report = decompose_report(spec.label, cfg.order, assumptions, deco)
-    write_report(report, _report_path(cfg, "decompose_report"), cfg.fmt)
+    write_report(report, _report_path(cfg, "decompose_report"), cfg.format)
     write_csv(
         cfg.out / "column_decay.csv",
         ["n", "value"],
@@ -273,26 +262,20 @@ def _run_decompose(cfg: RunConfig) -> int:
 
 
 def _run_profile(cfg: RunConfig) -> int:
-    spec = load_spec_file(cfg.spec_path)
+    spec = load_spec_file(cfg.spec)
     seq_full = _materialize_padded(cfg, spec)
     seq_rep = seq_full.trimmed(cfg.order)
     assumptions = validate_assumptions(seq_rep, cfg.r_target)
     crit = check_main_criterion(seq_rep, cfg.tol, cfg.window)
-    # one horizon section, factored once, serves all three analyses
-    section = _ShiftSection(seq_full, cfg.order)
-    profile, lower_sq = column_norm_profile(seq_full, cfg.order, _section=section)
-    diag = equivalence_diagnostics(seq_full, cfg.order, _section=section)
-    deco = compact_isometry_split(seq_full, cfg.order, _section=section)
-    report = full_report(
-        spec.label, cfg.order, assumptions, crit, profile, diag, deco
-    )
-    write_report(report, _report_path(cfg, "profile_report"), cfg.fmt)
+    diag = equivalence_diagnostics(seq_full, cfg.order)
+    report = full_report(spec.label, cfg.order, assumptions, crit, diag)
+    write_report(report, _report_path(cfg, "profile_report"), cfg.format)
     write_csv(
         cfg.out / "l_minus_mstar.csv",
         ["n", "value", "lower_bound"],
         [
-            (n, float(profile[n]), math.sqrt(float(lower_sq[n])))
-            for n in range(cfg.order)
+            (n, float(v), math.sqrt(float(low)))
+            for n, (v, low) in enumerate(zip(diag.tails_ltstar, diag.ltstar_lower_sq))
         ],
     )
     write_csv(
@@ -308,7 +291,7 @@ def _run_profile(cfg: RunConfig) -> int:
     write_csv(
         cfg.out / "column_decay.csv",
         ["n", "value"],
-        [(n, float(v)) for n, v in enumerate(deco.column_decay)],
+        [(n, float(v)) for n, v in enumerate(diag.decomposition.column_decay)],
     )
     _emit_neumann_curve(cfg, seq_full, assumptions)
     return 0
@@ -335,7 +318,7 @@ def _run_kernel(cfg: RunConfig) -> int:
     if cfg.grid is None:
         raise ConfigError("kernel requires --grid 'radius:count'")
     radius, count = _parse_grid(cfg.grid)
-    spec = load_spec_file(cfg.spec_path)
+    spec = load_spec_file(cfg.spec)
     # the pad serves the residual certificate; the sweep keeps the order as
     # its horizon, on which its stopping indices depend
     seq_full = _materialize_padded(cfg, spec)
@@ -343,11 +326,7 @@ def _run_kernel(cfg: RunConfig) -> int:
     points = PointSet(
         tuple(radius * cmath.exp(2j * math.pi * j / count) for j in range(count))
     )
-    pts = list(points)
-    # one set of basis values per point, on the padded pair, serves the
-    # sweep (which reads prefixes of it) and the residual grid
-    parts = _point_parts(seq_full, pts)
-    G, terms, tails, converged = _sweep(seq, pts, parts, cfg.tol)
+    G, terms, tails, converged = kernel_sweep(seq, points, cfg.tol)
     for i, j in np.argwhere(~converged):
         _warn(
             f"kernel tail not certified at pair ({i}, {j}); "
@@ -363,8 +342,8 @@ def _run_kernel(cfg: RunConfig) -> int:
                 zi.real, zi.imag, wj.real, wj.imag, G[i, j].real, G[i, j].imag,
                 int(terms[i, j]), tails[i, j], int(converged[i, j]),
             )
-            for i, zi in enumerate(pts)
-            for j, wj in enumerate(pts)
+            for i, zi in enumerate(points)
+            for j, wj in enumerate(points)
         ],
     )
     least_eig: float | None = None
@@ -372,13 +351,13 @@ def _run_kernel(cfg: RunConfig) -> int:
         least_eig = float(np.linalg.eigvalsh(G)[0])
     else:
         _warn("Gram least eigenvalue omitted (some pairs did not converge)")
-    residuals = _residual_grid(seq_full, pts, cfg.order, parts)
+    residuals = adjoint_residual_grid(seq_full, points, cfg.order)
     write_csv(
         cfg.out / "kernel_residuals.csv",
         ["re_w", "im_w", "residual", "certificate"],
         [
             (w.real, w.imag, r, cert)
-            for w, (r, cert) in zip(pts, residuals)
+            for w, (r, cert) in zip(points, residuals)
         ],
     )
     report = {
@@ -388,11 +367,11 @@ def _run_kernel(cfg: RunConfig) -> int:
         "grid": {"radius": radius, "count": count},
         "gram_least_eigenvalue": least_eig,
         "pairs_converged": int(converged.sum()),
-        "pairs_total": len(pts) ** 2,
+        "pairs_total": count ** 2,
         "max_terms_used": int(terms.max()),
         "max_residual": max(r for r, _ in residuals),
     }
-    write_report(report, _report_path(cfg, "kernel_report"), cfg.fmt)
+    write_report(report, _report_path(cfg, "kernel_report"), cfg.format)
     return 0
 
 
@@ -439,8 +418,8 @@ def _execute(command: str, cfg: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         configs = _resolve_configs(args)
     except ConfigError as err:
         print(f"trishift: error: {err}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Kernel-side evaluation: basis functions, the kernel sum, Gram matrices,
 the defect of the shift, and the adjoint eigenvector identity.
 
-Each identity has one public route: :func:`gram_matrix` for positivity,
+Each identity has one public route: :func:`kernel_sweep` for the kernel on
+every pair of a point set, :func:`gram_matrix` for positivity,
 :func:`defect_matrix` for ``I - M M*``, and :func:`adjoint_residual_grid` for
 ``M* k_w = conj(w) k_w`` on a point set (one point is a one-point grid).
 
@@ -197,25 +198,23 @@ def _point_parts(
     return [_basis_parts(seq, complex(z), seq.horizon + 1) for z in points]
 
 
-def _sweep(
-    seq: SequencePair,
-    points: list[complex],
-    parts: list[tuple[np.ndarray, np.ndarray]],
-    tol: float,
+def kernel_sweep(
+    seq: SequencePair, pts: Iterable[complex], tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`eval_kernel` at every pair of ``points``, bit for bit.
+    """:func:`eval_kernel` at every pair of ``pts``, bit for bit.
 
     Returns k x k arrays of the values, terms used, tail estimates and
-    converged flags.  Each pair ``i <= j`` is evaluated once; ``(j, i)``
-    mirrors it with ``k(w, z) = conj(k(z, w))`` term by term, the imaginary
-    part negated as ``0.0 - imag`` so that a zero stays unsigned.  ``parts``
-    holds each point's :func:`_point_parts`, on ``seq`` or on a longer pair
-    that it trims: prefixes of the running powers and of the elementwise
-    passes are the values a shorter pass forms.  The stopping index is
-    formed once per distinct ``rho = |z||w|``.
+    converged flags.  Each point's basis values are formed once, over the
+    whole horizon, and each pair sums a prefix of them.  Each pair ``i <=
+    j`` is evaluated once; ``(j, i)`` mirrors it with ``k(w, z) = conj(k(z,
+    w))`` term by term, the imaginary part negated as ``0.0 - imag`` so that
+    a zero stays unsigned.  The stopping index is formed once per distinct
+    ``rho = |z||w|``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    points = list(pts)
+    parts = _point_parts(seq, points)
     tables = _growth_tables(seq)
     stops: dict[float, tuple[int, float, bool]] = {}
     radii = [abs(z) for z in points]
@@ -242,14 +241,12 @@ def _sweep(
 def gram_matrix(seq: SequencePair, pts: PointSet, tol: float = 1e-10) -> np.ndarray:
     """Hermitian Gram matrix G[i, j] = k(z_i, z_j) on the point set.
 
-    The upper triangle is evaluated and the lower filled by conjugation, so
-    the result is exactly Hermitian and each entry is bit for bit its
-    :func:`eval_kernel`; non-convergence at any pair raises.
+    The values of :func:`kernel_sweep`: exactly Hermitian, each entry bit
+    for bit its :func:`eval_kernel`; non-convergence at any pair raises.
     """
     if len(pts) == 0:
         raise ValueError("point set must be nonempty")
-    points = list(pts)
-    G, _, tails, converged = _sweep(seq, points, _point_parts(seq, points), tol)
+    G, _, tails, converged = kernel_sweep(seq, pts, tol)
     if not converged.all():
         i, j = np.argwhere(~converged)[0]  # converged is symmetric: i <= j
         raise KernelDivergenceError(
@@ -310,21 +307,12 @@ def adjoint_residual_grid(
     rows of ``|A|`` at a time.  Each point's residual applies ``A`` on its
     own, so one point's residual is bit for bit its residual in any grid.
     """
-    return _residual_grid(seq, list(pts), N, _point_parts(seq, pts))
-
-
-def _residual_grid(
-    seq: SequencePair,
-    pts: list[complex],
-    N: int,
-    parts: list[tuple[np.ndarray, np.ndarray]],
-) -> list[tuple[float, float]]:
-    """:func:`adjoint_residual_grid` from each point's :func:`_point_parts`
-    on ``seq``: entry n of kappa_w is conj(f_n(w)), n <= H."""
     H = seq.horizon
     start = max(1, (3 * N) // 4)
-    coeffs = np.empty((len(pts), H + 1), dtype=complex)
-    for row, (re, im) in zip(coeffs, parts):
+    points = list(pts)
+    # entry n of kappa_w is conj(f_n(w)), n <= H
+    coeffs = np.empty((len(points), H + 1), dtype=complex)
+    for row, (re, im) in zip(coeffs, _point_parts(seq, points)):
         row.real, row.imag = re, -im
     mags = np.abs(coeffs)
     Astar, tails = _adjoint_entries(seq, N)
@@ -338,7 +326,7 @@ def _residual_grid(
         )
         gamma = (N + 2) * _UNIT_ROUNDOFF / (1.0 - (N + 2) * _UNIT_ROUNDOFF)
     out = []
-    for k, w in enumerate(pts):
+    for k, w in enumerate(points):
         kappa = coeffs[k, :N]
         resid_vec = _apply(Astar, kappa) - np.conj(w) * kappa
         norm_kappa = float(np.linalg.norm(kappa))
@@ -368,4 +356,5 @@ __all__ = [
     "eval_basis",
     "eval_kernel",
     "gram_matrix",
+    "kernel_sweep",
 ]

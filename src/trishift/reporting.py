@@ -124,9 +124,7 @@ def full_report(
     N: int,
     rep: AssumptionReport,
     crit: CriterionReport,
-    profile: np.ndarray,
     diag: EquivalenceDiagnostics,
-    deco: DecompositionResult,
 ) -> dict:
     return {
         "label": label,
@@ -134,13 +132,13 @@ def full_report(
         "assumptions": assumptions_dict(rep),
         "criterion": criterion_dict(crit),
         "profiles": {
-            "L_minus_Mstar": to_jsonable(profile),
+            "L_minus_Mstar": to_jsonable(diag.tails_ltstar),
             "I_minus_TstarT": to_jsonable(diag.tails_itt),
             "I_minus_TTstar": to_jsonable(diag.tails_ittstar),
         },
         "index": diag.index_data.index,
         "index_data": index_data_dict(diag.index_data),
-        "decomposition": decomposition_dict(deco),
+        "decomposition": decomposition_dict(diag.decomposition),
     }
 
 
@@ -160,6 +158,8 @@ def write_json(tree: Any, path: str | Path) -> list[str]:
 
 
 def _cell(value: Any) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):

@@ -326,6 +326,12 @@ def test_single_svd_core_matches_gram_reference():
         assert abs(deco.isometry_defect - defect) <= 1e-12
         d = diag.index_data
         assert (d.dim_ker, d.dim_coker, d.index) == index
+        # the split and the profile floor of the same SVD and section
+        assert diag.decomposition.column_decay.tobytes() == deco.column_decay.tobytes()
+        assert diag.decomposition.isometry_defect.hex() == deco.isometry_defect.hex()
+        profile, lower_sq = column_norm_profile(seq, N)
+        assert diag.tails_ltstar.tobytes() == profile.tobytes()
+        assert diag.ltstar_lower_sq.tobytes() == lower_sq.tobytes()
         d = index_data(seq, N)
         assert (d.dim_ker, d.dim_coker, d.index) == index
 

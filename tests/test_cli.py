@@ -1,4 +1,6 @@
+import ast
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -370,9 +372,9 @@ def test_kernel_evaluates_each_unordered_pair_once(tmp_path, monkeypatch):
                            str(kv.terms_used), repr(kv.tail_estimate), "1"]
 
 
-def test_kernel_forms_basis_values_once_per_point(tmp_path, monkeypatch):
-    # the sweep and the residual grid share one set per point, formed on the
-    # padded pair
+def test_kernel_forms_basis_values_once_per_point_in_each_route(tmp_path, monkeypatch):
+    # the sweep forms one set per point on the order's horizon, then the
+    # residual grid one per point on the padded pair
     original = kernels._basis_parts
     calls = []
 
@@ -384,7 +386,18 @@ def test_kernel_forms_basis_values_once_per_point(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["kernel", "--spec", str(bergman_spec(tmp_path)), "--order", "128",
                  "--pad", "16", "--grid", "0.6:8", "--out", str(out)]) == 0
-    assert calls == [128 + 16 + 1] * 8
+    assert calls == [128 + 1] * 8 + [128 + 16 + 1] * 8
+
+
+def test_kernel_csv_report_writes_a_null_as_an_empty_cell(tmp_path):
+    # no pair converges, so the Gram least eigenvalue is null
+    spec = write_spec(tmp_path, "hot.json", {"label": "hot", "a": "1", "b": "1.2"})
+    out = tmp_path / "out"
+    assert main(["kernel", "--spec", str(spec), "--order", "32", "--grid", "0.9:3",
+                 "--format", "csv", "--out", str(out)]) == 0
+    _, rows = read_csv(out / "kernel_report.csv")
+    assert ["gram_least_eigenvalue", ""] in rows
+    assert not [row for row in rows if "None" in row]
 
 
 def test_kernel_outputs_byte_identical_across_runs(tmp_path):
@@ -421,6 +434,64 @@ def test_kernel_batch_with_a_malformed_grid_runs_no_member(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("trishift: error: grid ")
     assert not (tmp_path / "first").exists()
     assert not (tmp_path / "second").exists()
+
+
+def test_usage_errors_exit_as_validation_errors(capsys):
+    # argparse's own exit status 2 is the inconclusive verdict's code
+    cases = (
+        (["check", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["check", "--grid", "0.5:4"], "unrecognized arguments: --grid"),
+        (["check", "--spec"], "argument --spec: expected one argument"),
+    )
+    for argv, message in cases:
+        assert main(argv) == EXIT_VALIDATION, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: trishift"), argv
+        assert f"trishift: error: {message}" in err, argv
+
+
+def test_flags_convert_as_batch_values(tmp_path, capsys):
+    # a malformed flag is reported as a malformed batch value is
+    spec = str(write_spec(tmp_path, "s.json", {"label": "s", "a": "1", "b": "0"}))
+    out = str(tmp_path / "o")
+    cases = (
+        (["--order", "abc"], "order must be an integer, got 'abc'"),
+        (["--order", "100.7"], "order must be an integer, got '100.7'"),
+        (["--tol", "x"], "tol must be a number, got 'x'"),
+        (["--window", "4.5"], "window must be an integer, got '4.5'"),
+        (["--format", "xml"], "format must be json or csv, got 'xml'"),
+    )
+    for flags, message in cases:
+        assert main(["check", "--spec", spec, "--out", out, *flags]) == EXIT_VALIDATION, flags
+        assert capsys.readouterr().err == f"trishift: error: {message}\n", flags
+    assert not (tmp_path / "o").exists()
+    assert main(["check", "--spec", spec, "--out", out, "--order", "64",
+                 "--window", "8", "--r-target", "0.9", "--format", "csv"]) == EXIT_HOLDS
+    assert (tmp_path / "o" / "check_report.csv").exists()
+
+
+def test_cli_imports_only_public_names():
+    # the command line reaches the library through exported names only
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Import)
+                    and any(a.name.startswith("trishift") for a in node.names))
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            name = "trishift" + (f".{node.module}" if node.module else "")
+        elif (node.module or "").startswith("trishift"):
+            name = node.module
+        else:
+            continue
+        exported = importlib.import_module(name).__all__
+        for alias in node.names:
+            assert alias.name in exported, f"{name}.{alias.name}"
+            imported.append(alias.name)
+    assert "kernel_sweep" in imported and "equivalence_diagnostics" in imported
 
 
 def test_pad_help_states_the_default(capsys):

@@ -17,16 +17,12 @@ from trishift import (
     eval_basis,
     eval_kernel,
     gram_matrix,
+    kernel_sweep,
     materialize,
     parse_sequence_expr,
 )
 from trishift import kernels
-from trishift.kernels import (
-    KernelValue,
-    _basis_parts,
-    _point_parts,
-    _sweep,
-)
+from trishift.kernels import KernelValue, _basis_parts
 
 
 def make_pair(a_text, b_text, N):
@@ -274,9 +270,7 @@ def test_sweep_matches_reference_on_seeded_grids():
         radii = rng.choice((0.0, 0.3, 0.5, 0.7, 0.85), size=8)
         points = [r * cmath.exp(2j * math.pi * rng.uniform()) for r in radii]
         points += [complex(-0.0, -0.0), complex(0.0, -0.0), 0.9, -0.9j]
-        values, terms, tails, converged = _sweep(
-            seq, points, _point_parts(seq, points), tol
-        )
+        values, terms, tails, converged = kernel_sweep(seq, points, tol)
         k = len(points)
         assert values.shape == terms.shape == tails.shape == converged.shape == (k, k)
         assert len({abs(z) * abs(w) for z in points for w in points}) >= 6

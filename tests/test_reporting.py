@@ -52,9 +52,10 @@ def test_flatten_scalars_skips_arrays():
 
 def test_write_csv_cells(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["k", "v"], [("a", 0.5), ("b", True), ("c", math.inf), ("d", 3)])
+    write_csv(path, ["k", "v"],
+              [("a", 0.5), ("b", True), ("c", math.inf), ("d", 3), ("e", None)])
     lines = path.read_text().splitlines()
-    assert lines == ["k,v", "a,0.5", "b,1", "c,", "d,3"]
+    assert lines == ["k,v", "a,0.5", "b,1", "c,", "d,3", "e,"]
 
 
 def test_repr_float_roundtrip(tmp_path):
