@@ -7,16 +7,18 @@ square section cannot represent exactly (column Gram matrices, polar factors)
 are computed from column-exact tall sections: the shift built on the full
 materialized horizon, sliced to the first N columns.
 
-The dense analysis rests on one thin SVD ``T = U S W^H`` of that tall
-section.  The polar factor is ``V = U W^H`` and ``|T| = W S W^H``; the
-``I - T*T`` column tails are the column norms of ``(I - S^2) W^H``, and those
-of the remainder ``T - V`` of ``(S - I) W^H``.  The near-singular test
-therefore compares a singular value that double precision resolves.  The
-kernel and cokernel ranks need no factorization: the left-inverse section is
-an exact left inverse of the tall section and of the square section's
-nonzero block, and its Frobenius norm bounds their least singular values in
-O(N^2).  Sections carry their sequence pair's dtype, so real families are
-factored and multiplied in real arithmetic.
+The polar split needs only the Gram matrix ``G = T*T`` of that tall section
+and its eigendecomposition ``G = W Λ W^H``: the ``I - T*T`` column tails are
+the column norms of ``I - G``, those of the remainder ``T - V`` of
+``(Λ^{1/2} - I) W^H``, and ``V = T W Λ^{-1/2} W^H``.  The Gram squares the
+condition number, so it is taken only when the left-inverse section certifies
+that double precision resolves the least singular value; otherwise one thin
+SVD ``T = U S W^H`` gives ``V = U W^H``.  The kernel and cokernel ranks need
+no factorization: the left-inverse section is an exact left inverse of the
+tall section and of the square section's nonzero block, and its Frobenius
+norm bounds their least singular values in O(N^2).  Sections carry their
+sequence pair's dtype, so real families are factored and multiplied in real
+arithmetic.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ DEFAULT_RANK_TOL = 1e-8
 DEFAULT_SINGULAR_FLOOR = 1e-10
 
 ROUTE_CERTIFIED = "certified"
+ROUTE_GRAM = "gram"
 ROUTE_SVD = "svd"
 
 
@@ -109,7 +112,7 @@ class IndexData:
 class EquivalenceDiagnostics:
     """Per-column tail norms of the three compactness witnesses, the
     term-dropping floor of the ``L - T*`` profile, the polar split and the
-    index, all from one section and its one SVD."""
+    index, all from one section and its one factorization."""
 
     tails_itt: np.ndarray        # ||(I - T*T) f_n||
     tails_ltstar: np.ndarray     # ||(L - T*) f_n||
@@ -122,11 +125,21 @@ class EquivalenceDiagnostics:
 @dataclass(frozen=True)
 class DecompositionResult:
     """Polar split T = V |T| recast as isometry plus remainder, as numbers:
-    the column norms of the remainder ``T - V`` and the isometry defect of
-    ``V``.  The sections themselves come from :func:`polar_decompose`."""
+    the column norms of the remainder ``T - V``, the isometry defect of
+    ``V`` and the tall section's least singular value ``s_min``.
+
+    ``route`` is ``"gram"`` when the split came from the eigendecomposition
+    of ``T*T`` and ``"svd"`` when it came from a thin SVD of ``T``.
+    ``margin`` is ``H * eps * ||T||_F^2 * ||X||_F^2`` for the ``H``-row tall
+    section ``T`` and its left inverse ``X``: the Gram route is taken below
+    1.  It is ``None`` when no finite bound exists.  The sections themselves
+    come from :func:`polar_decompose`."""
 
     column_decay: np.ndarray
     isometry_defect: float
+    route: str
+    margin: float | None
+    s_min: float
 
 
 def check_main_criterion(
@@ -184,22 +197,27 @@ def _left_inverse_data(
 ) -> tuple[np.ndarray, float, float]:
     """From one horizon left-inverse section ``L``, dropped on return: the
     column norms of ``L - T*`` over the first ``N`` columns (read-only), and
-    ``(||L[:N]||_F, ||L[:N-1, 1:]||_F)``, the Frobenius norms of the exact
-    left inverses that decide the index ranks.  The first norm is ``inf``
-    when the horizon holds no row ``N`` of the tall section."""
-    H = seq.horizon
-    L = build_left_inverse(seq, H).entries
+    :func:`_left_inverse_norms`."""
+    L = build_left_inverse(seq, seq.horizon).entries
     # T* is the conjugate transpose of the horizon section, which is how
     # build_adjoint defines the adjoint
     tstar = full[:N].conj().T
     profile = np.linalg.norm(L[:, :N] - tstar, axis=0)
     profile.flags.writeable = False
+    return (profile, *_left_inverse_norms(L, N))
+
+
+def _left_inverse_norms(L: np.ndarray, N: int) -> tuple[float, float]:
+    """``(||L[:N]||_F, ||L[:N-1, 1:]||_F)`` of the horizon left-inverse
+    section ``L``: the Frobenius norms of the exact left inverses that
+    decide the index ranks and the polar route.  The first norm is ``inf``
+    when the horizon holds no row ``N`` of the tall section."""
     # row i of L lives on columns <= i + 1 and column 0 is zero, so the
     # rows below hold all of L[:N, :N+1] and of L[:N-1, 1:N]
     rows = np.linalg.norm(L[:N], axis=1)
     fro_square = math.hypot(*rows[: N - 1])
-    fro_tall = math.hypot(fro_square, rows[N - 1]) if H > N else math.inf
-    return profile, fro_tall, fro_square
+    fro_tall = math.hypot(fro_square, rows[N - 1]) if L.shape[0] > N else math.inf
+    return fro_tall, fro_square
 
 
 def _ltstar_floor(seq: SequencePair, N: int) -> np.ndarray:
@@ -239,7 +257,9 @@ def index_data(seq: SequencePair, N: int) -> IndexData:
     """
     full = _horizon_section(seq, N)
     _, fro_tall, fro_square = _left_inverse_data(seq, full, N)
-    return _index_data(full[:, :N], full[:N, :N], fro_tall, fro_square, None)
+    tall = full[:, :N]
+    s_up = float(np.linalg.norm(tall))
+    return _index_data(tall, full[:N, :N], fro_tall, fro_square, s_up)
 
 
 def _index_data(
@@ -247,11 +267,13 @@ def _index_data(
     square: np.ndarray,
     fro_tall: float,
     fro_square: float,
-    s_tall: np.ndarray | None,
+    s_up: float,
+    s_tall: np.ndarray | None = None,
 ) -> IndexData:
     """Index data of the tall and square sections, given the Frobenius norms
-    of their left inverses and the tall section's singular values ``s_tall``
-    when they are already computed.
+    of their left inverses, an upper bound ``s_up`` of the tall section's
+    largest singular value and its singular values ``s_tall`` when an SVD
+    already computed them.
 
     ``L T = I``, ``L`` has one superdiagonal and ``T`` is strictly lower
     triangular, so ``L[:N] @ tall = I_N`` and ``sigma_min(tall) >= 1 /
@@ -259,13 +281,13 @@ def _index_data(
     square[1:, :N-1]`` and ``L[:N-1, 1:N] @ R = I_{N-1}``: its singular
     values are ``R``'s, each at least ``1 / ||L[:N-1, 1:N]||_F``, and one
     exact zero.  ``s_up`` bounds the largest singular value of both
-    sections: ``s_tall[0]``, else ``||tall||_F``.  A rank is certified full
+    sections: ``s_tall[0]``, ``sqrt`` of the Gram's largest eigenvalue, or
+    ``||tall||_F``.  A rank is certified full
     when ``2 * DEFAULT_RANK_TOL * s_up * ||X||_F < 1``; the factor 2 covers
     the entries' rounding (``gamma_H`` relative) and the SVD's (about ``N
     eps s_max``), so the SVD would count the same rank.  Otherwise that
     section's values-only SVD counts it.
     """
-    s_up = float(np.linalg.norm(tall) if s_tall is None else s_tall[0])
     dim_ker, ker_route, ker_margin = _rank_deficiency(
         tall, 0, s_up, fro_tall, s_tall
     )
@@ -314,33 +336,41 @@ def equivalence_diagnostics(seq: SequencePair, N: int) -> EquivalenceDiagnostics
     """Tail-norm profiles of I - T*T, L - T*, I - TT*, the floor of the
     L - T* profile, the polar split and the index data.
 
-    T*T comes from the tall section (columns padded to the horizon): with
-    ``T = U S W^H`` its tails are the column norms of ``(I - S^2) W^H``, and
-    the split is :func:`compact_isometry_split`'s from the same SVD, so this
-    raises :class:`NearSingularError` where that does.  TT* is exact on the
-    window already because the shift rows are finitely supported.  The
-    profile and the floor are :func:`column_norm_profile`'s.
+    T*T comes from the tall section (columns padded to the horizon): its
+    tails and the split are :func:`compact_isometry_split`'s, from the same
+    Gram matrix or SVD, so this raises :class:`NearSingularError` where that
+    does.  TT* is exact on the window already because the shift rows are
+    finitely supported.  The profile and the floor are
+    :func:`column_norm_profile`'s.
     """
     if N < 8:
         raise ValueError("equivalence diagnostics need N >= 8")
     full = _horizon_section(seq, N)
     tall, square = full[:, :N], full[:N, :N]
-    # the left inverse is gone before the SVD
+    # the left inverse is gone before the factorization
     tails_ltstar, fro_tall, fro_square = _left_inverse_data(seq, full, N)
-    u, s, wh = np.linalg.svd(tall, full_matrices=False)
-    tails_itt = np.linalg.norm((1.0 - s * s)[:, None] * wh, axis=0)
     # the split's products are gone before the N x N product below
-    decomposition = _polar_split(u, s, wh)
+    decomposition, tails_itt, s_up, s_tall = _polar_split(tall, fro_tall)
     proj = square @ square.conj().T
-    tails_ittstar = np.linalg.norm(np.eye(N) - proj, axis=0)
+    # P - I in place: its column norms are those of I - P, bit for bit
+    proj.flat[:: N + 1] -= 1.0
+    tails_ittstar = np.linalg.norm(proj, axis=0)
+    del proj
     return EquivalenceDiagnostics(
         tails_itt=tails_itt,
         tails_ltstar=tails_ltstar,
         tails_ittstar=tails_ittstar,
         ltstar_lower_sq=_ltstar_floor(seq, N),
         decomposition=decomposition,
-        index_data=_index_data(tall, square, fro_tall, fro_square, s),
+        index_data=_index_data(tall, square, fro_tall, fro_square, s_up, s_tall),
     )
+
+
+def _check_resolved(least: float) -> None:
+    """Raise :class:`NearSingularError` unless the least singular value
+    ``least`` exceeds ``DEFAULT_SINGULAR_FLOOR``."""
+    if not least > DEFAULT_SINGULAR_FLOOR:
+        raise NearSingularError(least, DEFAULT_SINGULAR_FLOOR)
 
 
 def _polar_isometry(u: np.ndarray, s: np.ndarray, wh: np.ndarray) -> np.ndarray:
@@ -349,9 +379,7 @@ def _polar_isometry(u: np.ndarray, s: np.ndarray, wh: np.ndarray) -> np.ndarray:
     Raises :class:`NearSingularError` when the least singular value is at or
     below ``DEFAULT_SINGULAR_FLOOR``.
     """
-    least = float(s[-1])
-    if least <= DEFAULT_SINGULAR_FLOOR:
-        raise NearSingularError(least, DEFAULT_SINGULAR_FLOOR)
+    _check_resolved(float(s[-1]))
     return u @ wh
 
 
@@ -363,7 +391,10 @@ def polar_decompose(T: TruncatedOperator) -> tuple[TruncatedOperator, TruncatedO
     T's shape (tall sections give V orthonormal columns).  Real sections are
     factored in real arithmetic.  Raises
     :class:`NearSingularError` when the least singular value of T is at or
-    below ``DEFAULT_SINGULAR_FLOOR``.
+    below ``DEFAULT_SINGULAR_FLOOR``.  An arbitrary section has no left
+    inverse to certify a Gram route, so this stays the SVD route: it is the
+    reference that the tests hold the Gram route of
+    :func:`compact_isometry_split` against.
     """
     u, s, wh = np.linalg.svd(T.entries, full_matrices=False)
     V = _polar_isometry(u, s, wh)
@@ -375,28 +406,96 @@ def polar_decompose(T: TruncatedOperator) -> tuple[TruncatedOperator, TruncatedO
 def compact_isometry_split(seq: SequencePair, N: int) -> DecompositionResult:
     """Split the shift section into its polar isometry plus remainder.
 
-    With ``T = U S W^H`` the thin SVD of the column-exact tall section, the
-    polar isometry is ``V = U W^H`` and the remainder ``T - V = U (S - I)
-    W^H``; ``U`` has orthonormal columns, so ``column_decay``, the remainder's
-    full-column norms, is the column norms of ``(S - I) W^H`` and the
-    remainder is never formed.  ``isometry_defect`` is the largest column
-    norm of ``V^H V - I`` over all N columns: every column of ``V`` is
-    orthonormal to rounding, the right edge included.
+    The split is that of the column-exact tall section ``T``.  With ``T*T =
+    W Λ W^H``, the polar isometry is ``V = T W Λ^{-1/2} W^H`` and the
+    remainder ``T - V = V (|T| - I)``; ``V`` has orthonormal columns, so
+    ``column_decay``, the remainder's full-column norms, is the column norms
+    of ``(Λ^{1/2} - I) W^H`` and the remainder is never formed.
+    ``isometry_defect`` is the largest column norm of the computed ``V^H V -
+    I`` over all N columns: every column of ``V`` is orthonormal to
+    rounding, the right edge included.  This route is taken when the
+    left-inverse section certifies that the Gram resolves the least singular
+    value (``margin < 1``, see :class:`DecompositionResult`); otherwise the
+    thin SVD ``T = U S W^H`` gives ``V = U W^H`` and the norms of ``(S - I)
+    W^H``.  Raises :class:`NearSingularError` when the least singular value
+    is at or below ``DEFAULT_SINGULAR_FLOOR``.
     """
     if N < 8:
         raise ValueError("decomposition needs N >= 8")
-    tall = _horizon_section(seq, N)[:, :N]
-    return _polar_split(*np.linalg.svd(tall, full_matrices=False))
+    full = _horizon_section(seq, N)
+    L = build_left_inverse(seq, seq.horizon).entries
+    fro_tall, _ = _left_inverse_norms(L, N)
+    del L  # gone before the factorization
+    return _polar_split(full[:, :N], fro_tall)[0]
 
 
-def _polar_split(u: np.ndarray, s: np.ndarray, wh: np.ndarray) -> DecompositionResult:
-    """:func:`compact_isometry_split` from the tall section's thin SVD."""
+def _polar_split(
+    tall: np.ndarray, fro_tall: float
+) -> tuple[DecompositionResult, np.ndarray, float, np.ndarray | None]:
+    """The split of the ``H x N`` tall section ``T`` whose left inverse has
+    Frobenius norm ``fro_tall``, with the column norms of ``I - T*T``, its
+    largest singular value and, on the SVD route, all its singular values.
+
+    The computed Gram ``G = T*T`` and its eigenvalues carry an absolute
+    error of about ``H eps ||T||_F^2``, while ``s_min(T)^2 >= 1 /
+    ||X||_F^2`` for the left inverse ``X``.  The Gram route is taken when
+    ``margin = H eps ||T||_F^2 ||X||_F^2 < 1``: that error then stays below
+    ``s_min^2``, so double precision resolves the least singular value.
+    """
+    H = tall.shape[0]
+    margin = H * np.finfo(float).eps * float(np.linalg.norm(tall)) ** 2 * fro_tall**2
+    if not math.isfinite(margin):
+        margin = None
+    elif margin < 1.0:
+        return _gram_split(tall, margin)
+    return _svd_split(tall, margin)
+
+
+def _gram_split(
+    tall: np.ndarray, margin: float
+) -> tuple[DecompositionResult, np.ndarray, float, None]:
+    """:func:`_polar_split` from ``T*T = W Λ W^H``."""
+    G = tall.conj().T @ tall
+    lam, W = np.linalg.eigh(G)
+    # G - I in place: its column norms are those of I - G, bit for bit
+    G.flat[:: G.shape[0] + 1] -= 1.0
+    tails_itt = np.linalg.norm(G, axis=0)
+    del G
+    s_min = math.sqrt(max(float(lam[0]), 0.0))
+    _check_resolved(s_min)
+    s = np.sqrt(lam)
+    # column n of (S - I) W^H is row n of W (S - I), conjugated
+    column_decay = np.linalg.norm(W * (s - 1.0), axis=1)
+    column_decay.flags.writeable = False
+    V = tall @ W
+    V /= s
+    V = V @ W.conj().T
+    deco = DecompositionResult(
+        column_decay, _isometry_defect(V), ROUTE_GRAM, margin, s_min
+    )
+    return deco, tails_itt, float(s[-1]), None
+
+
+def _svd_split(
+    tall: np.ndarray, margin: float | None
+) -> tuple[DecompositionResult, np.ndarray, float, np.ndarray]:
+    """:func:`_polar_split` from the thin SVD ``T = U S W^H``."""
+    u, s, wh = np.linalg.svd(tall, full_matrices=False)
+    tails_itt = np.linalg.norm((1.0 - s * s)[:, None] * wh, axis=0)
     V = _polar_isometry(u, s, wh)
     column_decay = np.linalg.norm((s - 1.0)[:, None] * wh, axis=0)
-    vtv = V.conj().T @ V
-    isometry_defect = float(np.linalg.norm(vtv - np.eye(s.size), axis=0).max())
     column_decay.flags.writeable = False
-    return DecompositionResult(column_decay, isometry_defect)
+    deco = DecompositionResult(
+        column_decay, _isometry_defect(V), ROUTE_SVD, margin, float(s[-1])
+    )
+    return deco, tails_itt, float(s[0]), s
+
+
+def _isometry_defect(V: np.ndarray) -> float:
+    """The largest column norm of ``V^H V - I``."""
+    vtv = V.conj().T @ V
+    vtv.flat[:: vtv.shape[0] + 1] -= 1.0  # in place, as vtv - I rounds
+    return float(np.linalg.norm(vtv, axis=0).max())
 
 
 def neumann_error_curve(

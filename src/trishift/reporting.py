@@ -85,6 +85,9 @@ def decomposition_dict(deco: DecompositionResult) -> dict:
     return {
         "column_decay": to_jsonable(deco.column_decay),
         "isometry_defect": deco.isometry_defect,
+        "route": deco.route,
+        "margin": deco.margin,
+        "s_min": deco.s_min,
     }
 
 

@@ -413,8 +413,97 @@ def test_index_svd_calls_only_on_fallback(monkeypatch):
     d = index_data(make_pair("sqrt(n+1)", "0.5", 128), 64)
     assert _index_tuple(d) == (0, 1, -1)
     assert calls == []
-    equivalence_diagnostics(_growing_left_inverse_pair(4, 96), 64)
+    diag = equivalence_diagnostics(_growing_left_inverse_pair(4, 96), 64)
+    assert diag.decomposition.route == "svd"
     assert calls == [True, False]  # the thin SVD, then the square's values
+
+
+# --------------------------------------------------------------- polar route
+
+ROUTE_TOL = 1e-12  # absolute agreement of the Gram route with the SVD formulas
+
+
+def _svd_reference(seq, N):
+    """The split from the tall section's thin SVD, as the SVD route forms it:
+    ``(tails_itt, column_decay, isometry_defect, s_min)``."""
+    tall = build_shift(seq, seq.horizon).entries[:, :N]
+    u, s, wh = np.linalg.svd(tall, full_matrices=False)
+    tails_itt = np.linalg.norm((1.0 - s * s)[:, None] * wh, axis=0)
+    column_decay = np.linalg.norm((s - 1.0)[:, None] * wh, axis=0)
+    V = u @ wh
+    defect = float(np.linalg.norm(V.conj().T @ V - np.eye(N), axis=0).max())
+    return tails_itt, column_decay, defect, float(s[-1])
+
+
+def _assert_routes_agree(seq, N, label):
+    diag = equivalence_diagnostics(seq, N)
+    deco = diag.decomposition
+    tails_itt, decay, defect, s_min = _svd_reference(seq, N)
+    assert deco.route == "gram", label
+    assert 0.0 < deco.margin < 1.0, label
+    assert np.max(np.abs(diag.tails_itt - tails_itt)) <= ROUTE_TOL, label
+    assert np.max(np.abs(deco.column_decay - decay)) <= ROUTE_TOL, label
+    assert abs(deco.isometry_defect - defect) <= ROUTE_TOL, label
+    assert deco.isometry_defect <= 1e-12, label
+    assert abs(deco.s_min - s_min) <= ROUTE_TOL, label
+    # polar_decompose's isometry, through the remainder T - V it leaves
+    tall = build_shift(seq, seq.horizon).entries[:, :N]
+    V, _ = polar_decompose(TruncatedOperator(tall.copy()))
+    remainder = np.linalg.norm(tall - V.entries, axis=0)
+    assert np.max(np.abs(deco.column_decay - remainder)) <= ROUTE_TOL, label
+
+
+def test_gram_route_matches_svd_reference_on_corpus():
+    N, pad = 256, 64
+    families = [(fam.name, family_pair(fam, N + pad)) for fam in CORPUS]
+    families.append(("baseline", make_pair("sqrt(n+1)", "0.5", N + pad)))
+    for name, seq in families:
+        _assert_routes_agree(seq, N, name)
+
+
+@pytest.mark.parametrize("k", [4, 20])
+def test_svd_fallback_is_the_svd_route(k):
+    N = 64
+    seq = _growing_left_inverse_pair(k, N + 32)
+    tails_itt, decay, defect, s_min = _svd_reference(seq, N)
+    diag = equivalence_diagnostics(seq, N)
+    for deco in (diag.decomposition, compact_isometry_split(seq, N)):
+        assert deco.route == "svd"
+        assert deco.margin >= 1.0
+        assert deco.column_decay.tobytes() == decay.tobytes()
+        assert deco.isometry_defect.hex() == defect.hex()
+        assert deco.s_min.hex() == s_min.hex()
+    assert diag.tails_itt.tobytes() == tails_itt.tobytes()
+
+
+def _random_admissible_pair(rng, H):
+    # ratios |a_n/a_{n+1}| in [1/4, 4] and |b_n/a_{n+1}| <= 0.85
+    mags = rng.uniform(0.5, 2.0, H + 1)
+    b = rng.uniform(0.0, 0.3) * (rng.uniform(-1, 1, H + 1) + 1j * rng.uniform(-1, 1, H + 1))
+    if rng.random() < 0.5:
+        return SequencePair(a=mags * rng.choice([-1.0, 1.0], H + 1), b=b.real)
+    return SequencePair(a=mags * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1)), b=b)
+
+
+def test_split_is_isometric_or_raises_on_random_families():
+    # pad 0 leaves no row past the window: the last column of the tall
+    # section is cut, the split is singular and must raise
+    rng = np.random.default_rng(101)
+    outcomes = {"gram": 0, "raised": 0}
+    for _ in range(16):
+        N = int(rng.integers(8, 97))
+        pad = int(rng.choice([0, 1, 4, 16]))
+        seq = _random_admissible_pair(rng, N + pad)
+        try:
+            deco = compact_isometry_split(seq, N)
+        except NearSingularError as err:
+            assert pad == 0 and err.least_singular <= 1e-10
+            outcomes["raised"] += 1
+            continue
+        _assert_routes_agree(seq, N, (N, pad))
+        assert deco.isometry_defect <= 1e-12
+        outcomes["gram"] += 1
+    assert outcomes["gram"] and outcomes["raised"]
 
 
 # ------------------------------------------------------------------- neumann

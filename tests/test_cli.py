@@ -202,7 +202,7 @@ def test_profile_outputs(tmp_path):
     assert all(v >= b - 1e-12 for v, b in zip(values, bounds))
 
 
-def test_profile_takes_one_svd_when_the_index_is_certified(tmp_path, monkeypatch):
+def test_profile_takes_no_svd_when_the_index_is_certified(tmp_path, monkeypatch):
     spec = write_spec(
         tmp_path, "base.json", {"label": "baseline", "a": "sqrt(n+1)", "b": "0.5"}
     )
@@ -217,13 +217,40 @@ def test_profile_takes_one_svd_when_the_index_is_certified(tmp_path, monkeypatch
     out = tmp_path / "out"
     code = main(["profile", "--spec", str(spec), "--order", "64", "--out", str(out)])
     assert code == 0
-    assert calls == [True]  # the tall section's thin SVD
+    assert calls == []  # the split takes the Gram route
     report = json.loads((out / "profile_report.json").read_text())
     assert report["index"] == -1
+    deco = report["decomposition"]
+    assert deco["route"] == "gram" and 0.0 < deco["margin"] < 1.0
     data = report["index_data"]
     assert (data["dim_ker"], data["dim_coker"]) == (0, 1)
     assert (data["ker_route"], data["coker_route"]) == ("certified", "certified")
     assert 0.0 < data["ker_margin"] < 1.0 and 0.0 < data["coker_margin"] < 1.0
+
+
+def test_reports_record_the_polar_route(tmp_path):
+    # the Baseline takes the Gram route; a family whose running products
+    # reach 10^4 (|b_n/a_{n+1}| = 10 for n < 4) falls back to the SVD
+    grow = [[10.0 * (-1) ** n, 0.0] for n in range(4)] + [[0.5, 0.0]] * 93
+    cases = {
+        "base": ({"a": "sqrt(n+1)", "b": "0.5"}, "gram"),
+        "grow": ({"a": [[1.0, 0.0]] * 97, "b": grow}, "svd"),
+    }
+    for label, (doc, route) in cases.items():
+        spec = write_spec(tmp_path, f"{label}.json", {"label": label, **doc})
+        out = tmp_path / label
+        assert main(["decompose", "--spec", str(spec), "--order", "64",
+                     "--pad", "32", "--out", str(out)]) == 0
+        deco = json.loads((out / "decompose_report.json").read_text())["decomposition"]
+        assert deco["route"] == route, label
+        assert (deco["margin"] < 1.0) == (route == "gram"), label
+        assert deco["s_min"] > 1e-10, label
+        assert main(["profile", "--spec", str(spec), "--order", "64", "--pad", "32",
+                     "--format", "csv", "--out", str(out)]) == 0
+        rows = dict(read_csv(out / "profile_report.csv")[1])
+        assert rows["decomposition.route"] == route, label
+        assert float(rows["decomposition.margin"]) == deco["margin"], label
+        assert float(rows["decomposition.s_min"]) == deco["s_min"], label
 
 
 def test_profile_constant_b_is_flat_zero(tmp_path):
@@ -236,7 +263,8 @@ def test_profile_constant_b_is_flat_zero(tmp_path):
 
 
 def test_profile_factors_tall_section_once(tmp_path, monkeypatch):
-    # one real SVD of the (H, N) tall section; no Gram eigendecomposition
+    # one real eigendecomposition of the N x N Gram; no SVD of the (H, N)
+    # tall section
     calls = []
     for name in ("svd", "eigh"):
         original = getattr(np.linalg, name)
@@ -251,8 +279,8 @@ def test_profile_factors_tall_section_once(tmp_path, monkeypatch):
     )
     assert main(["profile", "--spec", str(spec), "--order", "64",
                  "--pad", "16", "--out", str(tmp_path / "out")]) == 0
-    assert [c for c in calls if c[1] == (80, 64)] == [("svd", (80, 64), "f")]
-    assert not [c for c in calls if c[0] == "eigh"]
+    assert [c for c in calls if c[0] == "eigh"] == [("eigh", (64, 64), "f")]
+    assert not [c for c in calls if c[1] == (80, 64)]
 
 
 def test_profile_skips_neumann_when_unbounded(tmp_path, capsys):
