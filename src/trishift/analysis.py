@@ -13,7 +13,10 @@ the column norms of ``I - G``, those of the remainder ``T - V`` of
 ``(Λ^{1/2} - I) W^H``, and ``V = T W Λ^{-1/2} W^H``.  The Gram squares the
 condition number, so it is taken only when the left-inverse section certifies
 that double precision resolves the least singular value; otherwise one thin
-SVD ``T = U S W^H`` gives ``V = U W^H``.  The kernel and cokernel ranks need
+SVD ``T = U S W^H`` gives ``V = U W^H``.  On both routes the factors of the
+dense products for ``V`` and ``V^H V`` have their entries below ``2**-511``
+zeroed first, which keeps the products out of subnormal arithmetic and moves
+no reported bit.  The kernel and cokernel ranks need
 no factorization: the left-inverse section is an exact left inverse of the
 tall section and of the square section's nonzero block, and its Frobenius
 norm bounds their least singular values in O(N^2).  Sections carry their
@@ -47,6 +50,11 @@ DEFAULT_SINGULAR_FLOOR = 1e-10
 ROUTE_CERTIFIED = "certified"
 ROUTE_GRAM = "gram"
 ROUTE_SVD = "svd"
+
+# entries below this magnitude have subnormal squares: products of two of
+# them underflow, which costs x86 hardware tens of cycles each
+_TINY = 2.0**-511
+_FLUSH_ROWS = 64
 
 
 class NearSingularError(ArithmeticError):
@@ -467,8 +475,10 @@ def _gram_split(
     # column n of (S - I) W^H is row n of W (S - I), conjugated
     column_decay = np.linalg.norm(W * (s - 1.0), axis=1)
     column_decay.flags.writeable = False
+    _flush_tiny(W)
     V = tall @ W
     V /= s
+    _flush_tiny(V)
     V = V @ W.conj().T
     deco = DecompositionResult(
         column_decay, _isometry_defect(V), ROUTE_GRAM, margin, s_min
@@ -482,17 +492,36 @@ def _svd_split(
     """:func:`_polar_split` from the thin SVD ``T = U S W^H``."""
     u, s, wh = np.linalg.svd(tall, full_matrices=False)
     tails_itt = np.linalg.norm((1.0 - s * s)[:, None] * wh, axis=0)
-    V = _polar_isometry(u, s, wh)
     column_decay = np.linalg.norm((s - 1.0)[:, None] * wh, axis=0)
     column_decay.flags.writeable = False
+    _flush_tiny(u)
+    _flush_tiny(wh)
+    V = _polar_isometry(u, s, wh)
     deco = DecompositionResult(
         column_decay, _isometry_defect(V), ROUTE_SVD, margin, float(s[-1])
     )
     return deco, tails_itt, float(s[0]), s
 
 
+def _flush_tiny(x: np.ndarray) -> None:
+    """Zero, in place, every entry of ``x`` with ``|x| < 2**-511``, whose
+    square would be subnormal, one block of rows at a time so that no
+    temporary as large as ``x`` is formed.
+
+    Applied only to factors whose entries are at most about 1 (``W``, ``U``,
+    ``W^H``, ``V`` and ``T W / s = V W``), it moves each entry of a product
+    of ``H``-term sums by at most ``H * 2**-511``, about 1e-150: far below
+    half an ulp of anything the split reports.
+    """
+    for start in range(0, x.shape[0], _FLUSH_ROWS):
+        block = x[start : start + _FLUSH_ROWS]
+        block[np.abs(block) < _TINY] = 0.0
+
+
 def _isometry_defect(V: np.ndarray) -> float:
-    """The largest column norm of ``V^H V - I``."""
+    """The largest column norm of ``V^H V - I``, with ``V``'s sub-resolution
+    entries flushed first (see :func:`_flush_tiny`)."""
+    _flush_tiny(V)
     vtv = V.conj().T @ V
     vtv.flat[:: vtv.shape[0] + 1] -= 1.0  # in place, as vtv - I rounds
     return float(np.linalg.norm(vtv, axis=0).max())

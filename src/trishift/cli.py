@@ -251,7 +251,9 @@ def _run_decompose(cfg: RunConfig) -> int:
     seq_rep = seq_full.trimmed(cfg.order)
     assumptions = validate_assumptions(seq_rep, cfg.r_target)
     deco = compact_isometry_split(seq_full, cfg.order)
-    report = decompose_report(spec.label, cfg.order, assumptions, deco)
+    report = decompose_report(
+        spec.label, cfg.order, seq_full.horizon - cfg.order, assumptions, deco
+    )
     write_report(report, _report_path(cfg, "decompose_report"), cfg.format)
     write_csv(
         cfg.out / "column_decay.csv",
@@ -268,7 +270,9 @@ def _run_profile(cfg: RunConfig) -> int:
     assumptions = validate_assumptions(seq_rep, cfg.r_target)
     crit = check_main_criterion(seq_rep, cfg.tol, cfg.window)
     diag = equivalence_diagnostics(seq_full, cfg.order)
-    report = full_report(spec.label, cfg.order, assumptions, crit, diag)
+    report = full_report(
+        spec.label, cfg.order, seq_full.horizon - cfg.order, assumptions, crit, diag
+    )
     write_report(report, _report_path(cfg, "profile_report"), cfg.format)
     write_csv(
         cfg.out / "l_minus_mstar.csv",

@@ -112,11 +112,13 @@ def check_report(label: str, N: int, rep: AssumptionReport, crit: CriterionRepor
 
 
 def decompose_report(
-    label: str, N: int, rep: AssumptionReport, deco: DecompositionResult
+    label: str, N: int, pad: int, rep: AssumptionReport, deco: DecompositionResult
 ) -> dict:
+    """``pad`` is the effective pad: the rows past ``N`` that actually ran."""
     return {
         "label": label,
         "N": N,
+        "pad": pad,
         "assumptions": assumptions_dict(rep),
         "decomposition": decomposition_dict(deco),
     }
@@ -125,13 +127,16 @@ def decompose_report(
 def full_report(
     label: str,
     N: int,
+    pad: int,
     rep: AssumptionReport,
     crit: CriterionReport,
     diag: EquivalenceDiagnostics,
 ) -> dict:
+    """``pad`` is the effective pad, as in :func:`decompose_report`."""
     return {
         "label": label,
         "N": N,
+        "pad": pad,
         "assumptions": assumptions_dict(rep),
         "criterion": criterion_dict(crit),
         "profiles": {

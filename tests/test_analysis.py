@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,8 @@ from trishift import (
     parse_sequence_expr,
     polar_decompose,
 )
+
+from trishift.analysis import _flush_tiny
 
 from corpus_families import family_pair, CORPUS
 
@@ -474,6 +479,79 @@ def test_svd_fallback_is_the_svd_route(k):
         assert deco.isometry_defect.hex() == defect.hex()
         assert deco.s_min.hex() == s_min.hex()
     assert diag.tails_itt.tobytes() == tails_itt.tobytes()
+
+
+TINY = 2.0**-511
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_flush_tiny_zeroes_exactly_the_sub_resolution_entries(dtype):
+    rng = np.random.default_rng(17)
+    shape = (300, 70)  # more rows than one block, and a ragged last block
+    x = rng.standard_normal(shape) * 2.0 ** rng.integers(-560, 4, shape)
+    if dtype is np.complex128:
+        x = x + 1j * rng.standard_normal(shape) * 2.0 ** rng.integers(-560, 4, shape)
+    # entries on both sides of the threshold, and at it
+    x.flat[:6] = [TINY, -TINY, np.nextafter(TINY, 0), -np.nextafter(TINY, 0), 0.0, 1.0]
+    if dtype is np.complex128:
+        # both parts below 2^-511: |z| below it, then above it
+        x.flat[6] = TINY * 0.7 * (1 + 1j)
+        x.flat[7] = TINY * 0.75 * (1 + 1j)
+    x = x.astype(dtype)
+    small = np.abs(x) < TINY
+    assert small.any() and not small.all()
+    want = np.where(small, 0, x)
+    _flush_tiny(x)
+    assert x.dtype == dtype
+    assert x.tobytes() == want.tobytes()
+
+
+def test_flush_tiny_allocates_no_array_sized_temporary():
+    x = np.full((1024, 1024), 2.0**-600)
+    tracemalloc.start()
+    try:
+        _flush_tiny(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not x.any()
+    assert peak < x.nbytes / 8
+
+
+def _unflushed_gram_split(seq, N):
+    """The Gram route's formulas with no entry flushed:
+    ``(column_decay, isometry_defect, s_min)``."""
+    tall = build_shift(seq, seq.horizon).entries[:, :N]
+    lam, W = np.linalg.eigh(tall.conj().T @ tall)
+    s = np.sqrt(lam)
+    column_decay = np.linalg.norm(W * (s - 1.0), axis=1)
+    V = tall @ W
+    V /= s
+    V = V @ W.conj().T
+    vtv = V.conj().T @ V
+    vtv.flat[:: N + 1] -= 1.0
+    defect = float(np.linalg.norm(vtv, axis=0).max())
+    # the flush has something to do on these families
+    assert np.count_nonzero(np.abs(W) < TINY) > N
+    return column_decay, defect, math.sqrt(max(float(lam[0]), 0.0))
+
+
+def test_flushed_split_is_bit_identical_to_the_unflushed_formulas():
+    N, pad = 512, 64
+    H = N + pad
+    rng = np.random.default_rng(29)
+    n = np.arange(H + 1)
+    complex_pair = SequencePair(
+        a=np.sqrt(n + 1.0) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1)),
+        b=0.5 * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1)),
+    )
+    for seq in (make_pair("sqrt(n+1)", "0.5", H), complex_pair):
+        decay, defect, s_min = _unflushed_gram_split(seq, N)
+        deco = compact_isometry_split(seq, N)
+        assert deco.route == "gram"
+        assert deco.column_decay.tobytes() == decay.tobytes()
+        assert deco.isometry_defect.hex() == defect.hex()
+        assert deco.s_min.hex() == s_min.hex()
 
 
 def _random_admissible_pair(rng, H):

@@ -573,6 +573,26 @@ def test_kernel_report_records_reduced_pad(tmp_path, capsys):
     assert report["pad"] == 10
 
 
+@pytest.mark.parametrize("command", ["decompose", "profile"])
+def test_split_reports_record_the_effective_pad(tmp_path, capsys, command):
+    stem = f"{command}_report"
+    spec = write_spec(tmp_path, "harm.json", {"label": "harm", "a": "1", "b": "1/(n+1)"})
+    # an explicit list ending at index 74 cuts the pad of 16 to 10
+    values = [[1.0, 0.0]] * 75
+    flat = write_spec(tmp_path, "flat.json", {"label": "flat", "a": values, "b": "0.5"})
+    runs = [(spec, [], 16), (spec, ["--pad", "5"], 5), (flat, ["--pad", "16"], 10)]
+    for i, (path, flags, pad) in enumerate(runs):
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"{i}-{fmt}"
+            assert main([command, "--spec", str(path), "--order", "64", *flags,
+                         "--tol", "1e-2", "--format", fmt, "--out", str(out)]) == 0
+            if fmt == "json":
+                assert json.loads((out / f"{stem}.json").read_text())["pad"] == pad
+            else:
+                assert ["pad", str(pad)] in read_csv(out / f"{stem}.csv")[1]
+    assert "padding reduced to 10 rows" in capsys.readouterr().err
+
+
 def test_kernel_takes_no_factorization_but_the_gram_eigenvalues(tmp_path, monkeypatch):
     # every numpy.linalg call is recorded; vector 2-norms factor nothing
     calls = []
