@@ -13,10 +13,11 @@ the column norms of ``I - G``, those of the remainder ``T - V`` of
 ``(Λ^{1/2} - I) W^H``, and ``V = T W Λ^{-1/2} W^H``.  The Gram squares the
 condition number, so it is taken only when the left-inverse section certifies
 that double precision resolves the least singular value; otherwise one thin
-SVD ``T = U S W^H`` gives ``V = U W^H``.  On both routes the factors of the
-dense products for ``V`` and ``V^H V`` have their entries below ``2**-511``
-zeroed first, which keeps the products out of subnormal arithmetic and moves
-no reported bit.  The kernel and cokernel ranks need
+SVD ``T = U S W^H`` gives ``V = U W^H``.  The factors of the Gram route's
+dense products for ``V``, and ``V`` itself before ``V^H V`` on both routes,
+have their entries below ``2**-511`` zeroed first, which keeps the products
+out of subnormal arithmetic and moves no reported bit.  The kernel and
+cokernel ranks need
 no factorization: the left-inverse section is an exact left inverse of the
 tall section and of the square section's nonzero block, and its Frobenius
 norm bounds their least singular values in O(N^2).  Sections carry their
@@ -492,11 +493,9 @@ def _svd_split(
     """:func:`_polar_split` from the thin SVD ``T = U S W^H``."""
     u, s, wh = np.linalg.svd(tall, full_matrices=False)
     tails_itt = np.linalg.norm((1.0 - s * s)[:, None] * wh, axis=0)
+    V = _polar_isometry(u, s, wh)
     column_decay = np.linalg.norm((s - 1.0)[:, None] * wh, axis=0)
     column_decay.flags.writeable = False
-    _flush_tiny(u)
-    _flush_tiny(wh)
-    V = _polar_isometry(u, s, wh)
     deco = DecompositionResult(
         column_decay, _isometry_defect(V), ROUTE_SVD, margin, float(s[-1])
     )
@@ -508,10 +507,16 @@ def _flush_tiny(x: np.ndarray) -> None:
     square would be subnormal, one block of rows at a time so that no
     temporary as large as ``x`` is formed.
 
-    Applied only to factors whose entries are at most about 1 (``W``, ``U``,
-    ``W^H``, ``V`` and ``T W / s = V W``), it moves each entry of a product
-    of ``H``-term sums by at most ``H * 2**-511``, about 1e-150: far below
-    half an ulp of anything the split reports.
+    The split applies it to ``W`` (unitary), ``T W / s = V W`` and ``V``
+    (orthonormal columns), whose entries are at most about 1, so each entry
+    of ``(T W / s) W^H`` and ``V^H V`` moves by at most about ``H *
+    2**-511``, about 1e-150.  ``T W`` multiplies the flushed ``W`` by the
+    unflushed ``T``, whose entries are not bounded by 1: after the division
+    by ``s`` its entries move by at most about ``κ(T) H * 2**-511``, and
+    ``margin < 1`` bounds ``κ(T) <= ||T||_F ||X||_F``, ``X`` the left
+    inverse, below ``(H
+    eps)**-0.5``, about 1e6 at ``H`` of a few thousand, so every move stays
+    far below half an ulp of anything the split reports.
     """
     for start in range(0, x.shape[0], _FLUSH_ROWS):
         block = x[start : start + _FLUSH_ROWS]
