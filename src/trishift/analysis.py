@@ -4,30 +4,40 @@ Limit statements become trailing-window trend estimates on the horizon: the
 verdict is tri-state (holds / fails / inconclusive) with a 10x hysteresis gap
 so a finite section never over-claims an asymptotic fact.  Products that a
 square section cannot represent exactly (column Gram matrices, polar factors)
-are computed from column-exact tall sections: the shift built on the full
-materialized horizon, sliced to the first N columns.
+are those of the column-exact tall section ``T``: the first N columns of the
+shift on the full materialized horizon.
 
-The polar split needs only the Gram matrix ``G = T*T`` of that tall section
-and its eigendecomposition ``G = W Λ W^H``: the ``I - T*T`` column tails are
-the column norms of ``I - G``, those of the remainder ``T - V`` of
-``(Λ^{1/2} - I) W^H``, and ``V = T W Λ^{-1/2} W^H``.  The Gram squares the
-condition number, so it is taken only when the left-inverse section certifies
-that double precision resolves the least singular value; otherwise one thin
-SVD ``T = U S W^H`` gives ``V = U W^H``.  The factors of the Gram route's
-dense products for ``V``, and ``V`` itself before ``V^H V`` on both routes,
-have their entries below ``2**-511`` zeroed first, which keeps the products
-out of subnormal arithmetic and moves no reported bit.  The kernel and
-cokernel ranks need
-no factorization: the left-inverse section is an exact left inverse of the
-tall section and of the square section's nonzero block, and its Frobenius
-norm bounds their least singular values in O(N^2).  Sections carry their
-sequence pair's dtype, so real families are factored and multiplied in real
-arithmetic.
+Below its subdiagonal, every column of the shift is a running product, so
+``T`` and the left inverse ``L`` are read through their two-term recurrences
+(``operators._ShiftRecurrence``) instead of built: ``G = T*T`` costs
+O(N^2), ``T X`` O(H K) for an N x K block ``X``, and the column norms of ``L
+- T*`` and ``I - TT*`` and the Frobenius norms of ``T`` and ``L`` cost O(N).
+
+The polar split needs only ``G`` and its eigendecomposition ``G = W Λ
+W^H``: the ``I - T*T`` column tails are the column norms of ``I - G``,
+those of the remainder ``T - V`` of ``(Λ^{1/2} - I) W^H``, and ``V = T W
+Λ^{-1/2} W^H``.  The Gram squares the condition number, so it is taken only
+when the left inverse certifies that double precision resolves the least
+singular value; otherwise one thin SVD of the dense tall section ``T = U S
+W^H`` gives ``V = U W^H``.  So on the Gram route the dense O(N^3) work is
+``eigh(G)``, ``(T W / s) W^H`` and ``V^H V`` alone; the dense horizon
+section is built only for the SVD route and for an index rank that the left
+inverse does not certify.  The factors ``W`` and ``T W / s`` of the Gram
+route's product, and ``V`` before ``V^H V`` on both routes, have their
+entries below ``2**-511`` zeroed first, which keeps the products out of
+subnormal arithmetic and moves no reported bit.  The kernel and cokernel
+ranks need no factorization: the left-inverse section is an exact left
+inverse of the tall section and of the square section's nonzero block, and
+its Frobenius norm bounds their least singular values.  Sections and
+products carry their sequence pair's dtype, so real families are factored
+and multiplied in real arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +45,7 @@ import numpy as np
 from .operators import (
     TruncatedOperator,
     _neumann_partial_sums,
-    build_left_inverse,
+    _ShiftRecurrence,
     build_shift,
     build_tail_blocks,
 )
@@ -191,68 +201,28 @@ def check_main_criterion(
     )
 
 
-def _horizon_section(seq: SequencePair, N: int) -> np.ndarray:
-    """The shift section on the full materialized horizon: its first ``N``
-    columns are the column-exact tall section, its leading ``N x N`` window
-    the square section."""
-    H = seq.horizon
-    if N > H:
-        raise ValueError(f"N = {N} exceeds the materialized horizon {H}")
-    return build_shift(seq, H).entries
-
-
-def _left_inverse_data(
-    seq: SequencePair, full: np.ndarray, N: int
-) -> tuple[np.ndarray, float, float]:
-    """From one horizon left-inverse section ``L``, dropped on return: the
-    column norms of ``L - T*`` over the first ``N`` columns (read-only), and
-    :func:`_left_inverse_norms`."""
-    L = build_left_inverse(seq, seq.horizon).entries
-    # T* is the conjugate transpose of the horizon section, which is how
-    # build_adjoint defines the adjoint
-    tstar = full[:N].conj().T
-    profile = np.linalg.norm(L[:, :N] - tstar, axis=0)
-    profile.flags.writeable = False
-    return (profile, *_left_inverse_norms(L, N))
-
-
-def _left_inverse_norms(L: np.ndarray, N: int) -> tuple[float, float]:
-    """``(||L[:N]||_F, ||L[:N-1, 1:]||_F)`` of the horizon left-inverse
-    section ``L``: the Frobenius norms of the exact left inverses that
-    decide the index ranks and the polar route.  The first norm is ``inf``
-    when the horizon holds no row ``N`` of the tall section."""
-    # row i of L lives on columns <= i + 1 and column 0 is zero, so the
-    # rows below hold all of L[:N, :N+1] and of L[:N-1, 1:N]
-    rows = np.linalg.norm(L[:N], axis=1)
-    fro_square = math.hypot(*rows[: N - 1])
-    fro_tall = math.hypot(fro_square, rows[N - 1]) if L.shape[0] > N else math.inf
-    return fro_tall, fro_square
-
-
-def _ltstar_floor(seq: SequencePair, N: int) -> np.ndarray:
-    """The ``lower_bound_sq`` of :func:`column_norm_profile`."""
-    rv = seq.a[1:] / seq.a[:-1] - np.conj(seq.a[:-1] / seq.a[1:])
-    c = c_coefficients(seq)
-    lower = np.zeros(N, dtype=float)
-    lower[1:] = np.abs(rv[: N - 1]) ** 2
-    lower[2:] += np.abs(c[: N - 2]) ** 2
-    return lower
+def _dense_section(seq: SequencePair) -> Callable[[], np.ndarray]:
+    """A function returning the shift section on the full materialized
+    horizon, built on its first call only: the SVD fallbacks' input.  Its
+    first ``N`` columns are the column-exact tall section, its leading ``N x
+    N`` window the square section."""
+    return functools.cache(lambda: build_shift(seq, seq.horizon).entries)
 
 
 def column_norm_profile(seq: SequencePair, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Column norms of (left inverse - adjoint) plus a term-dropping floor.
 
-    Sections are built on the full materialized horizon and the first N
-    columns reported, so a padded horizon makes the trailing columns honest.
-    Returns ``(profile, lower_bound_sq)`` where
+    The columns run to the full materialized horizon and the first N are
+    reported, so a padded horizon makes the trailing columns honest; their
+    norms come from the sections' recurrences in O(N).  Returns
+    ``(profile, lower_bound_sq)`` where
     ``lower_bound_sq[m] = |c_{m-2}|^2 + |a_m/a_{m-1} - conj(a_{m-1}/a_m)|^2``
     (the c-term absent for m < 2) and ``profile[m]**2 >= lower_bound_sq[m]``.
     The profile array is read-only.
     """
     if N < 4:
         raise ValueError("profile needs N >= 4")
-    full = _horizon_section(seq, N)
-    return _left_inverse_data(seq, full, N)[0], _ltstar_floor(seq, N)
+    return _ShiftRecurrence(seq, N).ltstar_profile()
 
 
 def index_data(seq: SequencePair, N: int) -> IndexData:
@@ -261,19 +231,19 @@ def index_data(seq: SequencePair, N: int) -> IndexData:
     The kernel rank uses the column-exact tall section (full columns, no
     truncation loss); the cokernel uses the square section, whose column
     space is exactly the window part of the range.  Each rank is certified
-    in O(N^2) from the left-inverse section; a values-only SVD counts it
-    only when that certificate fails.
+    in O(N) from the left-inverse section's row norms; the dense section is
+    built, and a values-only SVD counts the rank, only when that
+    certificate fails.
     """
-    full = _horizon_section(seq, N)
-    _, fro_tall, fro_square = _left_inverse_data(seq, full, N)
-    tall = full[:, :N]
-    s_up = float(np.linalg.norm(tall))
-    return _index_data(tall, full[:N, :N], fro_tall, fro_square, s_up)
+    shift = _ShiftRecurrence(seq, N)
+    fro_tall, fro_square = shift.left_inverse_norms()
+    s_up = math.sqrt(shift.fro_sq())
+    return _index_data(_dense_section(seq), N, fro_tall, fro_square, s_up)
 
 
 def _index_data(
-    tall: np.ndarray,
-    square: np.ndarray,
+    section: Callable[[], np.ndarray],
+    N: int,
     fro_tall: float,
     fro_square: float,
     s_up: float,
@@ -282,7 +252,8 @@ def _index_data(
     """Index data of the tall and square sections, given the Frobenius norms
     of their left inverses, an upper bound ``s_up`` of the tall section's
     largest singular value and its singular values ``s_tall`` when an SVD
-    already computed them.
+    already computed them; ``section`` returns the horizon section, which
+    only a rank that its left inverse does not certify reads.
 
     ``L T = I``, ``L`` has one superdiagonal and ``T`` is strictly lower
     triangular, so ``L[:N] @ tall = I_N`` and ``sigma_min(tall) >= 1 /
@@ -298,10 +269,10 @@ def _index_data(
     section's values-only SVD counts it.
     """
     dim_ker, ker_route, ker_margin = _rank_deficiency(
-        tall, 0, s_up, fro_tall, s_tall
+        lambda: section()[:, :N], 0, s_up, fro_tall, s_tall
     )
     dim_coker, coker_route, coker_margin = _rank_deficiency(
-        square, 1, s_up, fro_square
+        lambda: section()[:N, :N], 1, s_up, fro_square
     )
     return IndexData(
         dim_ker=dim_ker,
@@ -314,24 +285,24 @@ def _index_data(
 
 
 def _rank_deficiency(
-    E: np.ndarray,
+    section: Callable[[], np.ndarray],
     certified: int,
     s_up: float,
     fro: float,
     s: np.ndarray | None = None,
 ) -> tuple[int, str, float | None]:
-    """``(columns - rank, route, margin)`` of the section ``E``: the
-    deficiency is ``certified`` when its left inverse's norm ``fro``
-    certifies it, else counted from the singular values ``s`` (computed when
-    not given)."""
+    """``(columns - rank, route, margin)`` of the section that ``section()``
+    returns, which has at least as many rows as columns: the deficiency is
+    ``certified`` when its left inverse's norm ``fro`` certifies it, else
+    counted from the singular values ``s`` (computed when not given)."""
     margin = 2.0 * DEFAULT_RANK_TOL * s_up * fro
     if not math.isfinite(margin):
         margin = None
     elif margin < 1.0:
         return certified, ROUTE_CERTIFIED, margin
     if s is None:
-        s = np.linalg.svd(E, compute_uv=False)
-    return E.shape[1] - _numerical_rank(s), ROUTE_SVD, margin
+        s = np.linalg.svd(section(), compute_uv=False)
+    return s.size - _numerical_rank(s), ROUTE_SVD, margin
 
 
 def _numerical_rank(s: np.ndarray) -> int:
@@ -350,28 +321,24 @@ def equivalence_diagnostics(seq: SequencePair, N: int) -> EquivalenceDiagnostics
     Gram matrix or SVD, so this raises :class:`NearSingularError` where that
     does.  TT* is exact on the window already because the shift rows are
     finitely supported.  The profile and the floor are
-    :func:`column_norm_profile`'s.
+    :func:`column_norm_profile`'s.  Every norm but the split's comes from
+    the sections' recurrences, and the dense horizon section is built at
+    most once, for an SVD.
     """
     if N < 8:
         raise ValueError("equivalence diagnostics need N >= 8")
-    full = _horizon_section(seq, N)
-    tall, square = full[:, :N], full[:N, :N]
-    # the left inverse is gone before the factorization
-    tails_ltstar, fro_tall, fro_square = _left_inverse_data(seq, full, N)
-    # the split's products are gone before the N x N product below
-    decomposition, tails_itt, s_up, s_tall = _polar_split(tall, fro_tall)
-    proj = square @ square.conj().T
-    # P - I in place: its column norms are those of I - P, bit for bit
-    proj.flat[:: N + 1] -= 1.0
-    tails_ittstar = np.linalg.norm(proj, axis=0)
-    del proj
+    shift = _ShiftRecurrence(seq, N)
+    section = _dense_section(seq)
+    fro_tall, fro_square = shift.left_inverse_norms()
+    decomposition, tails_itt, s_up, s_tall = _polar_split(shift, fro_tall, section)
+    tails_ltstar, ltstar_lower_sq = shift.ltstar_profile()
     return EquivalenceDiagnostics(
         tails_itt=tails_itt,
         tails_ltstar=tails_ltstar,
-        tails_ittstar=tails_ittstar,
-        ltstar_lower_sq=_ltstar_floor(seq, N),
+        tails_ittstar=shift.ittstar_norms(),
+        ltstar_lower_sq=ltstar_lower_sq,
         decomposition=decomposition,
-        index_data=_index_data(tall, square, fro_tall, fro_square, s_up, s_tall),
+        index_data=_index_data(section, N, fro_tall, fro_square, s_up, s_tall),
     )
 
 
@@ -426,24 +393,26 @@ def compact_isometry_split(seq: SequencePair, N: int) -> DecompositionResult:
     left-inverse section certifies that the Gram resolves the least singular
     value (``margin < 1``, see :class:`DecompositionResult`); otherwise the
     thin SVD ``T = U S W^H`` gives ``V = U W^H`` and the norms of ``(S - I)
-    W^H``.  Raises :class:`NearSingularError` when the least singular value
-    is at or below ``DEFAULT_SINGULAR_FLOOR``.
+    W^H``.  The Gram route forms ``T*T`` and ``T W`` by the shift's
+    recurrences; only the SVD route builds the dense tall section.  Raises
+    :class:`NearSingularError` when the least singular value is at or below
+    ``DEFAULT_SINGULAR_FLOOR``.
     """
     if N < 8:
         raise ValueError("decomposition needs N >= 8")
-    full = _horizon_section(seq, N)
-    L = build_left_inverse(seq, seq.horizon).entries
-    fro_tall, _ = _left_inverse_norms(L, N)
-    del L  # gone before the factorization
-    return _polar_split(full[:, :N], fro_tall)[0]
+    shift = _ShiftRecurrence(seq, N)
+    fro_tall, _ = shift.left_inverse_norms()
+    return _polar_split(shift, fro_tall, _dense_section(seq))[0]
 
 
 def _polar_split(
-    tall: np.ndarray, fro_tall: float
+    shift: _ShiftRecurrence, fro_tall: float, section: Callable[[], np.ndarray]
 ) -> tuple[DecompositionResult, np.ndarray, float, np.ndarray | None]:
-    """The split of the ``H x N`` tall section ``T`` whose left inverse has
-    Frobenius norm ``fro_tall``, with the column norms of ``I - T*T``, its
-    largest singular value and, on the SVD route, all its singular values.
+    """The split of the ``H x N`` tall section ``T``, read through ``shift``,
+    whose left inverse has Frobenius norm ``fro_tall``, with the column norms
+    of ``I - T*T``, its largest singular value and, on the SVD route, all
+    its singular values.  Only the SVD route reads the dense horizon
+    section, from ``section()``.
 
     The computed Gram ``G = T*T`` and its eigenvalues carry an absolute
     error of about ``H eps ||T||_F^2``, while ``s_min(T)^2 >= 1 /
@@ -451,20 +420,20 @@ def _polar_split(
     ``margin = H eps ||T||_F^2 ||X||_F^2 < 1``: that error then stays below
     ``s_min^2``, so double precision resolves the least singular value.
     """
-    H = tall.shape[0]
-    margin = H * np.finfo(float).eps * float(np.linalg.norm(tall)) ** 2 * fro_tall**2
+    margin = shift.H * np.finfo(float).eps * shift.fro_sq() * fro_tall**2
     if not math.isfinite(margin):
         margin = None
     elif margin < 1.0:
-        return _gram_split(tall, margin)
-    return _svd_split(tall, margin)
+        return _gram_split(shift, margin)
+    return _svd_split(section()[:, : shift.N], margin)
 
 
 def _gram_split(
-    tall: np.ndarray, margin: float
+    shift: _ShiftRecurrence, margin: float
 ) -> tuple[DecompositionResult, np.ndarray, float, None]:
-    """:func:`_polar_split` from ``T*T = W Λ W^H``."""
-    G = tall.conj().T @ tall
+    """:func:`_polar_split` from ``T*T = W Λ W^H``, with ``T*T`` and ``T
+    W`` formed by the shift's recurrences."""
+    G = shift.gram()
     lam, W = np.linalg.eigh(G)
     # G - I in place: its column norms are those of I - G, bit for bit
     G.flat[:: G.shape[0] + 1] -= 1.0
@@ -477,7 +446,7 @@ def _gram_split(
     column_decay = np.linalg.norm(W * (s - 1.0), axis=1)
     column_decay.flags.writeable = False
     _flush_tiny(W)
-    V = tall @ W
+    V = shift.apply(W)
     V /= s
     _flush_tiny(V)
     V = V @ W.conj().T
@@ -510,13 +479,14 @@ def _flush_tiny(x: np.ndarray) -> None:
     The split applies it to ``W`` (unitary), ``T W / s = V W`` and ``V``
     (orthonormal columns), whose entries are at most about 1, so each entry
     of ``(T W / s) W^H`` and ``V^H V`` moves by at most about ``H *
-    2**-511``, about 1e-150.  ``T W`` multiplies the flushed ``W`` by the
-    unflushed ``T``, whose entries are not bounded by 1: after the division
-    by ``s`` its entries move by at most about ``κ(T) H * 2**-511``, and
-    ``margin < 1`` bounds ``κ(T) <= ||T||_F ||X||_F``, ``X`` the left
-    inverse, below ``(H
-    eps)**-0.5``, about 1e6 at ``H`` of a few thousand, so every move stays
-    far below half an ulp of anything the split reports.
+    2**-511``, about 1e-150.  ``T W`` applies ``T``, whose entries are not
+    bounded by 1, to the flushed ``W`` by the shift's row recurrence; that
+    is the same linear map as the dense product, so after the division by
+    ``s`` its entries move by at most about ``κ(T) H * 2**-511``.  ``margin
+    < 1`` bounds ``κ(T) <= ||T||_F ||X||_F``, ``X`` the left inverse, below
+    ``(H eps)**-0.5``, about 1e6 at ``H`` of a few thousand, so every move
+    stays far below half an ulp of anything the split reports.  ``G`` itself
+    is not flushed.
     """
     for start in range(0, x.shape[0], _FLUSH_ROWS):
         block = x[start : start + _FLUSH_ROWS]

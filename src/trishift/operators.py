@@ -17,7 +17,10 @@ of ``(a, b)``.
 One routine runs every such column once, to the horizon: its head is the
 section's entries and its rest the column's tail bound, so every section is
 bit for bit the leading window of the horizon section.  The adjoint section
-is the conjugate transpose of the shift section.
+is the conjugate transpose of the shift section.  The same running products
+give two-term recurrences along the rows, through which ``_ShiftRecurrence``
+applies the shift's tall section and forms its Gram matrix and the column
+norms that the analysis needs without building a section.
 
 Every section takes the dtype of its :class:`SequencePair`: float64 for a
 real family, complex128 otherwise.  A section owns the array it is built
@@ -157,6 +160,170 @@ def _geometric_tail_norm(mags: np.ndarray, r: float) -> float:
     mags /= scale
     factor = r * r / (1.0 - r * r)
     return scale * math.sqrt(float(np.sum(mags * mags)) + mags[-1] * mags[-1] * factor)
+
+
+_GRAM_BLOCK = 64
+
+
+def _linear_recurrence(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``x_0 = 0``, ``x_{k+1} = w_k x_k + f_k`` for real ``w`` and ``f``;
+    returns ``x_0 .. x_{len(w)}``."""
+    out = np.zeros(len(w) + 1)
+    x = 0.0
+    for k, (wk, fk) in enumerate(zip(w.tolist(), f.tolist()), 1):
+        x = wk * x + fk
+        out[k] = x
+    return out
+
+
+class _ShiftRecurrence:
+    """The tall section ``T``, the first ``N`` columns of the horizon shift
+    section (``H`` rows), and the horizon left-inverse section ``L``, read
+    through their two-term recurrences instead of built.
+
+    0-based, ``r_k = -b_k / a_{k+1}`` and ``P(m, k) = r_m ... r_{k-1}``:
+    column ``j`` of ``T`` is ``s_j = a_j / a_{j+1}`` in row ``j + 1``, then
+    ``c_j P(j + 2, k)`` in row ``k >= j + 2``; column ``n`` of ``L`` is
+    ``a_n / a_{n-1}`` in row ``n - 1``, then ``d_n P(n, k)`` in row ``k >=
+    n`` (``d_0 = 0``).  Entries past row ``H - 1`` are cut, as the sections
+    cut them, so ``Q_m = sum_{k=m}^{H-1} |P(m, k)|^2 = 1 + |r_m|^2 Q_{m+1}``
+    (``Q_H = 0``) is the squared mass of a running column from row ``m``
+    down, per unit of its first entry.  Row ``k + 1`` of ``T`` left of
+    column ``k - 1`` is ``r_k`` times row ``k``, and every product and
+    column norm below follows a recurrence: nothing of size ``H x H`` or ``H
+    x N`` is formed but the product ``T X``.  Every factor is a direct ratio
+    of the pair's entries, so exact rescalings keep every bit.
+    """
+
+    def __init__(self, seq: SequencePair, N: int) -> None:
+        H = seq.horizon
+        if N > H:
+            raise ValueError(f"N = {N} exceeds the materialized horizon {H}")
+        a = seq.a
+        self.seq, self.H, self.N = seq, H, N
+        # zero-padded past the last row each entry reaches
+        self.r = np.zeros(H + 1, a.dtype)
+        self.r[:H] = -(seq.b[:-1] / a[1:])
+        self.sub = np.zeros(H, a.dtype)
+        self.sub[: H - 1] = a[: H - 1] / a[1:H]
+        self.c = np.zeros(H, a.dtype)
+        self.c[: H - 2] = c_coefficients(seq)[: H - 2]
+        self.r_sq = np.abs(self.r) ** 2
+        self.q = np.zeros(H + 2)  # Q_0 .. Q_{H+1}
+        self.q[: H + 1] = _linear_recurrence(self.r_sq[H - 1 :: -1], np.ones(H))[::-1]
+
+    def gram_diagonal(self) -> np.ndarray:
+        """``||T e_j||^2 = |s_j|^2 + |c_j|^2 Q_{j+2}``."""
+        N = self.N
+        return np.abs(self.sub[:N]) ** 2 + np.abs(self.c[:N]) ** 2 * self.q[2 : N + 2]
+
+    def fro_sq(self) -> float:
+        """``||T||_F^2``."""
+        return float(np.sum(self.gram_diagonal()))
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """``T X`` for an ``N x K`` block ``X``, one row step at a time:
+        ``y_i = s_{i-1} x_{i-1} + z_i`` and ``z_{i+1} = r_i z_i + c_{i-1}
+        x_{i-1}``, with ``x_j = 0`` for ``j >= N``."""
+        H, N = self.H, self.N
+        Y = np.zeros((H, X.shape[1]), np.result_type(self.r, X))
+        z = np.zeros(X.shape[1], Y.dtype)
+        for i in range(1, min(N, H - 1) + 1):
+            x = X[i - 1]
+            np.multiply(x, self.sub[i - 1], out=Y[i])
+            Y[i] += z
+            z *= self.r[i]
+            z += self.c[i - 1] * x
+        for i in range(N + 1, H):
+            Y[i] = z
+            z *= self.r[i]
+        return Y
+
+    def gram(self) -> np.ndarray:
+        """``G = T*T`` in O(N^2): for ``i < j``, ``G[i, j] = conj(T[j+1, i])
+        s_j + conj(T[j+2, i]) c_j Q_{j+2}``, and ``T[j+2, i] = r_{j+1}
+        T[j+1, i]``, so column ``j`` above the diagonal is ``conj(T[j+1,
+        :j])`` times one number.  Both triangles are filled: the lower one
+        row by row, the upper one from it in blocks of rows, so that no
+        long strided column is written."""
+        N = self.N
+        r, c = self.r, self.c
+        beta = self.sub[:N] + np.conj(r[1 : N + 1]) * c[:N] * self.q[2 : N + 2]
+        G = np.empty((N, N), np.result_type(r, 1.0))
+        G.flat[:: N + 1] = self.gram_diagonal()
+        row = np.zeros(N, G.dtype)  # row j + 1 of T, columns < j
+        for j in range(N):
+            if j:
+                lower = G[j, :j]
+                np.multiply(row[:j], np.conj(beta[j]), out=lower)
+                top = j - j % _GRAM_BLOCK  # the diagonal block's upper part
+                G[top:j, j] = np.conj(lower[top:])
+            row[:j] *= r[j + 1]
+            row[j] = c[j]
+        for top in range(0, N, _GRAM_BLOCK):
+            bottom = top + _GRAM_BLOCK
+            G[top:bottom, bottom:] = np.conj(G[bottom:, top:bottom]).T
+        return G
+
+    def _row_masses(self) -> np.ndarray:
+        """``R_k = ||T[k, :k-1]||^2``, ``k < N``: ``R_{k+1} = |r_k|^2 R_k +
+        |c_{k-1}|^2``."""
+        N = self.N
+        c_sq = np.zeros(N - 1)
+        c_sq[1:] = np.abs(self.c[: N - 2]) ** 2
+        return _linear_recurrence(self.r_sq[: N - 1], c_sq)
+
+    def ltstar_profile(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column norms of ``L - T*`` over columns ``n < N``, read-only:
+        ``R_n + |a_n/a_{n-1} - conj(a_{n-1}/a_n)|^2 + |d_n|^2 Q_n``; and the
+        floor ``|a_n/a_{n-1} - conj(a_{n-1}/a_n)|^2 + |c_{n-2}|^2`` that
+        drops all but two terms."""
+        N, seq = self.N, self.seq
+        a = seq.a
+        rv_sq = np.zeros(N)
+        rv_sq[1:] = np.abs(a[1:N] / a[: N - 1] - np.conj(a[: N - 1] / a[1:N])) ** 2
+        lower = rv_sq.copy()
+        lower[2:] += np.abs(self.c[: N - 2]) ** 2
+        d_sq = np.zeros(N)
+        d_sq[1:] = np.abs(d_coefficients(seq)[: N - 1]) ** 2
+        profile = np.sqrt(self._row_masses() + rv_sq + d_sq * self.q[:N])
+        profile.flags.writeable = False
+        return profile, lower
+
+    def left_inverse_norms(self) -> tuple[float, float]:
+        """``(||L[:N]||_F, ||L[:N-1, 1:]||_F)``, the Frobenius norms of the
+        exact left inverses of ``T`` and of the square section's nonzero
+        block, from the row norms ``||L[i]||^2 = |a_{i+1}/a_i|^2 + E_i``,
+        ``E_i = |r_{i-1}|^2 E_{i-1} + |d_i|^2``.  The first is ``inf`` when
+        the horizon holds no row ``N`` of ``T``."""
+        N, seq = self.N, self.seq
+        a = seq.a
+        d_sq = np.abs(d_coefficients(seq)[: N - 1]) ** 2
+        rows = _linear_recurrence(self.r_sq[: N - 1], d_sq)
+        upper = min(N, self.H - 1)
+        rows[:upper] += np.abs(a[1 : upper + 1] / a[:upper]) ** 2
+        fro_square = math.sqrt(float(np.sum(rows[: N - 1])))
+        if N == self.H:
+            return math.inf, fro_square
+        return math.sqrt(float(np.sum(rows))), fro_square
+
+    def ittstar_norms(self) -> np.ndarray:
+        """Column norms of ``I - T_N T_N*`` for the square section ``T_N``:
+        ``(1 - |s_{k-1}|^2 - R_k)^2 + |γ_k|^2 Q^N_{k+1} + U_k`` with ``γ_k =
+        c_{k-1} conj(s_{k-1}) + r_k R_k`` the entry below the diagonal,
+        ``U_{k+1} = |r_k|^2 U_k + |γ_k|^2`` the mass above it and ``Q^N``
+        the window-``N`` analogue of ``Q``."""
+        N = self.N
+        R = self._row_masses()
+        s_prev = np.zeros(N, self.sub.dtype)
+        s_prev[1:] = self.sub[: N - 1]
+        c_prev = np.zeros(N, self.c.dtype)
+        c_prev[1:] = self.c[: N - 1]
+        gamma_sq = np.abs(c_prev * np.conj(s_prev) + self.r[:N] * R) ** 2
+        above = _linear_recurrence(self.r_sq[: N - 1], gamma_sq[: N - 1])
+        below = _linear_recurrence(self.r_sq[N - 1 :: -1], np.ones(N))[::-1]
+        diag = 1.0 - np.abs(s_prev) ** 2 - R
+        return np.sqrt(diag * diag + gamma_sq * below[1:] + above)
 
 
 def monomial_in_basis(seq: SequencePair, n: int, M: int) -> np.ndarray:

@@ -13,7 +13,9 @@ from trishift import (
     VERDICT_FAILS,
     VERDICT_HOLDS,
     VERDICT_INCONCLUSIVE,
+    build_left_inverse,
     build_shift,
+    c_coefficients,
     check_main_criterion,
     column_norm_profile,
     compact_isometry_split,
@@ -26,6 +28,7 @@ from trishift import (
 )
 
 from trishift.analysis import _flush_tiny
+from trishift.operators import _ShiftRecurrence
 
 from corpus_families import family_pair, CORPUS
 
@@ -519,13 +522,14 @@ def test_flush_tiny_allocates_no_array_sized_temporary():
 
 
 def _unflushed_gram_split(seq, N):
-    """The Gram route's formulas with no entry flushed:
-    ``(column_decay, isometry_defect, s_min)``."""
-    tall = build_shift(seq, seq.horizon).entries[:, :N]
-    lam, W = np.linalg.eigh(tall.conj().T @ tall)
+    """The Gram route's formulas, ``G`` and ``T W`` by the shift's
+    recurrences, with no entry flushed: ``(column_decay, isometry_defect,
+    s_min)``."""
+    shift = _ShiftRecurrence(seq, N)
+    lam, W = np.linalg.eigh(shift.gram())
     s = np.sqrt(lam)
     column_decay = np.linalg.norm(W * (s - 1.0), axis=1)
-    V = tall @ W
+    V = shift.apply(W)
     V /= s
     V = V @ W.conj().T
     vtv = V.conj().T @ V
@@ -582,6 +586,145 @@ def test_split_is_isometric_or_raises_on_random_families():
         assert deco.isometry_defect <= 1e-12
         outcomes["gram"] += 1
     assert outcomes["gram"] and outcomes["raised"]
+
+
+def _growing_ratio_pair(H):
+    # |r_n| = |b_n/a_{n+1}| is 3 for n < 4 and 1/2 after: the running
+    # products reach 81 and decay again, and the margin stays below 1
+    b = [3.0, -3.0, 3.0, -3.0] + [0.5] * (H - 3)
+    return SequencePair(a=np.ones(H + 1), b=np.array(b))
+
+
+def _dense_recurrence_reference(seq, N):
+    """The quantities :class:`_ShiftRecurrence` reads off its recurrences,
+    from the dense horizon sections."""
+    H = seq.horizon
+    full = build_shift(seq, H).entries
+    L = build_left_inverse(seq, H).entries
+    tall, square = full[:, :N], full[:N, :N]
+    gram = tall.conj().T @ tall
+    a, c = seq.a, c_coefficients(seq)
+    rv_sq = np.zeros(N)
+    rv_sq[1:] = np.abs(a[1:N] / a[: N - 1] - np.conj(a[: N - 1] / a[1:N])) ** 2
+    lower = rv_sq.copy()
+    lower[2:] += np.abs(c[: N - 2]) ** 2
+    return {
+        "tall": tall,
+        "gram": gram,
+        "fro": float(np.linalg.norm(tall)),
+        "itt": np.linalg.norm(np.eye(N) - gram, axis=0),
+        "ittstar": np.linalg.norm(np.eye(N) - square @ square.conj().T, axis=0),
+        "ltstar": np.linalg.norm(L[:, :N] - full[:N].conj().T, axis=0),
+        "ltstar_lower": lower,
+        "fro_tall": float(np.linalg.norm(L[:N])) if H > N else math.inf,
+        "fro_square": float(np.linalg.norm(L[: N - 1, 1:])),
+    }
+
+
+def _assert_recurrence_matches_dense(seq, N, label, rng):
+    want = _dense_recurrence_reference(seq, N)
+    shift = _ShiftRecurrence(seq, N)
+    tol = 1e-12
+    X = rng.standard_normal((N, 5))
+    if np.iscomplexobj(seq.a):
+        X = X + 1j * rng.standard_normal((N, 5))
+    assert np.max(np.abs(shift.apply(X) - want["tall"] @ X)) <= tol, label
+    gram = shift.gram()
+    assert np.array_equal(gram, gram.conj().T), label
+    assert np.max(np.abs(gram - want["gram"])) <= tol, label
+    assert abs(math.sqrt(shift.fro_sq()) - want["fro"]) <= tol, label
+    itt = np.linalg.norm(np.eye(N) - gram, axis=0)
+    assert np.max(np.abs(itt - want["itt"])) <= tol, label
+    assert np.max(np.abs(shift.ittstar_norms() - want["ittstar"])) <= tol, label
+    profile, lower = shift.ltstar_profile()
+    assert np.max(np.abs(profile - want["ltstar"])) <= tol, label
+    assert lower.tobytes() == want["ltstar_lower"].tobytes(), label
+    fro_tall, fro_square = shift.left_inverse_norms()
+    if math.isinf(want["fro_tall"]):
+        assert fro_tall == math.inf, label
+    else:
+        assert abs(fro_tall - want["fro_tall"]) <= tol, label
+    assert abs(fro_square - want["fro_square"]) <= tol, label
+
+
+def test_shift_recurrence_matches_dense_sections():
+    rng = np.random.default_rng(131)
+    kinds = set()
+    for _ in range(16):
+        N = int(rng.integers(8, 97))
+        pad = int(rng.choice([0, 1, 4, 16]))
+        seq = _random_admissible_pair(rng, N + pad)
+        kinds.add(seq.a.dtype.kind)
+        _assert_recurrence_matches_dense(seq, N, (N, pad), rng)
+    assert kinds == {"f", "c"}
+    # running products above 1 at the start: the recurrences stay stable
+    seq = _growing_ratio_pair(80)
+    for N in (8, 64, 79, 80):
+        _assert_recurrence_matches_dense(seq, N, ("growing", N), rng)
+    assert compact_isometry_split(seq, 64).route == "gram"
+
+
+@pytest.mark.parametrize("b_text", ["1.2 + 0.3*(-1)^n", "1.1 + 1/(n+2)", "1.02*(-1)^n"])
+def test_route_margin_matches_the_dense_sections(b_text):
+    # families whose running products grow: the margin from the recurrences
+    # agrees with the dense sections' and sends them to the SVD
+    N, pad = 512, 64
+    seq = make_pair("1", b_text, N + pad)
+    H = seq.horizon
+    tall = build_shift(seq, H).entries[:, :N]
+    fro_tall = np.linalg.norm(build_left_inverse(seq, H).entries[:N])
+    want = H * np.finfo(float).eps * np.linalg.norm(tall) ** 2 * fro_tall**2
+    deco = compact_isometry_split(seq, N)
+    assert deco.route == "svd"
+    assert 1.0 <= want and abs(deco.margin - want) <= 1e-12 * want
+
+
+def _outputs(seq, N):
+    """Every number the four analysis entry points return, as bytes."""
+    def deco_bytes(d):
+        return (d.column_decay.tobytes(), d.isometry_defect.hex(), d.route,
+                d.margin.hex(), d.s_min.hex())
+
+    def index_tuple(d):
+        return (d.dim_ker, d.dim_coker, d.ker_route, d.coker_route,
+                d.ker_margin.hex(), d.coker_margin.hex())
+
+    diag = equivalence_diagnostics(seq, N)
+    arrays = (diag.tails_itt, diag.tails_ltstar, diag.tails_ittstar, diag.ltstar_lower_sq)
+    return (
+        tuple(x.tobytes() for x in arrays),
+        deco_bytes(diag.decomposition),
+        index_tuple(diag.index_data),
+        deco_bytes(compact_isometry_split(seq, N)),
+        tuple(x.tobytes() for x in column_norm_profile(seq, N)),
+        index_tuple(index_data(seq, N)),
+    )
+
+
+def test_gram_route_builds_no_dense_section(monkeypatch):
+    from trishift import analysis, operators
+
+    N, pad = 256, 64
+    H = N + pad
+    rng = np.random.default_rng(37)
+    n = np.arange(H + 1)
+    complex_pair = SequencePair(
+        a=np.sqrt(n + 1.0) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1)),
+        b=0.5 * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1)),
+    )
+    pairs = (make_pair("sqrt(n+1)", "0.5", H), complex_pair)
+    before = [_outputs(seq, N) for seq in pairs]
+    for before_seq in before:
+        assert before_seq[1][2] == "gram"
+        assert before_seq[2][2:4] == ("certified", "certified")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense section was built")
+
+    for owner in (analysis, operators):
+        for name in ("build_shift", "build_left_inverse"):
+            monkeypatch.setattr(owner, name, refuse, raising=False)
+    assert [_outputs(seq, N) for seq in pairs] == before
 
 
 # ------------------------------------------------------------------- neumann
