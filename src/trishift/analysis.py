@@ -13,19 +13,27 @@ Below its subdiagonal, every column of the shift is a running product, so
 O(N^2), ``T X`` O(H K) for an N x K block ``X``, and the column norms of ``L
 - T*`` and ``I - TT*`` and the Frobenius norms of ``T`` and ``L`` cost O(N).
 
-The polar split needs only ``G`` and its eigendecomposition ``G = W Λ
-W^H``: the ``I - T*T`` column tails are the column norms of ``I - G``,
-those of the remainder ``T - V`` of ``(Λ^{1/2} - I) W^H``, and ``V = T W
-Λ^{-1/2} W^H``.  The Gram squares the condition number, so it is taken only
-when the left inverse certifies that double precision resolves the least
-singular value; otherwise one thin SVD of the dense tall section ``T = U S
-W^H`` gives ``V = U W^H``.  So on the Gram route the dense O(N^3) work is
-``eigh(G)``, ``(T W / s) W^H`` and ``V^H V`` alone; the dense horizon
-section is built only for the SVD route and for an index rank that the left
-inverse does not certify.  The factors ``W`` and ``T W / s`` of the Gram
-route's product, and ``V`` before ``V^H V`` on both routes, have their
-entries below ``2**-511`` zeroed first, which keeps the products out of
-subnormal arithmetic and moves no reported bit.  The kernel and cokernel
+The polar split has three routes.  The Gram squares the condition number,
+so ``G`` is used only when the left inverse certifies that double precision
+resolves the least singular value; otherwise one thin SVD of the dense tall
+section ``T = U S W^H`` gives ``V = U W^H`` (route ``"svd"``).  On ``G``,
+the ``I - T*T`` column tails are the column norms of ``I - G``.  Where ``G``
+is numerically block-tridiagonal (blocks of 64) with a positive Gershgorin
+bracket, the band route (``"band"``) takes ``|T| = G^{1/2}`` and ``G^{-1/2}``
+from a coupled Newton–Schulz iteration in block-tridiagonal arithmetic and
+certifies them a posteriori: the remainder ``T - V`` has the column norms of
+``|T| - I``, and ``V = T G^{-1/2}`` is never formed.  Otherwise, or when a
+certificate fails, the dense Gram route (``"gram"``) takes ``G = W Λ W^H``:
+the remainder has the column norms of ``(Λ^{1/2} - I) W^H`` and ``V = T W
+Λ^{-1/2} W^H``, refined by one Newton–Schulz step when it is not orthonormal
+to 1e-13.  So the band route forms no N x N product, the dense Gram route's
+O(N^3) work is ``eigh(G)``, ``(T W / s) W^H`` and ``V^H V`` alone, and the
+dense horizon section is built only for the SVD route and for an index rank
+that the left inverse does not certify.  The factors ``W`` and ``T W / s``
+of the dense Gram route's product, ``V`` before ``V^H V`` on both dense
+routes and the band route's iterates have their entries below ``2**-511``
+zeroed first, which keeps the products out of subnormal arithmetic; on the
+dense routes it moves no reported bit.  The kernel and cokernel
 ranks need no factorization: the left-inverse section is an exact left
 inverse of the tall section and of the square section's nonzero block, and
 its Frobenius norm bounds their least singular values.  Sections and
@@ -60,12 +68,31 @@ DEFAULT_SINGULAR_FLOOR = 1e-10
 
 ROUTE_CERTIFIED = "certified"
 ROUTE_GRAM = "gram"
+ROUTE_BAND = "band"
 ROUTE_SVD = "svd"
 
 # entries below this magnitude have subnormal squares: products of two of
 # them underflow, which costs x86 hardware tens of cycles each
 _TINY = 2.0**-511
 _FLUSH_ROWS = 64
+
+# the Gram route refines V by one Newton–Schulz step above this defect
+_REFINE_DEFECT = 1e-13
+
+# band route: block order, least block count, Newton–Schulz step cap, the
+# ||M - I||_F below which one last step polishes, the ||ZY - I||_F that the
+# last iterates must reach, and the certified accuracy of |T| and of the
+# singular-value brackets
+_BAND = 64
+_BAND_MIN_BLOCKS = 8
+_BAND_STEPS = 10
+_BAND_POLISH = 1e-8
+_BAND_SETTLED = 1e-12
+_BAND_TOL = 1e-13
+# edge brackets: Ritz block size, inverse-iteration cap, seed of the start
+_RITZ_VECTORS = 8
+_RITZ_STEPS = 24
+_RITZ_SEED = 0
 
 
 class NearSingularError(ArithmeticError):
@@ -147,11 +174,17 @@ class DecompositionResult:
     the column norms of the remainder ``T - V``, the isometry defect of
     ``V`` and the tall section's least singular value ``s_min``.
 
-    ``route`` is ``"gram"`` when the split came from the eigendecomposition
-    of ``T*T`` and ``"svd"`` when it came from a thin SVD of ``T``.
-    ``margin`` is ``H * eps * ||T||_F^2 * ||X||_F^2`` for the ``H``-row tall
-    section ``T`` and its left inverse ``X``: the Gram route is taken below
-    1.  It is ``None`` when no finite bound exists.  The sections themselves
+    ``route`` is ``"band"`` when the split came from a certified
+    Newton–Schulz iteration on the block-tridiagonal part of ``T*T``,
+    ``"gram"`` when it came from the eigendecomposition of ``T*T`` and
+    ``"svd"`` when it came from a thin SVD of ``T``.  ``margin`` is ``H *
+    eps * ||T||_F^2 * ||X||_F^2`` for the ``H``-row tall section ``T`` and
+    its left inverse ``X``: ``T*T`` is used (band or Gram route) below 1.
+    It is ``None`` when no finite bound exists.  On the band route
+    ``column_decay`` is certified within 1e-13 of the exact ``|T| - I``
+    column norms, ``s_min`` is a proved lower bound within 1e-13 of the
+    least singular value, and the isometry defect is that of ``V = T
+    (T*T)^{-1/2}`` for the computed inverse root.  The sections themselves
     come from :func:`polar_decompose`."""
 
     column_decay: np.ndarray
@@ -389,12 +422,15 @@ def compact_isometry_split(seq: SequencePair, N: int) -> DecompositionResult:
     of ``(Λ^{1/2} - I) W^H`` and the remainder is never formed.
     ``isometry_defect`` is the largest column norm of the computed ``V^H V -
     I`` over all N columns: every column of ``V`` is orthonormal to
-    rounding, the right edge included.  This route is taken when the
-    left-inverse section certifies that the Gram resolves the least singular
-    value (``margin < 1``, see :class:`DecompositionResult`); otherwise the
-    thin SVD ``T = U S W^H`` gives ``V = U W^H`` and the norms of ``(S - I)
-    W^H``.  The Gram route forms ``T*T`` and ``T W`` by the shift's
-    recurrences; only the SVD route builds the dense tall section.  Raises
+    rounding, the right edge included.  The Gram is used when the
+    left-inverse section certifies that it resolves the least singular
+    value (``margin < 1``, see :class:`DecompositionResult`): by the band
+    route where ``T*T`` is numerically block-tridiagonal and the route
+    certifies its numbers, and by this dense Gram route otherwise.  Without
+    that certificate the thin SVD ``T = U S W^H`` gives ``V = U W^H`` and
+    the norms of ``(S - I) W^H``.  ``T*T`` and ``T W`` come from the
+    shift's recurrences; only the SVD route builds the dense tall section.
+    Raises
     :class:`NearSingularError` when the least singular value is at or below
     ``DEFAULT_SINGULAR_FLOOR``.
     """
@@ -424,16 +460,18 @@ def _polar_split(
     if not math.isfinite(margin):
         margin = None
     elif margin < 1.0:
-        return _gram_split(shift, margin)
+        G = shift.gram()
+        return _band_split(G, margin) or _gram_split(shift, G, margin)
     return _svd_split(section()[:, : shift.N], margin)
 
 
 def _gram_split(
-    shift: _ShiftRecurrence, margin: float
+    shift: _ShiftRecurrence, G: np.ndarray, margin: float
 ) -> tuple[DecompositionResult, np.ndarray, float, None]:
-    """:func:`_polar_split` from ``T*T = W Λ W^H``, with ``T*T`` and ``T
-    W`` formed by the shift's recurrences."""
-    G = shift.gram()
+    """:func:`_polar_split` from ``T*T = W Λ W^H``, with ``G = T*T`` and
+    ``T W`` formed by the shift's recurrences; ``G`` is overwritten.  When
+    the computed ``V`` is not orthonormal to ``_REFINE_DEFECT``, one
+    Newton–Schulz step ``V - V (V^H V - I) / 2`` refines it."""
     lam, W = np.linalg.eigh(G)
     # G - I in place: its column norms are those of I - G, bit for bit
     G.flat[:: G.shape[0] + 1] -= 1.0
@@ -450,9 +488,13 @@ def _gram_split(
     V /= s
     _flush_tiny(V)
     V = V @ W.conj().T
-    deco = DecompositionResult(
-        column_decay, _isometry_defect(V), ROUTE_GRAM, margin, s_min
-    )
+    del W
+    defect, vtv = _isometry_defect(V)
+    if defect > _REFINE_DEFECT:
+        V -= (V @ vtv) / 2.0
+        del vtv
+        defect, _ = _isometry_defect(V)
+    deco = DecompositionResult(column_decay, defect, ROUTE_GRAM, margin, s_min)
     return deco, tails_itt, float(s[-1]), None
 
 
@@ -466,9 +508,346 @@ def _svd_split(
     column_decay = np.linalg.norm((s - 1.0)[:, None] * wh, axis=0)
     column_decay.flags.writeable = False
     deco = DecompositionResult(
-        column_decay, _isometry_defect(V), ROUTE_SVD, margin, float(s[-1])
+        column_decay, _isometry_defect(V)[0], ROUTE_SVD, margin, float(s[-1])
     )
     return deco, tails_itt, float(s[0]), s
+
+
+def _band_split(
+    G: np.ndarray, margin: float
+) -> tuple[DecompositionResult, np.ndarray, float, None] | None:
+    """:func:`_polar_split` from the block-tridiagonal part ``G_b`` of ``G =
+    T*T`` (blocks of order ``_BAND``), or ``None`` when the band route does
+    not apply or does not certify its numbers; ``G`` is not modified.
+
+    It applies when ``G`` has at least ``_BAND_MIN_BLOCKS`` blocks, the
+    bound on ``||G - G_b||_F`` of :func:`_band_blocks` is at most ``eps
+    hi`` and its Gershgorin bracket ``[lo, hi]`` has ``lo > 0``.  The
+    coupled Newton–Schulz iteration ``M = (3I - Z Y) / 2``, ``Y <- Y M``,
+    ``Z <- M Z`` from ``Y = G_b / c``, ``Z = I`` (``c`` the bracket's
+    centre, so that the spectrum lies in ``(0, 2)``) runs in
+    block-tridiagonal arithmetic; it must reach ``||ZY - I||_F <=
+    _BAND_SETTLED`` within ``_BAND_STEPS`` steps, and the blocks that each
+    truncated product drops must stay below ``eps``.  Then ``Y ≈ |T| =
+    G^{1/2}`` and ``Z ≈ G^{-1/2}``, scaled back by ``sqrt(c)`` and made
+    Hermitian.  ``column_decay`` is the column norms of ``Y - I`` and the
+    isometry defect the largest column norm of ``Z G_b Z - I``, which is
+    ``V^H V - I`` for ``V = T Z`` up to ``||G - G_b||``.
+
+    Certificates, each a fallback to the dense route when it fails:
+    ``s_min`` and the largest singular value lie in brackets of width at
+    most ``_BAND_TOL`` (see :func:`_edge_bracket`); ``s_min`` is the lower
+    end of its bracket, the returned bound on the largest singular value
+    the upper end of its own.  Every eigenvalue of ``G``, ``G_b`` and the
+    identity that pads ``G_b`` is at least ``f^2``, ``f = min(s_min, 1)``,
+    and one block Cholesky proves every eigenvalue of ``Y`` above ``f /
+    2``.  So ``||Y - G^{1/2}||_2 <= (||Y^2 - G_b||_F + ||G - G_b||_F) / (1.5
+    f)`` (the Sylvester equation ``Y E + E G_b^{1/2} = Y^2 - G_b`` for ``E
+    = Y - G_b^{1/2}``), with ``Y^2`` formed in full; that bound must be at
+    most ``_BAND_TOL``.
+    """
+    N = G.shape[0]
+    nb = -(-N // _BAND)
+    if nb < _BAND_MIN_BLOCKS:
+        return None
+    S, tails_itt, lo, hi, dropped = _band_blocks(G, nb)
+    if not (lo > 0.0 and dropped <= np.finfo(float).eps * hi):
+        return None
+    # the identity that pads the last block widens the bracket to 1
+    scale = (min(lo, 1.0) + max(hi, 1.0)) / 2.0
+    roots = _newton_schulz(S / scale)
+    if roots is None:
+        return None
+    bottom = _edge_bracket(S, N, 1.0, lo)
+    top = _edge_bracket(S, N, -1.0, -hi)
+    if bottom is None or top is None:
+        return None
+    # singular-value brackets: G's eigenvalues lie within ||G - G_b||_2 of
+    # G_b's, and top brackets the least eigenvalue of -G_b
+    s_min, s_min_high = (
+        math.sqrt(max(x, 0.0)) for x in (bottom[0] - dropped, bottom[1] + dropped)
+    )
+    s_up_low, s_up = (math.sqrt(max(-x, 0.0)) for x in (top[1] + dropped, top[0] - dropped))
+    if max(s_min_high - s_min, s_up - s_up_low) > _BAND_TOL:
+        return None
+    _check_resolved(s_min)
+    Y, Z = (_band_hermitian(x) for x in roots)
+    Y *= math.sqrt(scale)
+    Z /= math.sqrt(scale)
+    floor = min(s_min, 1.0)
+    if _block_cholesky(Y, nb * _BAND, 1.0, floor / 2.0) is None:
+        return None
+    residual = _band_product(Y, Y)
+    residual[1:4] -= S
+    if (np.linalg.norm(residual) + dropped) / (1.5 * floor) > _BAND_TOL:
+        return None
+    del residual
+    eye = np.eye(_BAND)
+    Y[1] -= eye
+    column_decay = _band_column_norms(Y)[:N]
+    column_decay.flags.writeable = False
+    gz = _band_product(S, Z)
+    _flush_tiny(gz)
+    vtv = _band_product(Z, gz)
+    vtv[vtv.shape[0] // 2] -= eye
+    defect = float(_band_column_norms(vtv)[:N].max())
+    deco = DecompositionResult(column_decay, defect, ROUTE_BAND, margin, s_min)
+    return deco, tails_itt, s_up, None
+
+
+def _band_blocks(
+    G: np.ndarray, nb: int
+) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """One pass over the Hermitian ``G`` in block rows of ``_BAND``: the
+    stacks ``S`` of its block-tridiagonal part ``G_b`` (see
+    :func:`_band_product`), padded to ``nb`` blocks by the identity; the
+    column norms of ``I - G``; its Gershgorin bracket ``lo, hi``; and a
+    bound on ``||G - G_b||_F``.  That bound is the norm of ``G``'s entries
+    outside the block-tridiagonal part, summed directly, plus ``2**-511``
+    for each entry of ``G_b`` below that, which is zeroed
+    (:func:`_flush_tiny`) so that the band route's products stay out of
+    subnormal arithmetic."""
+    N, b = G.shape[0], _BAND
+    S = np.zeros((3, nb, b, b), G.dtype)
+    tails = np.empty(N)
+    lo, hi, outside_sq = math.inf, -math.inf, 0.0
+    for i in range(nb):
+        r0, r1 = i * b, min(N, (i + 1) * b)
+        rows = G[r0:r1].copy()
+        on = (np.arange(r1 - r0), np.arange(r0, r1))
+        S[1, i, : r1 - r0, : r1 - r0] = rows[:, r0:r1]
+        if i:
+            S[2, i - 1, : r1 - r0] = rows[:, r0 - b : r0]
+        if i + 1 < nb:
+            S[0, i + 1, :, : min(b, N - r1)] = rows[:, r1 : r1 + b]
+        for far in (rows[:, : max(0, r0 - b)], rows[:, r1 + b :]):
+            outside_sq += float(np.vdot(far, far).real)
+        diag = rows[on].real
+        rows[on] = 0.0
+        radius = np.abs(rows).sum(axis=1)
+        lo = min(lo, float((diag - radius).min()))
+        hi = max(hi, float((diag + radius).max()))
+        rows[on] = diag - 1.0
+        tails[r0:r1] = np.linalg.norm(rows, axis=1)  # G is Hermitian
+    pad = nb * b - N
+    S[1, -1, b - pad :, b - pad :] = np.eye(pad)
+    tiny = np.count_nonzero(S) - np.count_nonzero(np.abs(S) >= _TINY)
+    _flush_tiny(S)
+    return S, tails, lo, hi, math.sqrt(outside_sq + tiny * _TINY**2)
+
+
+def _band_product(X: np.ndarray, Y: np.ndarray, keep: int | None = None) -> np.ndarray:
+    """``X Y`` for block-banded ``X`` and ``Y`` with all block offsets up to
+    ``keep`` (all of them when ``None``), one batched ``matmul`` per offset.
+
+    A block-banded matrix with ``nb`` blocks of order ``b`` and offsets up
+    to ``p`` is a ``(2p + 1, nb, b, b)`` stack ``S`` with ``S[p + d, j]``
+    the block in block row ``j + d`` and block column ``j``, zero where that
+    row does not exist.  Block row ``i`` of ``X`` is laid out as one ``b x
+    (2p + 1) b`` panel and block column ``j`` of ``Y`` as one ``(2q + 1) b x
+    b`` panel, so each output offset multiplies the overlap of two panels.
+    """
+    p, q = X.shape[0] // 2, Y.shape[0] // 2
+    r = p + q if keep is None else keep
+    nb, b = X.shape[1], X.shape[2]
+    dtype = np.result_type(X, Y)
+    rows = np.zeros((nb, b, (2 * p + 1) * b), dtype)
+    for m in range(2 * p + 1):  # block (i, i - p + m) lies on offset p - m
+        d = p - m
+        i0, i1 = max(0, d), min(nb, nb + d)
+        rows[i0:i1, :, m * b : (m + 1) * b] = X[p + d, i0 - d : i1 - d]
+    cols = Y.transpose(1, 0, 2, 3).reshape(nb, (2 * q + 1) * b, b)
+    out = np.zeros((2 * r + 1, nb, b, b), dtype)
+    for d in range(-r, r + 1):
+        k0, k1 = max(d - p, -q), min(d + p, q)  # block rows of Y, from j
+        j0, j1 = max(0, -d), min(nb, nb - d)
+        if k0 > k1 or j0 >= j1:
+            continue
+        np.matmul(
+            rows[j0 + d : j1 + d, :, (k0 - d + p) * b : (k1 - d + p + 1) * b],
+            cols[j0:j1, (k0 + q) * b : (k1 + q + 1) * b],
+            out=out[r + d, j0:j1],
+        )
+    return out
+
+
+def _dropped_bound(X: np.ndarray, Y: np.ndarray) -> float:
+    """A bound on the Frobenius norm of the blocks two offsets off the
+    diagonal that ``_band_product(X, Y, keep=1)`` drops, for block-tridiagonal
+    ``X`` and ``Y``: each is one block product ``A B``, and ``||A B||_F <=
+    sum_k ||A[:, k]|| ||B[k, :]||``."""
+    col = np.sqrt(np.sum(np.abs(X[::2]) ** 2, axis=-2))  # offsets -1 and 1
+    row = np.sqrt(np.sum(np.abs(Y[::2]) ** 2, axis=-1))
+    below = np.sum(col[1, 1:] * row[1, :-1], axis=-1)
+    above = np.sum(col[0, :-1] * row[0, 1:], axis=-1)
+    return math.hypot(float(np.linalg.norm(below)), float(np.linalg.norm(above)))
+
+
+def _band_hermitian(S: np.ndarray) -> np.ndarray:
+    """``(X + X^H) / 2`` for block-tridiagonal stacks ``S`` of ``X``."""
+    adj = np.conj(S.swapaxes(-1, -2))
+    out = S.copy()
+    out[1] += adj[1]
+    out[2, :-1] += adj[0, 1:]
+    out[0, 1:] += adj[2, :-1]
+    out /= 2.0
+    return out
+
+
+def _band_column_norms(S: np.ndarray) -> np.ndarray:
+    """Column norms of a block-banded matrix stored as stacks ``S``."""
+    return np.sqrt(np.sum(np.abs(S) ** 2, axis=(0, 2))).ravel()
+
+
+def _newton_schulz(A: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(Y, Z)`` with ``Y ≈ A^{1/2}`` and ``Z ≈ A^{-1/2}`` for the
+    block-tridiagonal stacks ``A`` of a Hermitian matrix with spectrum in
+    ``(0, 2)``, by the coupled Newton–Schulz iteration in block-tridiagonal
+    arithmetic (Higham, *Functions of Matrices*, 2008, eq. 6.35), or
+    ``None`` when it does not settle within ``_BAND_STEPS`` steps or a
+    truncated product drops more than ``eps``.
+
+    Once ``||M - I||_F <= _BAND_POLISH`` one more step squares the error
+    away, and ``||ZY - I||_F <= _BAND_SETTLED`` must hold after it.  Every
+    iterate has its sub-resolution entries flushed (:func:`_flush_tiny`)."""
+    eps = np.finfo(float).eps
+    eye = np.eye(A.shape[-1])
+    Y = A.copy()
+    Z = np.zeros_like(A)
+    Z[1] = eye
+    polished = False
+    for _ in range(_BAND_STEPS):
+        P = _band_product(Z, Y, keep=1)
+        P[1] -= eye
+        delta = float(np.linalg.norm(P))
+        if _dropped_bound(Z, Y) > eps:
+            return None
+        if polished:
+            return (Y, Z) if delta <= _BAND_SETTLED else None
+        polished = delta <= 2.0 * _BAND_POLISH
+        P *= -0.5  # M = (3I - ZY) / 2 = I - (ZY - I) / 2
+        P[1] += eye
+        _flush_tiny(P)
+        if max(_dropped_bound(Y, P), _dropped_bound(P, Z)) > eps:
+            return None
+        Y = _band_product(Y, P, keep=1)
+        Z = _band_product(P, Z, keep=1)
+        _flush_tiny(Y)
+        _flush_tiny(Z)
+    return None
+
+
+def _block_cholesky(
+    S: np.ndarray, N: int, sign: float, sigma: float
+) -> tuple[list[np.ndarray], list[np.ndarray]] | None:
+    """The block Cholesky factor ``L`` of ``A - sigma I``, ``A = sign X`` on
+    the leading ``N`` rows of the block-tridiagonal stacks ``S`` of the
+    Hermitian ``X``, as the inverses of its diagonal blocks and its blocks
+    below them; ``None`` when a diagonal block has no Cholesky factor.  By
+    Sylvester's law of inertia the factor exists exactly when every
+    eigenvalue of ``A`` exceeds ``sigma``."""
+    nb, b = S.shape[1], S.shape[2]
+    inv_diag: list[np.ndarray] = []
+    below: list[np.ndarray] = []
+    for i in range(nb):
+        m = min(b, N - i * b)
+        block = sign * S[1, i, :m, :m] - sigma * np.eye(m)
+        if below:
+            block -= below[-1] @ below[-1].conj().T
+        try:
+            inv = np.linalg.inv(np.linalg.cholesky(block))
+        except np.linalg.LinAlgError:
+            return None
+        inv_diag.append(inv)
+        if i + 1 < nb:
+            below.append((sign * S[2, i, : min(b, N - (i + 1) * b), :m]) @ inv.conj().T)
+    return inv_diag, below
+
+
+def _block_solve(
+    factor: tuple[list[np.ndarray], list[np.ndarray]], X: np.ndarray
+) -> np.ndarray:
+    """``(L L^H)^{-1} X`` for the factor of :func:`_block_cholesky` and a
+    block ``X`` of as many rows as ``L``."""
+    inv_diag, below = factor
+    out = np.empty(X.shape, np.result_type(inv_diag[0], X))
+    b = inv_diag[0].shape[0]
+    spans = [slice(i * b, i * b + inv.shape[0]) for i, inv in enumerate(inv_diag)]
+    prev = None
+    for i, rows in enumerate(spans):
+        rhs = X[rows] if prev is None else X[rows] - below[i - 1] @ prev
+        out[rows] = prev = inv_diag[i] @ rhs
+    nxt = None
+    for i in range(len(spans) - 1, -1, -1):
+        rows = spans[i]
+        rhs = out[rows] if nxt is None else out[rows] - below[i].conj().T @ nxt
+        out[rows] = nxt = inv_diag[i].conj().T @ rhs
+    return out
+
+
+def _band_apply(S: np.ndarray, N: int, X: np.ndarray) -> np.ndarray:
+    """``G_b X`` for the leading ``N`` rows and columns of the
+    block-tridiagonal stacks ``S`` and an ``N``-row block ``X``."""
+    nb, b = S.shape[1], S.shape[2]
+    Xb = np.zeros((nb, b, X.shape[1]), np.result_type(S, X))
+    Xb.reshape(nb * b, -1)[:N] = X
+    out = S[1] @ Xb
+    out[1:] += S[2, :-1] @ Xb[:-1]
+    out[:-1] += S[0, 1:] @ Xb[1:]
+    return out.reshape(nb * b, -1)[:N]
+
+
+def _edge_bracket(
+    S: np.ndarray, N: int, sign: float, bound: float
+) -> tuple[float, float] | None:
+    """``(low, high)`` with ``low < λ_min(A) <= high`` and ``high - low <=
+    _BAND_TOL / 2`` for ``A = sign G_b`` on the leading ``N`` rows of the
+    stacks ``S``, whose spectrum Gershgorin puts at or above ``bound``; or
+    ``None`` when no such bracket is found.
+
+    Each side is proved by :func:`_block_cholesky`: the factor of ``A -
+    low I`` exists and that of ``A - high I`` does not.  The bracket is
+    seeded by inverse subspace iteration on ``_RITZ_VECTORS`` vectors with a
+    proved lower bound as shift: the least Ritz value ``θ`` bounds
+    ``λ_min`` from above, and a clustered edge still converges because the
+    Ritz values converge as ``(λ_k - shift) / (λ_{R+1} - shift)`` for the
+    block size ``R``.  When an iteration moves ``θ`` by less than a quarter
+    of its distance to the shift, the shift is moved up to below ``θ`` by
+    twice the error that the last two moves predict, if the factorization
+    there exists; a closer shift speeds up the iteration."""
+    width = _BAND_TOL / 2.0
+    scale = max(abs(bound), 1.0)
+    shift, factor = bound, None
+    for tries in range(3):
+        shift = bound - N * np.finfo(float).eps * scale * 64.0**tries
+        factor = _block_cholesky(S, N, sign, shift)
+        if factor is not None:
+            break
+    if factor is None:
+        return None
+    X = np.random.default_rng(_RITZ_SEED).standard_normal((N, _RITZ_VECTORS))
+    theta = move = math.inf
+    for _ in range(_RITZ_STEPS):
+        X, _ = np.linalg.qr(_block_solve(factor, X))
+        ritz = X.conj().T @ (sign * _band_apply(S, N, X))
+        least = float(np.linalg.eigvalsh((ritz + ritz.conj().T) / 2.0)[0])
+        ratio = (theta - least) / move if move > 0.0 else 1.0
+        move, theta = theta - least, min(theta, least)
+        if theta - shift > width / 2.0 and move <= (theta - shift) / 4.0:
+            # the error left in theta if it keeps converging at this ratio
+            ahead = move * min(1.0, ratio / (1.0 - ratio)) if ratio < 1.0 else move
+            probe = theta - max(width / 4.0, 2.0 * ahead)
+            moved = _block_cholesky(S, N, sign, probe)
+            if moved is not None:
+                shift, factor = probe, moved
+        if theta - shift <= width / 2.0:
+            break
+    else:
+        return None
+    high = shift + width
+    if _block_cholesky(S, N, sign, high) is not None:
+        return None
+    return shift, high
 
 
 def _flush_tiny(x: np.ndarray) -> None:
@@ -486,20 +865,23 @@ def _flush_tiny(x: np.ndarray) -> None:
     < 1`` bounds ``κ(T) <= ||T||_F ||X||_F``, ``X`` the left inverse, below
     ``(H eps)**-0.5``, about 1e6 at ``H`` of a few thousand, so every move
     stays far below half an ulp of anything the split reports.  ``G`` itself
-    is not flushed.
+    is not flushed.  The band route flushes its copy of ``G``'s band (and
+    counts what that drops into its ``||G - G_b||_F`` bound), its
+    Newton–Schulz iterates, which its a posteriori certificates cover, and
+    ``G_b Z``, which moves the isometry defect by about ``2**-511``.
     """
     for start in range(0, x.shape[0], _FLUSH_ROWS):
         block = x[start : start + _FLUSH_ROWS]
         block[np.abs(block) < _TINY] = 0.0
 
 
-def _isometry_defect(V: np.ndarray) -> float:
-    """The largest column norm of ``V^H V - I``, with ``V``'s sub-resolution
-    entries flushed first (see :func:`_flush_tiny`)."""
+def _isometry_defect(V: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest column norm of ``V^H V - I``, and ``V^H V - I``, with
+    ``V``'s sub-resolution entries flushed first (see :func:`_flush_tiny`)."""
     _flush_tiny(V)
     vtv = V.conj().T @ V
     vtv.flat[:: vtv.shape[0] + 1] -= 1.0  # in place, as vtv - I rounds
-    return float(np.linalg.norm(vtv, axis=0).max())
+    return float(np.linalg.norm(vtv, axis=0).max()), vtv
 
 
 def neumann_error_curve(
@@ -528,10 +910,25 @@ def neumann_error_curve(
     for m in range(m_max + 1):
         total = next(sums, None)
         if total is not None:  # otherwise the terms vanished: S_m = S_{m-1}
-            err = float(np.linalg.norm(A2.entries - total, 2))
+            err = _spectral_norm(A2.entries - total)
         bound = m0 * r ** (m + 1) / (1.0 - r) if r > 0.0 else 0.0
         rows.append((m, err, bound))
     return rows
+
+
+def _spectral_norm(E: np.ndarray) -> float:
+    """``||E||_2`` as the root of the largest eigenvalue of ``F^H F``, ``F``
+    the matrix ``E`` scaled by the power of two that brings its largest
+    entry into ``[1/2, 1)``, so that the Gram neither overflows nor
+    underflows and the scaling is exact; ``0.0`` for a zero ``E``."""
+    top = float(np.abs(E).max())
+    if top == 0.0:
+        return 0.0
+    exponent = math.frexp(top)[1]
+    half = -exponent // 2  # two factors, so that neither overflows
+    F = E * 2.0**half * 2.0 ** (-exponent - half)
+    lam = float(np.linalg.eigvalsh(F.conj().T @ F)[-1])
+    return math.ldexp(math.sqrt(max(lam, 0.0)), exponent)
 
 
 __all__ = [

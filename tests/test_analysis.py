@@ -27,15 +27,26 @@ from trishift import (
     polar_decompose,
 )
 
-from trishift.analysis import _flush_tiny
+from trishift.analysis import DEFAULT_RANK_TOL, _flush_tiny, _gram_split, _spectral_norm
 from trishift.operators import _ShiftRecurrence
 
-from corpus_families import family_pair, CORPUS
+from corpus_families import family_pair, CORPUS, FAILING, PASSING
 
 
 def make_pair(a_text, b_text, N):
     spec = CoefficientSpec(parse_sequence_expr(a_text), parse_sequence_expr(b_text))
     return materialize(spec, N)
+
+
+def complex_baseline_pair(seed, H):
+    """The Baseline's moduli ``sqrt(n+1)`` and ``0.5`` with phases drawn
+    from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    n = np.arange(H + 1)
+    return SequencePair(
+        a=np.sqrt(n + 1.0) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1)),
+        b=0.5 * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1)),
+    )
 
 
 def random_pair(rng, N, b_scale=0.2):
@@ -443,11 +454,19 @@ def _svd_reference(seq, N):
     return tails_itt, column_decay, defect, float(s[-1])
 
 
-def _assert_routes_agree(seq, N, label):
+def _assert_routes_agree(seq, N, label, route="gram", itt_from_gram=False):
+    """The split agrees with :func:`_svd_reference` within ``ROUTE_TOL``.
+    With ``itt_from_gram`` the ``I - T*T`` tails are held against the
+    column norms of ``I - tall^H tall`` instead: ``(1 - s^2) W^H`` carries
+    an absolute error of about ``eps s_max^2``, above ``ROUTE_TOL`` once
+    the Gram's entries reach the thousands."""
     diag = equivalence_diagnostics(seq, N)
     deco = diag.decomposition
     tails_itt, decay, defect, s_min = _svd_reference(seq, N)
-    assert deco.route == "gram", label
+    if itt_from_gram:
+        tall = build_shift(seq, seq.horizon).entries[:, :N]
+        tails_itt = np.linalg.norm(np.eye(N) - tall.conj().T @ tall, axis=0)
+    assert deco.route == route, label
     assert 0.0 < deco.margin < 1.0, label
     assert np.max(np.abs(diag.tails_itt - tails_itt)) <= ROUTE_TOL, label
     assert np.max(np.abs(deco.column_decay - decay)) <= ROUTE_TOL, label
@@ -543,15 +562,12 @@ def _unflushed_gram_split(seq, N):
 def test_flushed_split_is_bit_identical_to_the_unflushed_formulas():
     N, pad = 512, 64
     H = N + pad
-    rng = np.random.default_rng(29)
-    n = np.arange(H + 1)
-    complex_pair = SequencePair(
-        a=np.sqrt(n + 1.0) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1)),
-        b=0.5 * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1)),
-    )
-    for seq in (make_pair("sqrt(n+1)", "0.5", H), complex_pair):
+    for seq in (make_pair("sqrt(n+1)", "0.5", H), complex_baseline_pair(29, H)):
         decay, defect, s_min = _unflushed_gram_split(seq, N)
-        deco = compact_isometry_split(seq, N)
+        # both families take the band route at this order: call the dense
+        # Gram route itself
+        shift = _ShiftRecurrence(seq, N)
+        deco = _gram_split(shift, shift.gram(), 0.5)[0]
         assert deco.route == "gram"
         assert deco.column_decay.tobytes() == decay.tobytes()
         assert deco.isometry_defect.hex() == defect.hex()
@@ -593,6 +609,20 @@ def _growing_ratio_pair(H):
     # products reach 81 and decay again, and the margin stays below 1
     b = [3.0, -3.0, 3.0, -3.0] + [0.5] * (H - 3)
     return SequencePair(a=np.ones(H + 1), b=np.array(b))
+
+
+def test_gram_route_refines_the_isometry_of_ill_conditioned_families():
+    # kappa(T) near 100 (the alternating family) or running products up to
+    # 81 (the explicit list, whose Gram entries reach about 4200) leave V^H
+    # V - I near 1e-11 after the Gram formulas; one Newton-Schulz step
+    # brings it to rounding
+    cases = [
+        ("alternating", make_pair("3^((-1)^n)", "0.3*(-1)^n", 512 + 64), 512, False),
+        ("growing", _growing_ratio_pair(80), 64, True),
+    ]
+    for label, seq, N, itt_from_gram in cases:
+        _assert_routes_agree(seq, N, label, itt_from_gram=itt_from_gram)
+        assert compact_isometry_split(seq, N).isometry_defect <= 1e-13, label
 
 
 def _dense_recurrence_reference(seq, N):
@@ -706,13 +736,7 @@ def test_gram_route_builds_no_dense_section(monkeypatch):
 
     N, pad = 256, 64
     H = N + pad
-    rng = np.random.default_rng(37)
-    n = np.arange(H + 1)
-    complex_pair = SequencePair(
-        a=np.sqrt(n + 1.0) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1)),
-        b=0.5 * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1)),
-    )
-    pairs = (make_pair("sqrt(n+1)", "0.5", H), complex_pair)
+    pairs = (make_pair("sqrt(n+1)", "0.5", H), complex_baseline_pair(37, H))
     before = [_outputs(seq, N) for seq in pairs]
     for before_seq in before:
         assert before_seq[1][2] == "gram"
@@ -725,6 +749,94 @@ def test_gram_route_builds_no_dense_section(monkeypatch):
         for name in ("build_shift", "build_left_inverse"):
             monkeypatch.setattr(owner, name, refuse, raising=False)
     assert [_outputs(seq, N) for seq in pairs] == before
+
+
+# --------------------------------------------------------------- band route
+
+BAND_N, BAND_PAD = 512, 64
+
+
+def _band_families():
+    """The corpus, the Baseline and a complex pair with the Baseline's
+    moduli, at order ``BAND_N``."""
+    H = BAND_N + BAND_PAD
+    families = [(fam.name, family_pair(fam, H)) for fam in CORPUS]
+    families.append(("baseline", make_pair("sqrt(n+1)", "0.5", H)))
+    families.append(("complex", complex_baseline_pair(41, H)))
+    return families
+
+
+def test_band_route_matches_svd_reference():
+    taken = set()
+    for name, seq in _band_families():
+        if compact_isometry_split(seq, BAND_N).route == "band":
+            _assert_routes_agree(seq, BAND_N, name, route="band")
+            taken.add(name)
+    # every passing family whose Gram is banded, the Baseline and its
+    # complex twin; the diagonal failing families need more Newton-Schulz
+    # steps than the cap allows
+    passing = {fam.name for fam in PASSING} - {"drifting-b"}
+    assert taken == passing | {"baseline", "complex"}
+
+
+def test_band_route_bounds_the_largest_singular_value_as_the_dense_route():
+    # s_up enters the index margins 2 * 1e-8 * s_up * ||X||_F
+    for name, seq in _band_families():
+        diag = equivalence_diagnostics(seq, BAND_N)
+        if diag.decomposition.route != "band":
+            continue
+        shift = _ShiftRecurrence(seq, BAND_N)
+        s_up = _gram_split(shift, shift.gram(), diag.decomposition.margin)[2]
+        data = diag.index_data
+        for margin, fro in zip((data.ker_margin, data.coker_margin), shift.left_inverse_norms()):
+            want = 2.0 * DEFAULT_RANK_TOL * s_up * fro
+            assert abs(margin - want) <= 1e-12 * want, name
+
+
+def test_band_route_leaves_wide_and_indefinite_grams_to_the_dense_route():
+    # drifting-b has 1e-2 of its Gram outside the band; the failing families
+    # with b != 0 have a Gershgorin lower bound at or below 0
+    H = BAND_N + BAND_PAD
+    names = ["drifting-b"] + [fam.name for fam in FAILING if fam.b != "0"]
+    assert len(names) == 8
+    for fam in CORPUS:
+        if fam.name not in names:
+            continue
+        seq = family_pair(fam, H)
+        deco = compact_isometry_split(seq, BAND_N)
+        assert deco.route == "gram", fam.name
+        # the declined band route left the Gram as it was
+        shift = _ShiftRecurrence(seq, BAND_N)
+        dense = _gram_split(shift, shift.gram(), deco.margin)[0]
+        assert deco.column_decay.tobytes() == dense.column_decay.tobytes(), fam.name
+        assert deco.isometry_defect == dense.isometry_defect, fam.name
+
+
+def test_band_route_takes_no_dense_factorization(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense factorization ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    H = BAND_N + BAND_PAD
+    for seq in (make_pair("sqrt(n+1)", "0.5", H), complex_baseline_pair(41, H)):
+        diag = equivalence_diagnostics(seq, BAND_N)
+        assert diag.decomposition.route == "band"
+        assert diag.decomposition.isometry_defect <= 1e-13
+        data = diag.index_data
+        assert (data.ker_route, data.coker_route, data.index) == ("certified", "certified", -1)
+
+
+def test_band_route_is_bitwise_invariant_under_exact_rescaling():
+    H = BAND_N + BAND_PAD
+    base = make_pair("1", "1/2^n", H)
+    scaled = make_pair("3", "3/2^n", H)
+    assert np.array_equal(scaled.a, 3.0 * base.a)
+    assert np.array_equal(scaled.b, 3.0 * base.b)
+    first = _outputs(base, BAND_N)
+    assert first[1][2] == "band"
+    assert _outputs(base, BAND_N) == first  # repeats byte for byte
+    assert _outputs(scaled, BAND_N) == first
 
 
 # ------------------------------------------------------------------- neumann
@@ -760,6 +872,22 @@ def test_neumann_exact_after_nilpotency():
     for m, err, _ in curve:
         if m >= K:
             assert err < 1e-15
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_spectral_norm_matches_the_svd_norm(dtype):
+    # the Neumann curve's norms come from the Gram's largest eigenvalue after
+    # an exact power-of-two scaling: the SVD's 2-norm to a few ulps, at
+    # magnitudes whose squares would leave the double range
+    rng = np.random.default_rng(53)
+    for exponent in (-600, 0, 600):
+        E = rng.standard_normal((40, 40))
+        if dtype is np.complex128:
+            E = E + 1j * rng.standard_normal((40, 40))
+        E = E.astype(dtype) * 2.0**exponent
+        want = float(np.linalg.norm(E, 2))
+        assert abs(_spectral_norm(E) - want) <= 64 * np.finfo(float).eps * want
+    assert _spectral_norm(np.zeros((8, 8), dtype)) == 0.0
 
 
 def test_neumann_bound_unavailable():

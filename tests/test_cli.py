@@ -253,6 +253,30 @@ def test_reports_record_the_polar_route(tmp_path):
         assert float(rows["decomposition.s_min"]) == deco["s_min"], label
 
 
+def test_reports_record_the_band_route_without_dense_factorizations(tmp_path, monkeypatch):
+    # from 8 blocks of 64 on, the Baseline's banded Gram takes the band
+    # route: neither command runs eigh or an SVD
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense factorization ran")
+
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    spec = write_spec(
+        tmp_path, "base.json", {"label": "baseline", "a": "sqrt(n+1)", "b": "0.5"}
+    )
+    out = tmp_path / "out"
+    for command in ("decompose", "profile"):
+        assert main([command, "--spec", str(spec), "--order", "512", "--out", str(out)]) == 0
+    decompose = json.loads((out / "decompose_report.json").read_text())["decomposition"]
+    report = json.loads((out / "profile_report.json").read_text())
+    assert report["decomposition"] == decompose
+    assert decompose["route"] == "band" and 0.0 < decompose["margin"] < 1.0
+    assert decompose["isometry_defect"] <= 1e-13
+    assert report["index"] == -1
+    data = report["index_data"]
+    assert (data["ker_route"], data["coker_route"]) == ("certified", "certified")
+
+
 def test_profile_constant_b_is_flat_zero(tmp_path):
     spec = write_spec(tmp_path, "iso.json", {"label": "iso", "a": "1", "b": "0.5"})
     out = tmp_path / "out"
