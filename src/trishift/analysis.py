@@ -528,7 +528,9 @@ def _band_split(
     centre, so that the spectrum lies in ``(0, 2)``) runs in
     block-tridiagonal arithmetic; it must reach ``||ZY - I||_F <=
     _BAND_SETTLED`` within ``_BAND_STEPS`` steps, and the blocks that each
-    truncated product drops must stay below ``eps``.  Then ``Y ≈ |T| =
+    truncated product drops must stay below ``eps``.  On an exactly diagonal
+    ``G_b`` it runs on the diagonal first (:func:`_settles_on_diagonal`),
+    and in blocks only when it settles there.  Then ``Y ≈ |T| =
     G^{1/2}`` and ``Z ≈ G^{-1/2}``, scaled back by ``sqrt(c)`` and made
     Hermitian.  ``column_decay`` is the column norms of ``Y - I`` and the
     isometry defect the largest column norm of ``Z G_b Z - I``, which is
@@ -555,6 +557,11 @@ def _band_split(
         return None
     # the identity that pads the last block widens the bracket to 1
     scale = (min(lo, 1.0) + max(hi, 1.0)) / 2.0
+    diag = np.diagonal(S[1], axis1=1, axis2=2)
+    if np.count_nonzero(S) == np.count_nonzero(diag) and not _settles_on_diagonal(
+        diag.ravel() / scale
+    ):
+        return None
     roots = _newton_schulz(S / scale)
     if roots is None:
         return None
@@ -735,6 +742,28 @@ def _newton_schulz(A: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         _flush_tiny(Y)
         _flush_tiny(Z)
     return None
+
+
+def _settles_on_diagonal(a: np.ndarray) -> bool:
+    """Whether :func:`_newton_schulz` settles on the stacks of the diagonal
+    matrix with diagonal ``a``.  Every product of diagonal iterates is the
+    entrywise product of their diagonals, so the iteration runs entry by
+    entry here, with the same roundings and flushes; only ``||ZY - I||_F``
+    sums its squares in another order."""
+    y, z = a.copy(), np.ones_like(a)
+    polished = False
+    for _ in range(_BAND_STEPS):
+        p = z * y - 1.0
+        delta = float(np.linalg.norm(p))
+        if polished:
+            return delta <= _BAND_SETTLED
+        polished = delta <= 2.0 * _BAND_POLISH
+        m = p * -0.5 + 1.0
+        _flush_tiny(m)
+        y, z = y * m, m * z
+        _flush_tiny(y)
+        _flush_tiny(z)
+    return False
 
 
 def _block_cholesky(

@@ -14,13 +14,20 @@ Each factor is a direct entrywise ratio ``b_k / a_{k+1}``, preserving the
 bit-level invariance of all sections under exactly representable rescalings
 of ``(a, b)``.
 
-One routine runs every such column once, to the horizon: its head is the
-section's entries and its rest the column's tail bound, so every section is
-bit for bit the leading window of the horizon section.  The adjoint section
-is the conjugate transpose of the shift section.  The same running products
-give two-term recurrences along the rows, through which ``_ShiftRecurrence``
-applies the shift's tall section and forms its Gram matrix and the column
-norms that the analysis needs without building a section.
+One routine builds every such section by its row recurrence: the unscaled
+products of all the columns begun so far are one vector, advanced by one
+vectorised step per row, and each section row is that vector times the
+columns' starts, written contiguously.  Each column's products are the ones
+a running product down the column forms, and a section's entries do not
+depend on its order, so every section is bit for bit the leading window of
+the horizon section.  The rows past the section continue the
+recurrence to the horizon in chunks of ``_BLOCK`` columns, each column's
+run contiguous, and give the columns' tail bounds.  The adjoint section is
+the shift section conjugate-transposed in place, ``_BLOCK``-square tiles at
+a time.  The same two-term recurrences along the rows let
+``_ShiftRecurrence`` apply the shift's tall section and form its Gram
+matrix and the column norms that the analysis needs without building a
+section.
 
 Every section takes the dtype of its :class:`SequencePair`: float64 for a
 real family, complex128 otherwise.  A section owns the array it is built
@@ -118,51 +125,110 @@ def _require_horizon(seq: SequencePair, needed: int, what: str) -> None:
         )
 
 
+# rows and columns per block: the Gram's upper triangle, the columns whose
+# discarded rows are run together and the tiles of the adjoint's transpose
+_BLOCK = 64
+
+
 def _running_columns(
-    seq: SequencePair, out: np.ndarray, starts: np.ndarray, first: int
+    seq: SequencePair,
+    out: np.ndarray,
+    starts: np.ndarray,
+    first: int,
+    bound: bool = True,
 ) -> np.ndarray | None:
     """Fill ``out`` with running-product columns; return their tail bounds.
 
     Column ``j`` is ``t_0 = starts[j]``, ``t_{m+1} = t_m r_{first+j+m}``,
     ``r_k = -b_k / a_{k+1}``, with ``t_m`` in row ``j + m``, run to basis
-    vector H.  Its bound is the root of the rest's squared norm plus
-    ``|t_H|^2 r^2 / (1 - r^2)``, ``r = r_hat``, summed after scaling by the
-    largest discarded magnitude so that squares below the double range count;
-    ``None`` when ``r_hat >= 1`` or under two rows lie below ``out``.
+    vector H; entries above row ``j`` are left as they are.  Its bound is
+    the root of the rest's squared norm plus ``|t_H|^2 r^2 / (1 - r^2)``,
+    ``r = r_hat``, in :func:`_geometric_tail_norm`'s scaled sum; ``None``
+    when ``bound`` is false, ``r_hat >= 1`` or under two rows lie below
+    ``out``.
+
+    The columns are built by rows: the unscaled products ``P_j = t_m /
+    t_0`` of every column begun so far are one vector, each row step is
+    ``P *= r`` and a new column's ``P_j = 1``, and row ``i`` is ``P *
+    starts``, written contiguously.  ``P_j`` runs through the products that
+    ``np.cumprod`` forms down column ``j``, so a real column is ``starts[j]
+    * cumprod`` bit for bit; a complex one is within an ulp of it, as an
+    array times an array rounds a complex product differently from a number
+    times an array.  The discarded rows continue the recurrence from the
+    last section row, ``_BLOCK`` columns at a time, each column's run held
+    contiguously for its bound; a column that begins below ``out`` runs on
+    its own.
     """
     H = seq.horizon
-    rows = out.shape[0]
+    rows, cols = out.shape
     ratios = -(seq.b[:-1] / seq.a[1:])
+    r = ratios.tolist()
+    P = np.empty(cols, seq.a.dtype)
+    for i in range(min(rows, H - first + 1)):
+        k = min(i, cols)
+        if k:
+            _scale(P[:k], r[first + i - 1])
+        if i < cols:
+            P[i] = 1.0
+            k += 1
+        np.multiply(P[:k], starts[:k], out=out[i, :k])
     r_hat = validate_assumptions(seq).r_hat
-    tail = None
-    if r_hat < 1.0 and first + rows < H:
-        tail = np.zeros(len(starts))
-    for j, start in enumerate(starts):
+    if not (bound and r_hat < 1.0 and first + rows < H):
+        return None
+    tail = np.empty(cols)
+    begun = min(rows, cols)
+    # row 0 of a chunk's runs is the last section row's products, then
+    # column m + 1 is the discarded row m: one cumprod along each run
+    run = np.empty((_BLOCK, H - first - rows + 2), seq.a.dtype)
+    for j0 in range(0, begun, _BLOCK):
+        j1 = min(j0 + _BLOCK, begun)
+        chunk = run[: j1 - j0]
+        chunk[:, 0] = P[j0:j1]
+        chunk[:, 1:] = ratios[first + rows - 1 :]
+        np.cumprod(chunk, axis=1, out=chunk)
+        chunk *= starts[j0:j1, None]
+        tail[j0:j1] = _geometric_tail_norm(np.abs(chunk[:, 1:]), r_hat)
+    for j in range(begun, cols):
         f = first + j
-        vals = np.empty(H - f + 1, dtype=seq.a.dtype)
-        vals[0] = start
-        vals[1:] = start * np.cumprod(ratios[f:])
-        head = vals[: max(rows - j, 0)]
-        out[j : j + head.size, j] = head
-        if tail is not None:
-            tail[j] = _geometric_tail_norm(np.abs(vals[head.size :]), r_hat)
+        vals = np.empty(H - f + 1, seq.a.dtype)
+        vals[0] = starts[j]
+        vals[1:] = starts[j] * np.cumprod(ratios[f:])
+        tail[j] = _geometric_tail_norm(np.abs(vals), r_hat)
     return tail
 
 
-def _geometric_tail_norm(mags: np.ndarray, r: float) -> float:
+def _scale(P: np.ndarray, r: float | complex) -> None:
+    """``P *= r`` in place, rounded as ``np.cumprod`` rounds each step: a
+    complex product as ``(pr rr - pi ri, pr ri + pi rr)``, each operation
+    rounded on its own (a complex array multiply rounds differently)."""
+    if isinstance(r, complex):
+        re, im = P.real, P.imag
+        cross = im * r.imag
+        im *= r.real
+        im += re * r.imag
+        re *= r.real
+        re -= cross
+    else:
+        P *= r
+
+
+def _geometric_tail_norm(mags: np.ndarray, r: float) -> float | np.ndarray:
     """l2 norm of the magnitudes ``mags`` continued past their last entry by
     the geometric factor ``r < 1``: ``m sqrt(sum (x/m)^2 + (x_last/m)^2 r^2 /
     (1 - r^2))`` with ``m`` the largest magnitude, so that squares below the
-    double range still count.  Scales ``mags`` in place."""
-    scale = mags.max()
-    if not scale > 0.0:
-        return 0.0
-    mags /= scale
+    double range still count; 0 when no magnitude is positive.  A matrix
+    holds one run per row, each contiguous so that its sum is the pairwise
+    sum of the run alone, and gives an array of norms; a vector gives a
+    float.  Scales ``mags`` in place."""
+    runs = mags.reshape(-1, mags.shape[-1])
+    scale = runs.max(axis=1)
+    live = scale > 0.0
+    np.divide(runs, scale[:, None], out=runs, where=live[:, None])
+    last = runs[:, -1]
     factor = r * r / (1.0 - r * r)
-    return scale * math.sqrt(float(np.sum(mags * mags)) + mags[-1] * mags[-1] * factor)
-
-
-_GRAM_BLOCK = 64
+    norms = scale * np.sqrt(np.sum(runs * runs, axis=1) + last * last * factor)
+    norms[~live] = 0.0
+    return norms if mags.ndim > 1 else float(norms[0])
 
 
 def _linear_recurrence(w: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -256,12 +322,12 @@ class _ShiftRecurrence:
             if j:
                 lower = G[j, :j]
                 np.multiply(row[:j], np.conj(beta[j]), out=lower)
-                top = j - j % _GRAM_BLOCK  # the diagonal block's upper part
+                top = j - j % _BLOCK  # the diagonal block's upper part
                 G[top:j, j] = np.conj(lower[top:])
             row[:j] *= r[j + 1]
             row[j] = c[j]
-        for top in range(0, N, _GRAM_BLOCK):
-            bottom = top + _GRAM_BLOCK
+        for top in range(0, N, _BLOCK):
+            bottom = top + _BLOCK
             G[top:bottom, bottom:] = np.conj(G[bottom:, top:bottom]).T
         return G
 
@@ -337,7 +403,8 @@ def monomial_in_basis(seq: SequencePair, n: int, M: int) -> np.ndarray:
         raise ValueError("n and M must be nonnegative")
     _require_horizon(seq, n + M, "monomial expansion")
     coef = np.empty(M + 1, dtype=seq.a.dtype)
-    _running_columns(seq, coef[:, None], [1.0 / seq.a[n]], n)
+    coef[0] = 1.0 / seq.a[n]
+    coef[1:] = coef[0] * np.cumprod(-(seq.b[n : n + M] / seq.a[n + 1 : n + M + 1]))
     return coef
 
 
@@ -375,10 +442,24 @@ def _adjoint_entries(
         raise ValueError("section order must be at least 2")
     _require_horizon(seq, N, "adjoint section")
     A = np.zeros((N, N), dtype=seq.a.dtype)
-    tail = _fill_shift(seq, A.T)  # shift columns land on contiguous rows of A
-    if np.iscomplexobj(A):
-        np.conjugate(A, out=A)
+    tail = _fill_shift(seq, A)
+    _conjugate_transpose(A)
     return A, tail
+
+
+def _conjugate_transpose(A: np.ndarray) -> None:
+    """Conjugate-transpose the strictly lower triangular square ``A`` in
+    place, ``_BLOCK``-square tiles at a time: each diagonal tile through one
+    tile of scratch, each tile below them into its mirror tile above, which
+    is zero, and then zeroed."""
+    N = A.shape[0]
+    for top in range(0, N, _BLOCK):
+        rows = slice(top, top + _BLOCK)
+        A[rows, rows] = np.conj(A[rows, rows].T)
+        for left in range(top + _BLOCK, N, _BLOCK):
+            cols = slice(left, left + _BLOCK)
+            np.conjugate(A[cols, rows].T, out=A[rows, cols])
+            A[cols, rows] = 0.0
 
 
 def build_adjoint(seq: SequencePair, N: int) -> TruncatedOperator:
@@ -425,11 +506,11 @@ def build_blocks(seq: SequencePair, N: int) -> BlockSet:
     b1 = TruncatedOperator(np.diag(diag))
 
     Z2 = np.zeros((K, K), dtype=seq.a.dtype)
-    _running_columns(seq, Z2, -c_coefficients(seq)[1 : K + 1], 3)
+    _running_columns(seq, Z2, -c_coefficients(seq)[1 : K + 1], 3, bound=False)
     b2 = TruncatedOperator(Z2)
 
     Z3 = np.zeros((K, K), dtype=seq.a.dtype)
-    _running_columns(seq, Z3, d_coefficients(seq)[:K], 1)
+    _running_columns(seq, Z3, d_coefficients(seq)[:K], 1, bound=False)
     b3 = TruncatedOperator(Z3)
 
     U = np.zeros((K, K), dtype=seq.a.dtype)
@@ -469,7 +550,7 @@ def build_tail_blocks(
     d_op = TruncatedOperator(D)
 
     A2 = np.zeros((K, K), dtype=seq.a.dtype)
-    _running_columns(seq, A2, -c[n0 : n0 + K], n0 + 2)
+    _running_columns(seq, A2, -c[n0 : n0 + K], n0 + 2, bound=False)
     a2_op = TruncatedOperator(A2)
     return w_op, d_op, a2_op
 

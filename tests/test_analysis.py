@@ -812,6 +812,38 @@ def test_band_route_leaves_wide_and_indefinite_grams_to_the_dense_route():
         assert deco.isometry_defect == dense.isometry_defect, fam.name
 
 
+def test_band_route_reads_a_diagonal_grams_fate_off_its_diagonal(monkeypatch):
+    # the three failing families with b = 0 have an exactly diagonal Gram
+    # whose eigenvalue ratio the step cap cannot bridge: they reach the
+    # dense route without a block iteration, and the diagonal passing
+    # families still take the band route through one
+    from trishift import analysis
+
+    calls = []
+    iterate = analysis._newton_schulz
+
+    def counting(A):
+        calls.append(A.shape)
+        return iterate(A)
+
+    monkeypatch.setattr(analysis, "_newton_schulz", counting)
+    H = BAND_N + BAND_PAD
+    routes = {}
+    for fam in CORPUS:
+        if fam.b != "0":
+            continue
+        calls.clear()
+        routes[fam.name] = (compact_isometry_split(family_pair(fam, H), BAND_N).route, len(calls))
+    assert routes == {
+        "szego": ("band", 1),
+        "bergman": ("band", 1),
+        "dirichlet": ("band", 1),
+        "alt-a-2": ("gram", 0),
+        "alt-a-3": ("gram", 0),
+        "alt-a-15": ("gram", 0),
+    }
+
+
 def test_band_route_takes_no_dense_factorization(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a dense factorization ran")

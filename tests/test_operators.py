@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,9 @@ from trishift import (
     neumann_partial_sum,
     parse_sequence_expr,
     polar_decompose,
+    validate_assumptions,
 )
+from trishift.operators import _adjoint_entries
 
 from corpus_families import CORPUS, family_pair
 
@@ -664,18 +667,98 @@ def _sections(seq, N):
     }
 
 
-@pytest.mark.parametrize("pad", [0, 1, 8])
+@pytest.mark.parametrize("pad", [0, 1, 8, 64])
 def test_sections_match_seed_column_construction(pad):
-    N = 32
-    for fam in CORPUS:
-        seq = family_pair(fam, N + pad)
-        got, ref = _sections(seq, N), _seed_sections(seq, N)
-        for name in ref:
-            assert np.array_equal(got[name], ref[name]), (fam.name, name)
+    # orders 100 and 200 cross the chunks of 64 columns whose discarded rows
+    # run together
     rng = np.random.default_rng(101)
+    for N in (32, 100, 200):
+        for fam in CORPUS:
+            seq = family_pair(fam, N + pad)
+            got, ref = _sections(seq, N), _seed_sections(seq, N)
+            for name in ref:
+                assert np.array_equal(got[name], ref[name]), (fam.name, N, name)
+        for _ in range(10):
+            seq = random_pair(rng, N + pad)
+            got, ref = _sections(seq, N), _seed_sections(seq, N)
+            for name in ref:
+                scale = np.max(np.abs(ref[name]))
+                assert np.max(np.abs(got[name] - ref[name])) <= 1e-15 * scale, (N, name)
+
+
+def _seed_tail_norm(mags, r):
+    # the seed's bound of one run, one column at a time
+    scale = mags.max()
+    if not scale > 0.0:
+        return 0.0
+    mags = mags / scale
+    factor = r * r / (1.0 - r * r)
+    return scale * math.sqrt(float(np.sum(mags * mags)) + mags[-1] * mags[-1] * factor)
+
+
+def _seed_tails(seq, N):
+    # every column run to the horizon on its own; its rows from N on give
+    # its bound
+    H, a = seq.horizon, seq.a
+    r_hat = validate_assumptions(seq).r_hat
+    if not (r_hat < 1.0 and N < H):
+        return None, None
+    c, d = c_coefficients(seq), d_coefficients(seq)
+    shift = np.empty(N)
+    for j in range(N):
+        run = _seed_deep_column(c[j], j + 2, H - j - 1, seq)[max(N - j - 2, 0) :]
+        shift[j] = _seed_tail_norm(np.abs(run), r_hat)
+    shift[N - 1] = math.hypot(abs(a[N - 1] / a[N]), shift[N - 1])
+    left = np.zeros(N)
+    for j in range(1, N):
+        run = _seed_deep_column(d[j - 1], j, H - j + 1, seq)[N - j :]
+        left[j] = _seed_tail_norm(np.abs(run), r_hat)
+    return shift, left
+
+
+@pytest.mark.parametrize("pad", [0, 1, 2, 64, 130])
+def test_tail_bounds_match_seed_column_construction(pad):
+    # every bound, bit for bit, on the real corpus: pad 0 leaves none, and
+    # the shift's last two columns begin below the section, the last one on
+    # the horizon's last row when pad is 1
+    for N in (100, 200):
+        for fam in CORPUS:
+            seq = family_pair(fam, N + pad)
+            shift, left = _seed_tails(seq, N)
+            got = {
+                "shift": build_shift(seq, N).tail_bound,
+                "adjoint": _adjoint_entries(seq, N)[1],
+                "left": build_left_inverse(seq, N).tail_bound,
+            }
+            if shift is None:
+                assert all(tail is None for tail in got.values()), fam.name
+                continue
+            for name, ref in (("shift", shift), ("adjoint", shift), ("left", left)):
+                assert np.array_equal(got[name], ref), (fam.name, N, name)
+
+
+def test_tail_bounds_reach_the_discarded_mass_on_random_complex_families():
+    # the discarded rows N..H of each column, their norm summed in the log
+    # domain, never exceed the column's bound
+    N, pad = 200, 64
+    rng = np.random.default_rng(103)
+    tiny = np.finfo(float).tiny
     for _ in range(10):
         seq = random_pair(rng, N + pad)
-        got, ref = _sections(seq, N), _seed_sections(seq, N)
-        for name in ref:
-            scale = np.max(np.abs(ref[name]))
-            assert np.max(np.abs(got[name] - ref[name])) <= 1e-15 * scale, name
+        c, d = c_coefficients(seq), d_coefficients(seq)
+        log_ref = {
+            "shift": _log_tail_norm(seq, c[:N], 2, N),
+            "left": _log_tail_norm(seq, d[: N - 1], 1, N),
+        }
+        log_sub = np.log(abs(seq.a[N - 1] / seq.a[N]))
+        log_ref["shift"][N - 1] = np.logaddexp(2.0 * log_ref["shift"][N - 1], 2.0 * log_sub) / 2.0
+        bounds = {
+            "shift": build_shift(seq, N).tail_bound,
+            "left": build_left_inverse(seq, N).tail_bound[1:],
+        }
+        for name, log_norm in log_ref.items():
+            assert bounds[name] is not None, name
+            resolved = np.flatnonzero(log_norm >= np.log(tiny))
+            assert resolved.size > N // 2, name
+            short = resolved[bounds[name][resolved] < np.exp(log_norm[resolved]) * (1.0 - 1e-9)]
+            assert short.size == 0, (name, short)
