@@ -36,6 +36,7 @@ from .reporting import (
     check_report,
     decompose_report,
     full_report,
+    kernel_report,
     write_csv,
     write_report,
 )
@@ -255,11 +256,7 @@ def _run_decompose(cfg: RunConfig) -> int:
         spec.label, cfg.order, seq_full.horizon - cfg.order, assumptions, deco
     )
     write_report(report, _report_path(cfg, "decompose_report"), cfg.format)
-    write_csv(
-        cfg.out / "column_decay.csv",
-        ["n", "value"],
-        [(n, float(v)) for n, v in enumerate(deco.column_decay)],
-    )
+    _write_series(cfg.out / "column_decay.csv", deco.column_decay)
     return 0
 
 
@@ -274,31 +271,22 @@ def _run_profile(cfg: RunConfig) -> int:
         spec.label, cfg.order, seq_full.horizon - cfg.order, assumptions, crit, diag
     )
     write_report(report, _report_path(cfg, "profile_report"), cfg.format)
-    write_csv(
-        cfg.out / "l_minus_mstar.csv",
-        ["n", "value", "lower_bound"],
-        [
-            (n, float(v), math.sqrt(float(low)))
-            for n, (v, low) in enumerate(zip(diag.tails_ltstar, diag.ltstar_lower_sq))
-        ],
-    )
-    write_csv(
-        cfg.out / "i_minus_tstar_t.csv",
-        ["n", "value"],
-        [(n, float(v)) for n, v in enumerate(diag.tails_itt)],
-    )
-    write_csv(
-        cfg.out / "i_minus_t_tstar.csv",
-        ["n", "value"],
-        [(n, float(v)) for n, v in enumerate(diag.tails_ittstar)],
-    )
-    write_csv(
-        cfg.out / "column_decay.csv",
-        ["n", "value"],
-        [(n, float(v)) for n, v in enumerate(diag.decomposition.column_decay)],
-    )
+    _write_series(cfg.out / "l_minus_mstar.csv", diag.tails_ltstar, diag.ltstar_lower_sq)
+    _write_series(cfg.out / "i_minus_tstar_t.csv", diag.tails_itt)
+    _write_series(cfg.out / "i_minus_t_tstar.csv", diag.tails_ittstar)
+    _write_series(cfg.out / "column_decay.csv", diag.decomposition.column_decay)
     _emit_neumann_curve(cfg, seq_full, assumptions)
     return 0
+
+
+def _write_series(path: Path, values: np.ndarray, lower_sq: np.ndarray | None = None) -> None:
+    """``n,value`` rows of the array ``values``, with a ``lower_bound``
+    column, the root of the squared floor ``lower_sq``, when one is given."""
+    header, columns = ["n", "value"], [np.arange(len(values)), values]
+    if lower_sq is not None:
+        header.append("lower_bound")
+        columns.append(np.sqrt(lower_sq))
+    write_csv(path, header, zip(*(c.tolist() for c in columns)))
 
 
 def _emit_neumann_curve(cfg: RunConfig, seq: SequencePair, assumptions) -> None:
@@ -336,45 +324,32 @@ def _run_kernel(cfg: RunConfig) -> int:
             f"kernel tail not certified at pair ({i}, {j}); "
             f"estimate {tails[i, j]:.3e}"
         )
+    z = np.array(points.points)
+    zs = np.broadcast_to(z[:, None], G.shape)  # row i is z_i; its transpose, w_j
     cfg.out.mkdir(parents=True, exist_ok=True)
     write_csv(
         cfg.out / "kernel_sweep.csv",
         ["re_z", "im_z", "re_w", "im_w", "re_k", "im_k",
          "terms_used", "tail_estimate", "converged"],
-        [
-            (
-                zi.real, zi.imag, wj.real, wj.imag, G[i, j].real, G[i, j].imag,
-                int(terms[i, j]), tails[i, j], int(converged[i, j]),
-            )
-            for i, zi in enumerate(points)
-            for j, wj in enumerate(points)
-        ],
+        zip(*(c.ravel().tolist() for c in
+              (zs.real, zs.imag, zs.T.real, zs.T.imag, G.real, G.imag,
+               terms, tails, converged))),
     )
     least_eig: float | None = None
     if converged.all():
-        least_eig = float(np.linalg.eigvalsh(G)[0])
+        least_eig = np.linalg.eigvalsh(G)[0]
     else:
         _warn("Gram least eigenvalue omitted (some pairs did not converge)")
     residuals = adjoint_residual_grid(seq_full, points, cfg.order)
     write_csv(
         cfg.out / "kernel_residuals.csv",
         ["re_w", "im_w", "residual", "certificate"],
-        [
-            (w.real, w.imag, r, cert)
-            for w, (r, cert) in zip(points, residuals)
-        ],
+        ((w.real, w.imag, r, cert) for w, (r, cert) in zip(points, residuals)),
     )
-    report = {
-        "label": spec.label,
-        "N": cfg.order,
-        "pad": seq_full.horizon - cfg.order,
-        "grid": {"radius": radius, "count": count},
-        "gram_least_eigenvalue": least_eig,
-        "pairs_converged": int(converged.sum()),
-        "pairs_total": count ** 2,
-        "max_terms_used": int(terms.max()),
-        "max_residual": max(r for r, _ in residuals),
-    }
+    report = kernel_report(
+        spec.label, cfg.order, seq_full.horizon - cfg.order, (radius, count),
+        least_eig, terms, converged, residuals,
+    )
     write_report(report, _report_path(cfg, "kernel_report"), cfg.format)
     return 0
 

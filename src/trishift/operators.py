@@ -172,8 +172,10 @@ def _running_columns(
             P[i] = 1.0
             k += 1
         np.multiply(P[:k], starts[:k], out=out[i, :k])
+    if not (bound and first + rows < H):
+        return None
     r_hat = validate_assumptions(seq).r_hat
-    if not (bound and r_hat < 1.0 and first + rows < H):
+    if not r_hat < 1.0:  # a NaN ratio gives no bound either
         return None
     tail = np.empty(cols)
     begun = min(rows, cols)

@@ -1,61 +1,48 @@
 """Deterministic report assembly and JSON/CSV emission.
 
-Reports are plain dict trees serialized with sorted keys and repr-based float
-text, so running the same configuration twice yields byte-identical files.
-Non-finite numbers are never serialized: they are replaced by null and the
-offending paths recorded under an ``errors`` key.
+Every report shape is built here, from the analysis value types, as a plain
+dict tree whose leaves may still be numpy scalars and arrays.  One walk,
+:func:`sanitize`, turns a tree into Python values: numpy values through
+``.tolist()``, a complex number as ``[re, im]`` and a non-finite float as
+null, its path recorded.  :func:`write_report` writes the sanitized tree as
+JSON with sorted keys, the paths listed under an ``errors`` key, or as
+sorted ``key,value`` rows of its scalars, the paths as ``errors.<i>`` rows.
+Floats are written as their ``repr`` and flags in a CSV cell as ``1``/``0``,
+so the same configuration gives the same bytes on every run.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .analysis import (
-    CriterionReport,
-    DecompositionResult,
-    EquivalenceDiagnostics,
-    IndexData,
-)
+from .analysis import CriterionReport, DecompositionResult, EquivalenceDiagnostics
 from .sequences import AssumptionReport
 
 
-def to_jsonable(value: Any) -> Any:
-    """Convert numpy scalars/arrays to plain Python containers."""
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [to_jsonable(v) for v in value.tolist()]
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, dict):
-        return {k: to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    return value
-
-
 def sanitize(tree: Any) -> tuple[Any, list[str]]:
-    """Replace non-finite floats with null, returning the offending paths."""
+    """Plain Python copy of ``tree``: numpy values through ``.tolist()``,
+    tuples as lists, a complex number as ``[re, im]`` and a non-finite float
+    as None.  Returns the copy and the paths of the non-finite floats."""
     errors: list[str] = []
 
     def walk(node: Any, path: str) -> Any:
-        if isinstance(node, float):
-            if node != node or node in (float("inf"), float("-inf")):
-                errors.append(path)
-                return None
-            return node
+        if isinstance(node, (np.ndarray, np.generic)):
+            node = node.tolist()
+        if isinstance(node, complex):
+            node = [node.real, node.imag]
+        if isinstance(node, float) and not math.isfinite(node):
+            errors.append(path)
+            return None
         if isinstance(node, dict):
             return {k: walk(v, f"{path}.{k}" if path else str(k)) for k, v in node.items()}
-        if isinstance(node, list):
+        if isinstance(node, (list, tuple)):
             return [walk(v, f"{path}[{i}]") for i, v in enumerate(node)]
         return node
 
@@ -81,27 +68,6 @@ def criterion_dict(crit: CriterionReport) -> dict:
     }
 
 
-def decomposition_dict(deco: DecompositionResult) -> dict:
-    return {
-        "column_decay": to_jsonable(deco.column_decay),
-        "isometry_defect": deco.isometry_defect,
-        "route": deco.route,
-        "margin": deco.margin,
-        "s_min": deco.s_min,
-    }
-
-
-def index_data_dict(data: IndexData) -> dict:
-    return {
-        "dim_ker": data.dim_ker,
-        "dim_coker": data.dim_coker,
-        "ker_route": data.ker_route,
-        "coker_route": data.coker_route,
-        "ker_margin": data.ker_margin,
-        "coker_margin": data.coker_margin,
-    }
-
-
 def check_report(label: str, N: int, rep: AssumptionReport, crit: CriterionReport) -> dict:
     return {
         "label": label,
@@ -120,7 +86,7 @@ def decompose_report(
         "N": N,
         "pad": pad,
         "assumptions": assumptions_dict(rep),
-        "decomposition": decomposition_dict(deco),
+        "decomposition": asdict(deco),
     }
 
 
@@ -132,37 +98,55 @@ def full_report(
     crit: CriterionReport,
     diag: EquivalenceDiagnostics,
 ) -> dict:
-    """``pad`` is the effective pad, as in :func:`decompose_report`."""
+    """The check and decompose reports' keys plus the three tail profiles
+    and the index; ``pad`` is the effective pad, as in
+    :func:`decompose_report`."""
+    return {
+        **check_report(label, N, rep, crit),
+        **decompose_report(label, N, pad, rep, diag.decomposition),
+        "profiles": {
+            "L_minus_Mstar": diag.tails_ltstar,
+            "I_minus_TstarT": diag.tails_itt,
+            "I_minus_TTstar": diag.tails_ittstar,
+        },
+        "index": diag.index_data.index,
+        "index_data": asdict(diag.index_data),
+    }
+
+
+def kernel_report(
+    label: str,
+    N: int,
+    pad: int,
+    grid: tuple[float, int],
+    gram_least_eigenvalue: float | None,
+    terms: np.ndarray,
+    converged: np.ndarray,
+    residuals: Sequence[tuple[float, float]],
+) -> dict:
+    """Summary of a kernel sweep on the polar ``grid`` (radius, count) and
+    of its adjoint residuals; ``pad`` is the effective pad."""
+    radius, count = grid
     return {
         "label": label,
         "N": N,
         "pad": pad,
-        "assumptions": assumptions_dict(rep),
-        "criterion": criterion_dict(crit),
-        "profiles": {
-            "L_minus_Mstar": to_jsonable(diag.tails_ltstar),
-            "I_minus_TstarT": to_jsonable(diag.tails_itt),
-            "I_minus_TTstar": to_jsonable(diag.tails_ittstar),
-        },
-        "index": diag.index_data.index,
-        "index_data": index_data_dict(diag.index_data),
-        "decomposition": decomposition_dict(diag.decomposition),
+        "grid": {"radius": radius, "count": count},
+        "gram_least_eigenvalue": gram_least_eigenvalue,
+        "pairs_converged": converged.sum(),
+        "pairs_total": converged.size,
+        "max_terms_used": terms.max(),
+        "max_residual": max(r for r, _ in residuals),
     }
 
 
 def render_json(tree: Any) -> tuple[str, list[str]]:
-    """Serialize with sorted keys after sanitizing non-finite numbers."""
-    clean, errors = sanitize(to_jsonable(tree))
+    """Sanitize ``tree`` and serialize it with sorted keys, listing the
+    non-finite paths under ``errors``; returns the text and the paths."""
+    clean, errors = sanitize(tree)
     if errors:
-        clean = dict(clean)
         clean["errors"] = [f"non-finite value at {p}" for p in errors]
     return json.dumps(clean, indent=2, sort_keys=True) + "\n", errors
-
-
-def write_json(tree: Any, path: str | Path) -> list[str]:
-    text, errors = render_json(tree)
-    Path(path).write_text(text, encoding="utf-8")
-    return errors
 
 
 def _cell(value: Any) -> str:
@@ -201,14 +185,13 @@ def flatten_scalars(tree: Any, prefix: str = "") -> list[tuple[str, Any]]:
 
 
 def write_report(tree: Any, path: Path, fmt: str) -> None:
-    """Write a report dict as JSON or as flattened key/value CSV."""
+    """Write a report tree as JSON or as flattened ``key,value`` CSV."""
     if fmt == "json":
-        write_json(tree, path)
+        Path(path).write_text(render_json(tree)[0], encoding="utf-8")
         return
-    clean, errors = sanitize(to_jsonable(tree))
+    clean, errors = sanitize(tree)
     rows = flatten_scalars(clean)
-    if errors:
-        rows.extend((f"errors.{i}", f"non-finite value at {p}") for i, p in enumerate(errors))
+    rows.extend((f"errors.{i}", f"non-finite value at {p}") for i, p in enumerate(errors))
     write_csv(path, ["key", "value"], rows)
 
 
@@ -217,14 +200,11 @@ __all__ = [
     "check_report",
     "criterion_dict",
     "decompose_report",
-    "decomposition_dict",
     "flatten_scalars",
     "full_report",
-    "index_data_dict",
+    "kernel_report",
     "render_json",
     "sanitize",
-    "to_jsonable",
     "write_csv",
-    "write_json",
     "write_report",
 ]

@@ -104,6 +104,45 @@ def test_criterion_verdict_matches_invariant():
             assert tr.min() < 10 * tol and td.min() < 10 * tol
 
 
+def test_criterion_verdict_is_monotone_in_tol():
+    # holds at t1 implies holds at every t2 > t1, and fails at t2 implies
+    # fails at every t1 < t2; the tolerances include the trailing maxima
+    # themselves, where the strict < decides, and the fail edges min / 10
+    rng = np.random.default_rng(53)
+    seen = set()
+    for _ in range(24):
+        N = int(rng.integers(16, 96))
+        spread = 10.0 ** rng.uniform(-5.0, 0.0)
+        a = 1.0 + spread * rng.uniform(-0.5, 0.5, N + 1)
+        b = spread * rng.uniform(-1.0, 1.0, N + 1)
+        if rng.uniform() < 0.5:
+            a = a * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, N + 1))
+        seq = SequencePair(a=a, b=b)
+        probe = check_main_criterion(seq, tol=0.5)
+        tr = probe.ratio_dev[-probe.window :]
+        td = probe.diff_dev[-probe.window :]
+        edges = [probe.trailing_max_ratio_dev, probe.trailing_max_diff_dev,
+                 tr.min() / 10.0, td.min() / 10.0]
+        tols = set(10.0 ** rng.uniform(-7.0, 0.0, 12))
+        for e in edges:
+            tols.update(float(t) for t in (e, np.nextafter(e, 0.0), np.nextafter(e, 1.0)))
+        tols = sorted(t for t in tols if 0.0 < t < 1.0)
+        verdicts = [check_main_criterion(seq, tol=t).verdict for t in tols]
+        seen.update(verdicts)
+        for i, (t1, v1) in enumerate(zip(tols, verdicts)):
+            for v2 in verdicts[i + 1 :]:
+                assert v1 != VERDICT_HOLDS or v2 == VERDICT_HOLDS, (t1, v1, v2)
+                assert v2 != VERDICT_FAILS or v1 == VERDICT_FAILS, (t1, v1, v2)
+        top = max(edges[:2])
+        if 0.0 < top < 1.0:
+            assert check_main_criterion(seq, tol=top).verdict != VERDICT_HOLDS
+            if np.nextafter(top, 1.0) < 1.0:
+                assert check_main_criterion(
+                    seq, tol=float(np.nextafter(top, 1.0))
+                ).verdict == VERDICT_HOLDS
+    assert seen == {VERDICT_HOLDS, VERDICT_FAILS, VERDICT_INCONCLUSIVE}
+
+
 def test_criterion_window_validation():
     seq = make_pair("1", "0", 16)
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from trishift import cli, eval_kernel, kernels, load_spec_file, materialize
+from trishift.reporting import flatten_scalars
 from trishift.cli import (
     EXIT_FAILS,
     EXIT_HOLDS,
@@ -109,15 +110,64 @@ def test_check_zero_coefficient(tmp_path, capsys):
     assert "a[4]" in capsys.readouterr().err
 
 
-def test_reports_are_byte_identical_across_runs(tmp_path):
-    spec = bergman_spec(tmp_path)
-    outs = []
+def snapshots_of_two_runs(tmp_path, argv, code=None):
+    """The bytes of every file that two runs of ``argv`` write, by name;
+    each run must exit with ``code``, or as the other one when it is None."""
+    codes, snapshots = [], []
     for sub in ("one", "two"):
         out = tmp_path / sub
-        main(["check", "--spec", str(spec), "--order", "64",
-              "--out", str(out)])
-        outs.append((out / "check_report.json").read_bytes())
-    assert outs[0] == outs[1]
+        codes.append(main(argv + ["--out", str(out)]))
+        snapshots.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert codes[0] == codes[1] == (codes[0] if code is None else code)
+    return snapshots
+
+
+def test_reports_are_byte_identical_across_runs(tmp_path):
+    spec = bergman_spec(tmp_path)
+    for command in ("check", "decompose"):
+        for fmt in ("json", "csv"):
+            one, two = snapshots_of_two_runs(
+                tmp_path / f"{command}-{fmt}",
+                [command, "--spec", str(spec), "--order", "64", "--format", fmt],
+            )
+            assert f"{command}_report.{fmt}" in one
+            assert one == two, (command, fmt)
+
+
+def _csv_text(value):
+    # the text a CSV cell holds for a JSON report value
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("command,family", [
+    ("check", "bergman"), ("decompose", "bergman"), ("profile", "bergman"),
+    ("kernel", "bergman"), ("kernel", "hot"),
+])
+def test_csv_report_holds_the_json_reports_scalars(tmp_path, command, family):
+    docs = {
+        "bergman": {"label": "bergman", "a": "sqrt(n+1)", "b": "0"},
+        "hot": {"label": "hot", "a": "1", "b": "1.2"},  # a null eigenvalue
+    }
+    spec = write_spec(tmp_path, f"{family}.json", docs[family])
+    reports = {}
+    for fmt in ("json", "csv"):
+        out = tmp_path / fmt
+        argv = [command, "--spec", str(spec), "--order", "64", "--format", fmt,
+                "--out", str(out)]
+        main(argv + (["--grid", "0.9:3"] if command == "kernel" else []))
+        reports[fmt] = out / f"{command}_report.{fmt}"
+    doc = json.loads(reports["json"].read_text())
+    notes = doc.pop("errors", [])
+    expected = [[key, _csv_text(value)] for key, value in flatten_scalars(doc)]
+    expected += [[f"errors.{i}", note] for i, note in enumerate(notes)]
+    header, rows = read_csv(reports["csv"])
+    assert header == ["key", "value"]
+    assert rows == expected
+    assert len(rows) > 8
 
 
 def test_check_csv_format(tmp_path):
@@ -456,14 +506,17 @@ def test_kernel_outputs_byte_identical_across_runs(tmp_path):
     spec = write_spec(
         tmp_path, "alt.json", {"label": "alt", "a": "sqrt(n+1)", "b": "0.5*(-1)^n"}
     )
-    names = ("kernel_report.json", "kernel_sweep.csv", "kernel_residuals.csv")
-    outs = []
-    for sub in ("one", "two"):
-        out = tmp_path / sub
-        assert main(["kernel", "--spec", str(spec), "--order", "128",
-                     "--grid", "0.9:12", "--out", str(out)]) == 0
-        outs.append([(out / name).read_bytes() for name in names])
-    assert outs[0] == outs[1]
+    for fmt in ("json", "csv"):
+        one, two = snapshots_of_two_runs(
+            tmp_path / fmt,
+            ["kernel", "--spec", str(spec), "--order", "128", "--grid", "0.9:12",
+             "--format", fmt],
+            code=0,
+        )
+        assert sorted(one) == sorted(
+            [f"kernel_report.{fmt}", "kernel_sweep.csv", "kernel_residuals.csv"]
+        )
+        assert one == two, fmt
 
 
 def test_kernel_grid_validation(tmp_path):
@@ -674,16 +727,15 @@ def test_profile_outputs_byte_identical_across_runs(tmp_path):
     spec = write_spec(
         tmp_path, "harm.json", {"label": "harm", "a": "1", "b": "1/(n+1)"}
     )
-    snapshots = []
-    for sub in ("one", "two"):
-        out = tmp_path / sub
-        code = main(["profile", "--spec", str(spec), "--order", "48",
-                     "--pad", "8", "--tol", "1e-2", "--out", str(out)])
-        assert code == 0
-        snapshots.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert snapshots[0].keys() == snapshots[1].keys()
-    for name in snapshots[0]:
-        assert snapshots[0][name] == snapshots[1][name]
+    for fmt in ("json", "csv"):
+        one, two = snapshots_of_two_runs(
+            tmp_path / fmt,
+            ["profile", "--spec", str(spec), "--order", "48", "--pad", "8",
+             "--tol", "1e-2", "--format", fmt],
+            code=0,
+        )
+        assert f"profile_report.{fmt}" in one and "neumann_error.csv" in one
+        assert one == two, fmt
 
 
 def test_complex_list_spec_end_to_end(tmp_path):

@@ -25,6 +25,7 @@ from trishift import (
     polar_decompose,
     validate_assumptions,
 )
+from trishift import operators
 from trishift.operators import _adjoint_entries
 
 from corpus_families import CORPUS, family_pair
@@ -303,6 +304,23 @@ def test_blocks_offsets_and_structure():
     assert np.max(np.abs(np.triu(bl.b2.entries, 1))) == 0.0
     assert np.max(np.abs(np.triu(bl.b3.entries, 1))) == 0.0
     assert np.max(np.abs(bl.b1.entries - np.diag(np.diag(bl.b1.entries)))) == 0.0
+
+
+def test_unbounded_sections_measure_no_assumptions(monkeypatch):
+    # the blocks keep no tail bound, so they never need r_hat; the bounded
+    # sections measure it once each
+    calls = []
+    monkeypatch.setattr(
+        operators, "validate_assumptions",
+        lambda seq, *args: calls.append(seq) or validate_assumptions(seq, *args),
+    )
+    seq = make_pair("sqrt(n+1)", "1/(n+1)", 40)
+    build_blocks(seq, 24)
+    build_tail_blocks(seq, 2, 24)
+    assert calls == []
+    assert build_shift(seq, 24).tail_bound is not None
+    assert build_left_inverse(seq, 24).tail_bound is not None
+    assert len(calls) == 2
 
 
 # --------------------------------------------------------------- tail blocks
