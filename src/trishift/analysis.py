@@ -20,23 +20,24 @@ section ``T = U S W^H`` gives ``V = U W^H`` (route ``"svd"``).  On ``G``,
 the ``I - T*T`` column tails are the column norms of ``I - G``.  Where ``G``
 is numerically block-tridiagonal (blocks of 64) with a positive Gershgorin
 bracket, the band route (``"band"``) takes ``|T| = G^{1/2}`` and ``G^{-1/2}``
-from a coupled Newton–Schulz iteration in block-tridiagonal arithmetic and
-certifies them a posteriori: the remainder ``T - V`` has the column norms of
-``|T| - I``, and ``V = T G^{-1/2}`` is never formed.  Otherwise, or when a
-certificate fails, the dense Gram route (``"gram"``) takes ``G = W Λ W^H``:
-the remainder has the column norms of ``(Λ^{1/2} - I) W^H`` and ``V = T W
-Λ^{-1/2} W^H``, refined by one Newton–Schulz step when it is not orthonormal
-to 1e-13.  So the band route forms no N x N product, the dense Gram route's
-O(N^3) work is ``eigh(G)``, ``(T W / s) W^H`` and ``V^H V`` alone, and the
-dense horizon section is built only for the SVD route and for an index rank
-that the left inverse does not certify.  The factors ``W`` and ``T W / s``
-of the dense Gram route's product, ``V`` before ``V^H V`` on both dense
-routes and the band route's iterates have their entries below ``2**-511``
-zeroed first, which keeps the products out of subnormal arithmetic; on the
-dense routes it moves no reported bit.  The kernel and cokernel
-ranks need no factorization: the left-inverse section is an exact left
-inverse of the tall section and of the square section's nonzero block, and
-its Frobenius norm bounds their least singular values.  Sections and
+from a coupled Newton–Schulz iteration in block-tridiagonal arithmetic
+(entry by entry when the band is diagonal) and certifies them a posteriori,
+the isometry defect of ``V = T G^{-1/2}`` included: the remainder ``T - V``
+has the column norms of ``|T| - I``, and ``V`` is never formed.  Otherwise,
+or when a certificate fails, the dense Gram route (``"gram"``) takes ``G =
+W Λ W^H``: the remainder has the column norms of ``(Λ^{1/2} - I) W^H`` and
+``V = T W Λ^{-1/2} W^H``, refined by one Newton–Schulz step when it is not
+orthonormal to 1e-13.  So the band route forms no N x N product, the dense
+Gram route's O(N^3) work is ``eigh(G)``, ``(T W / s) W^H`` and ``V^H V``
+alone, and the dense horizon section is built only for the SVD route and for
+an index rank that the left inverse does not certify.  The factors ``W`` and
+``T W / s`` of the dense Gram route's product, ``V`` before ``V^H V`` on
+both dense routes and the band route's iterates have their entries below
+``2**-511`` zeroed first, which keeps the products out of subnormal
+arithmetic; on the dense routes it moves no reported bit.  The kernel and
+cokernel ranks need no factorization: the left-inverse section is an exact
+left inverse of the tall section and of the square section's nonzero block,
+and its Frobenius norm bounds their least singular values.  Sections and
 products carry their sequence pair's dtype, so real families are factored
 and multiplied in real arithmetic.
 """
@@ -183,9 +184,9 @@ class DecompositionResult:
     It is ``None`` when no finite bound exists.  On the band route
     ``column_decay`` is certified within 1e-13 of the exact ``|T| - I``
     column norms, ``s_min`` is a proved lower bound within 1e-13 of the
-    least singular value, and the isometry defect is that of ``V = T
-    (T*T)^{-1/2}`` for the computed inverse root.  The sections themselves
-    come from :func:`polar_decompose`."""
+    least singular value, and the isometry defect, at most 1e-13, is that
+    of ``V = T (T*T)^{-1/2}`` for the computed inverse root.  The sections
+    themselves come from :func:`polar_decompose`."""
 
     column_decay: np.ndarray
     isometry_defect: float
@@ -525,28 +526,30 @@ def _band_split(
     hi`` and its Gershgorin bracket ``[lo, hi]`` has ``lo > 0``.  The
     coupled Newton–Schulz iteration ``M = (3I - Z Y) / 2``, ``Y <- Y M``,
     ``Z <- M Z`` from ``Y = G_b / c``, ``Z = I`` (``c`` the bracket's
-    centre, so that the spectrum lies in ``(0, 2)``) runs in
-    block-tridiagonal arithmetic; it must reach ``||ZY - I||_F <=
-    _BAND_SETTLED`` within ``_BAND_STEPS`` steps, and the blocks that each
-    truncated product drops must stay below ``eps``.  On an exactly diagonal
-    ``G_b`` it runs on the diagonal first (:func:`_settles_on_diagonal`),
-    and in blocks only when it settles there.  Then ``Y ≈ |T| =
+    centre, so that the spectrum lies in ``(0, 2)``) runs once
+    (:func:`_newton_schulz`): on the diagonal alone when ``G_b`` is exactly
+    diagonal, in block-tridiagonal arithmetic otherwise, each product
+    truncated back to the band.  It must reach ``||ZY - I||_F <=
+    _BAND_SETTLED`` within ``_BAND_STEPS`` steps.  Then ``Y ≈ |T| =
     G^{1/2}`` and ``Z ≈ G^{-1/2}``, scaled back by ``sqrt(c)`` and made
     Hermitian.  ``column_decay`` is the column norms of ``Y - I`` and the
     isometry defect the largest column norm of ``Z G_b Z - I``, which is
     ``V^H V - I`` for ``V = T Z`` up to ``||G - G_b||``.
 
-    Certificates, each a fallback to the dense route when it fails:
-    ``s_min`` and the largest singular value lie in brackets of width at
-    most ``_BAND_TOL`` (see :func:`_edge_bracket`); ``s_min`` is the lower
-    end of its bracket, the returned bound on the largest singular value
-    the upper end of its own.  Every eigenvalue of ``G``, ``G_b`` and the
-    identity that pads ``G_b`` is at least ``f^2``, ``f = min(s_min, 1)``,
-    and one block Cholesky proves every eigenvalue of ``Y`` above ``f /
-    2``.  So ``||Y - G^{1/2}||_2 <= (||Y^2 - G_b||_F + ||G - G_b||_F) / (1.5
-    f)`` (the Sylvester equation ``Y E + E G_b^{1/2} = Y^2 - G_b`` for ``E
-    = Y - G_b^{1/2}``), with ``Y^2`` formed in full; that bound must be at
-    most ``_BAND_TOL``.
+    Certificates, each a fallback to the dense route when it fails; they
+    are computed from full products, so they cover whatever the truncated
+    products of the iteration dropped.  The isometry defect must be at most
+    ``_REFINE_DEFECT``, the defect above which the dense Gram route refines
+    its own ``V``.  ``s_min`` and the largest singular value lie in
+    brackets of width at most ``_BAND_TOL`` (see :func:`_edge_bracket`);
+    ``s_min`` is the lower end of its bracket, the returned bound on the
+    largest singular value the upper end of its own.  Every eigenvalue of
+    ``G``, ``G_b`` and the identity that pads ``G_b`` is at least ``f^2``,
+    ``f = min(s_min, 1)``, and one block Cholesky proves every eigenvalue
+    of ``Y`` above ``f / 2``.  So ``||Y - G^{1/2}||_2 <= (||Y^2 - G_b||_F +
+    ||G - G_b||_F) / (1.5 f)`` (the Sylvester equation ``Y E + E G_b^{1/2}
+    = Y^2 - G_b`` for ``E = Y - G_b^{1/2}``), with ``Y^2`` formed in full;
+    that bound must be at most ``_BAND_TOL``.
     """
     N = G.shape[0]
     nb = -(-N // _BAND)
@@ -557,12 +560,15 @@ def _band_split(
         return None
     # the identity that pads the last block widens the bracket to 1
     scale = (min(lo, 1.0) + max(hi, 1.0)) / 2.0
+    eye = np.zeros((3, 1, _BAND, _BAND))  # broadcast along the blocks
+    eye[1] = np.eye(_BAND)
     diag = np.diagonal(S[1], axis1=1, axis2=2)
-    if np.count_nonzero(S) == np.count_nonzero(diag) and not _settles_on_diagonal(
-        diag.ravel() / scale
-    ):
-        return None
-    roots = _newton_schulz(S / scale)
+    if np.count_nonzero(S) == np.count_nonzero(diag):
+        roots = _newton_schulz(diag.ravel() / scale, np.ones(diag.size), np.multiply)
+        if roots is not None:
+            roots = tuple(eye * x.reshape(nb, 1, _BAND) for x in roots)
+    else:
+        roots = _newton_schulz(S / scale, eye, functools.partial(_band_product, keep=1))
     if roots is None:
         return None
     bottom = _edge_bracket(S, N, 1.0, lo)
@@ -589,15 +595,16 @@ def _band_split(
     if (np.linalg.norm(residual) + dropped) / (1.5 * floor) > _BAND_TOL:
         return None
     del residual
-    eye = np.eye(_BAND)
-    Y[1] -= eye
+    Y -= eye
     column_decay = _band_column_norms(Y)[:N]
     column_decay.flags.writeable = False
     gz = _band_product(S, Z)
     _flush_tiny(gz)
     vtv = _band_product(Z, gz)
-    vtv[vtv.shape[0] // 2] -= eye
+    vtv[vtv.shape[0] // 2] -= eye[1]
     defect = float(_band_column_norms(vtv)[:N].max())
+    if defect > _REFINE_DEFECT:
+        return None
     deco = DecompositionResult(column_decay, defect, ROUTE_BAND, margin, s_min)
     return deco, tails_itt, s_up, None
 
@@ -678,18 +685,6 @@ def _band_product(X: np.ndarray, Y: np.ndarray, keep: int | None = None) -> np.n
     return out
 
 
-def _dropped_bound(X: np.ndarray, Y: np.ndarray) -> float:
-    """A bound on the Frobenius norm of the blocks two offsets off the
-    diagonal that ``_band_product(X, Y, keep=1)`` drops, for block-tridiagonal
-    ``X`` and ``Y``: each is one block product ``A B``, and ``||A B||_F <=
-    sum_k ||A[:, k]|| ||B[k, :]||``."""
-    col = np.sqrt(np.sum(np.abs(X[::2]) ** 2, axis=-2))  # offsets -1 and 1
-    row = np.sqrt(np.sum(np.abs(Y[::2]) ** 2, axis=-1))
-    below = np.sum(col[1, 1:] * row[1, :-1], axis=-1)
-    above = np.sum(col[0, :-1] * row[0, 1:], axis=-1)
-    return math.hypot(float(np.linalg.norm(below)), float(np.linalg.norm(above)))
-
-
 def _band_hermitian(S: np.ndarray) -> np.ndarray:
     """``(X + X^H) / 2`` for block-tridiagonal stacks ``S`` of ``X``."""
     adj = np.conj(S.swapaxes(-1, -2))
@@ -706,64 +701,44 @@ def _band_column_norms(S: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(S) ** 2, axis=(0, 2))).ravel()
 
 
-def _newton_schulz(A: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(Y, Z)`` with ``Y ≈ A^{1/2}`` and ``Z ≈ A^{-1/2}`` for the
-    block-tridiagonal stacks ``A`` of a Hermitian matrix with spectrum in
-    ``(0, 2)``, by the coupled Newton–Schulz iteration in block-tridiagonal
-    arithmetic (Higham, *Functions of Matrices*, 2008, eq. 6.35), or
-    ``None`` when it does not settle within ``_BAND_STEPS`` steps or a
-    truncated product drops more than ``eps``.
+def _newton_schulz(
+    A: np.ndarray, eye: np.ndarray, product: Callable[..., np.ndarray]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(Y, Z)`` with ``Y ≈ A^{1/2}`` and ``Z ≈ A^{-1/2}`` for a Hermitian
+    ``A`` with spectrum in ``(0, 2)``, by the coupled Newton–Schulz iteration
+    (Higham, *Functions of Matrices*, 2008, eq. 6.35), or ``None`` when it
+    does not settle within ``_BAND_STEPS`` steps.  ``A`` and the identity
+    ``eye`` (broadcast to ``A``'s shape) are either block-tridiagonal
+    stacks, with ``product`` the truncated ``_band_product(X, Y, keep=1)``,
+    or the diagonals of diagonal matrices, with ``product``
+    ``np.multiply``.  Off the diagonal the stacks of a diagonal matrix add
+    and multiply exact zeros only, so the diagonal form gives the diagonals
+    of the stacks' iterates bit for bit; only ``||ZY - I||_F`` sums its
+    squares in another order.
 
     Once ``||M - I||_F <= _BAND_POLISH`` one more step squares the error
     away, and ``||ZY - I||_F <= _BAND_SETTLED`` must hold after it.  Every
-    iterate has its sub-resolution entries flushed (:func:`_flush_tiny`)."""
-    eps = np.finfo(float).eps
-    eye = np.eye(A.shape[-1])
+    iterate has its sub-resolution entries flushed (:func:`_flush_tiny`).
+    What a truncated product drops is not bounded here: :func:`_band_split`
+    certifies ``Y`` and ``Z`` afterwards from full products."""
     Y = A.copy()
-    Z = np.zeros_like(A)
-    Z[1] = eye
+    Z = eye + np.zeros_like(A)
     polished = False
     for _ in range(_BAND_STEPS):
-        P = _band_product(Z, Y, keep=1)
-        P[1] -= eye
+        P = product(Z, Y)
+        P -= eye
         delta = float(np.linalg.norm(P))
-        if _dropped_bound(Z, Y) > eps:
-            return None
         if polished:
             return (Y, Z) if delta <= _BAND_SETTLED else None
         polished = delta <= 2.0 * _BAND_POLISH
         P *= -0.5  # M = (3I - ZY) / 2 = I - (ZY - I) / 2
-        P[1] += eye
+        P += eye
         _flush_tiny(P)
-        if max(_dropped_bound(Y, P), _dropped_bound(P, Z)) > eps:
-            return None
-        Y = _band_product(Y, P, keep=1)
-        Z = _band_product(P, Z, keep=1)
+        Y = product(Y, P)  # the old Y is freed before Z's product is formed
+        Z = product(P, Z)
         _flush_tiny(Y)
         _flush_tiny(Z)
     return None
-
-
-def _settles_on_diagonal(a: np.ndarray) -> bool:
-    """Whether :func:`_newton_schulz` settles on the stacks of the diagonal
-    matrix with diagonal ``a``.  Every product of diagonal iterates is the
-    entrywise product of their diagonals, so the iteration runs entry by
-    entry here, with the same roundings and flushes; only ``||ZY - I||_F``
-    sums its squares in another order."""
-    y, z = a.copy(), np.ones_like(a)
-    polished = False
-    for _ in range(_BAND_STEPS):
-        p = z * y - 1.0
-        delta = float(np.linalg.norm(p))
-        if polished:
-            return delta <= _BAND_SETTLED
-        polished = delta <= 2.0 * _BAND_POLISH
-        m = p * -0.5 + 1.0
-        _flush_tiny(m)
-        y, z = y * m, m * z
-        _flush_tiny(y)
-        _flush_tiny(z)
-    return False
 
 
 def _block_cholesky(
@@ -896,8 +871,9 @@ def _flush_tiny(x: np.ndarray) -> None:
     stays far below half an ulp of anything the split reports.  ``G`` itself
     is not flushed.  The band route flushes its copy of ``G``'s band (and
     counts what that drops into its ``||G - G_b||_F`` bound), its
-    Newton–Schulz iterates, which its a posteriori certificates cover, and
-    ``G_b Z``, which moves the isometry defect by about ``2**-511``.
+    Newton–Schulz iterates, stacks or diagonals, which its a posteriori
+    certificates cover, and ``G_b Z``, which moves the isometry defect, the
+    last of those certificates, by about ``2**-511``.
     """
     for start in range(0, x.shape[0], _FLUSH_ROWS):
         block = x[start : start + _FLUSH_ROWS]

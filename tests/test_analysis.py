@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -27,7 +28,16 @@ from trishift import (
     polar_decompose,
 )
 
-from trishift.analysis import DEFAULT_RANK_TOL, _flush_tiny, _gram_split, _spectral_norm
+from trishift.analysis import (
+    DEFAULT_RANK_TOL,
+    _BAND,
+    _band_blocks,
+    _band_product,
+    _flush_tiny,
+    _gram_split,
+    _newton_schulz,
+    _spectral_norm,
+)
 from trishift.operators import _ShiftRecurrence
 
 from corpus_families import family_pair, CORPUS, FAILING, PASSING
@@ -851,21 +861,30 @@ def test_band_route_leaves_wide_and_indefinite_grams_to_the_dense_route():
         assert deco.isometry_defect == dense.isometry_defect, fam.name
 
 
-def test_band_route_reads_a_diagonal_grams_fate_off_its_diagonal(monkeypatch):
-    # the three failing families with b = 0 have an exactly diagonal Gram
-    # whose eigenvalue ratio the step cap cannot bridge: they reach the
-    # dense route without a block iteration, and the diagonal passing
-    # families still take the band route through one
+def _counting_block_iterations(monkeypatch):
+    """Replace ``_newton_schulz`` by a wrapper that counts its block calls
+    (stacks of ``ndim`` 4) in the returned list."""
     from trishift import analysis
 
     calls = []
     iterate = analysis._newton_schulz
 
-    def counting(A):
-        calls.append(A.shape)
-        return iterate(A)
+    def counting(A, eye, product):
+        if A.ndim == 4:
+            calls.append(A.shape)
+        return iterate(A, eye, product)
 
     monkeypatch.setattr(analysis, "_newton_schulz", counting)
+    return calls
+
+
+def test_band_route_reads_a_diagonal_grams_fate_off_its_diagonal(monkeypatch):
+    # the six families with b = 0 have an exactly diagonal Gram, so the
+    # iteration runs on its diagonal alone: the passing ones settle and take
+    # the band route, the failing ones have an eigenvalue ratio that the
+    # step cap cannot bridge and take the dense route, and none runs a
+    # block iteration
+    calls = _counting_block_iterations(monkeypatch)
     H = BAND_N + BAND_PAD
     routes = {}
     for fam in CORPUS:
@@ -874,13 +893,78 @@ def test_band_route_reads_a_diagonal_grams_fate_off_its_diagonal(monkeypatch):
         calls.clear()
         routes[fam.name] = (compact_isometry_split(family_pair(fam, H), BAND_N).route, len(calls))
     assert routes == {
-        "szego": ("band", 1),
-        "bergman": ("band", 1),
-        "dirichlet": ("band", 1),
+        "szego": ("band", 0),
+        "bergman": ("band", 0),
+        "dirichlet": ("band", 0),
         "alt-a-2": ("gram", 0),
         "alt-a-3": ("gram", 0),
         "alt-a-15": ("gram", 0),
     }
+
+
+def _band_stacks(seq, N):
+    """The stacks of ``G_b`` for ``seq`` at order ``N``, scaled as
+    ``_band_split`` scales them, and the identity stacks."""
+    shift = _ShiftRecurrence(seq, N)
+    nb = -(-N // _BAND)
+    S, _, lo, hi, _ = _band_blocks(shift.gram(), nb)
+    S /= (min(lo, 1.0) + max(hi, 1.0)) / 2.0
+    eye = np.zeros(S.shape)
+    eye[1] = np.eye(_BAND)
+    return S, eye
+
+
+def test_newton_schulz_on_a_diagonal_equals_the_block_iteration():
+    fam = next(fam for fam in CORPUS if fam.name == "bergman")
+    S, eye = _band_stacks(family_pair(fam, BAND_N + BAND_PAD), BAND_N)
+    diag = np.diagonal(S[1], axis1=1, axis2=2)
+    assert np.count_nonzero(S) == np.count_nonzero(diag)
+    blocks = _newton_schulz(S, eye, functools.partial(_band_product, keep=1))
+    entries = _newton_schulz(diag.ravel(), np.ones(diag.size), np.multiply)
+    assert blocks is not None and entries is not None
+    on = eye.astype(bool)
+    for stacks, x in zip(blocks, entries):
+        assert np.diagonal(stacks[1], axis1=1, axis2=2).ravel().tobytes() == x.tobytes()
+        assert not np.any(stacks[~on])
+
+
+@pytest.mark.parametrize("spoiled", [0, 1], ids=["Y", "Z"])
+def test_band_certificates_refuse_a_wrong_iterate(monkeypatch, spoiled):
+    # Y off by 1e-9 fails the Y^2 - G_b residual; Z off by 1e-9 fails only
+    # the isometry defect of Z G_b Z - I
+    from trishift import analysis
+
+    iterate = analysis._newton_schulz
+
+    def spoiling(*args):
+        roots = list(iterate(*args))
+        roots[spoiled] = roots[spoiled] * (1.0 + 1e-9)
+        return tuple(roots)
+
+    seq = make_pair("sqrt(n+1)", "0.5", BAND_N + BAND_PAD)
+    assert compact_isometry_split(seq, BAND_N).route == "band"
+    monkeypatch.setattr(analysis, "_newton_schulz", spoiling)
+    deco = compact_isometry_split(seq, BAND_N)
+    shift = _ShiftRecurrence(seq, BAND_N)
+    dense = _gram_split(shift, shift.gram(), deco.margin)[0]
+    assert deco.route == "gram"
+    assert deco.column_decay.tobytes() == dense.column_decay.tobytes()
+    assert (deco.isometry_defect, deco.s_min) == (dense.isometry_defect, dense.s_min)
+
+
+def test_band_route_leaves_a_block_iteration_past_the_step_cap_to_the_dense_route(
+    monkeypatch,
+):
+    # a Gram that is banded but not diagonal, with Gershgorin lo > 0, whose
+    # eigenvalue ratio the step cap cannot bridge
+    calls = _counting_block_iterations(monkeypatch)
+    seq = make_pair("1 + 0.5*(-1)^n", "0.02", BAND_N + BAND_PAD)
+    deco = compact_isometry_split(seq, BAND_N)
+    assert deco.route == "gram" and len(calls) == 1
+    shift = _ShiftRecurrence(seq, BAND_N)
+    dense = _gram_split(shift, shift.gram(), deco.margin)[0]
+    assert deco.column_decay.tobytes() == dense.column_decay.tobytes()
+    assert (deco.isometry_defect, deco.s_min) == (dense.isometry_defect, dense.s_min)
 
 
 def test_band_route_takes_no_dense_factorization(monkeypatch):
