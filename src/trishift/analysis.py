@@ -10,8 +10,9 @@ shift on the full materialized horizon.
 Below its subdiagonal, every column of the shift is a running product, so
 ``T`` and the left inverse ``L`` are read through their two-term recurrences
 (``operators._ShiftRecurrence``) instead of built: ``G = T*T`` costs
-O(N^2), ``T X`` O(H K) for an N x K block ``X``, and the column norms of ``L
-- T*`` and ``I - TT*`` and the Frobenius norms of ``T`` and ``L`` cost O(N).
+O(N^2) time, and O(64 N) memory when it is read in panels of 64 rows, ``T
+X`` O(H K) for an N x K block ``X``, and the column norms of ``L - T*`` and
+``I - TT*`` and the Frobenius norms of ``T`` and ``L`` cost O(N).
 
 The polar split has three routes.  The Gram squares the condition number,
 so ``G`` is used only when the left inverse certifies that double precision
@@ -27,8 +28,9 @@ has the column norms of ``|T| - I``, and ``V`` is never formed.  Otherwise,
 or when a certificate fails, the dense Gram route (``"gram"``) takes ``G =
 W Λ W^H``: the remainder has the column norms of ``(Λ^{1/2} - I) W^H`` and
 ``V = T W Λ^{-1/2} W^H``, refined by one Newton–Schulz step when it is not
-orthonormal to 1e-13.  So the band route forms no N x N product, the dense
-Gram route's O(N^3) work is ``eigh(G)``, ``(T W / s) W^H`` and ``V^H V``
+orthonormal to 1e-13.  So the band route forms no N x N array: it reads
+``G`` panel by panel, and ``G`` is formed whole only for the dense Gram
+route, whose O(N^3) work is ``eigh(G)``, ``(T W / s) W^H`` and ``V^H V``
 alone, and the dense horizon section is built only for the SVD route and for
 an index rank that the left inverse does not certify.  The factors ``W`` and
 ``T W / s`` of the dense Gram route's product, ``V`` before ``V^H V`` on
@@ -53,6 +55,7 @@ import numpy as np
 
 from .operators import (
     TruncatedOperator,
+    _BLOCK,
     _neumann_partial_sums,
     _ShiftRecurrence,
     build_shift,
@@ -84,7 +87,7 @@ _REFINE_DEFECT = 1e-13
 # ||M - I||_F below which one last step polishes, the ||ZY - I||_F that the
 # last iterates must reach, and the certified accuracy of |T| and of the
 # singular-value brackets
-_BAND = 64
+_BAND = _BLOCK  # one block row of G is one of its panels
 _BAND_MIN_BLOCKS = 8
 _BAND_STEPS = 10
 _BAND_POLISH = 1e-8
@@ -430,7 +433,9 @@ def compact_isometry_split(seq: SequencePair, N: int) -> DecompositionResult:
     certifies its numbers, and by this dense Gram route otherwise.  Without
     that certificate the thin SVD ``T = U S W^H`` gives ``V = U W^H`` and
     the norms of ``(S - I) W^H``.  ``T*T`` and ``T W`` come from the
-    shift's recurrences; only the SVD route builds the dense tall section.
+    shift's recurrences: the band route reads ``T*T`` in panels of 64 rows
+    and holds no N x N array, and the dense Gram route forms it whole.  Only
+    the SVD route builds the dense tall section.
     Raises
     :class:`NearSingularError` when the least singular value is at or below
     ``DEFAULT_SINGULAR_FLOOR``.
@@ -456,13 +461,15 @@ def _polar_split(
     ||X||_F^2`` for the left inverse ``X``.  The Gram route is taken when
     ``margin = H eps ||T||_F^2 ||X||_F^2 < 1``: that error then stays below
     ``s_min^2``, so double precision resolves the least singular value.
+    The band route reads ``G`` panel by panel
+    (:meth:`~operators._ShiftRecurrence.gram_panels`); ``G`` is formed whole
+    only when the band route declines, for the dense Gram route.
     """
     margin = shift.H * np.finfo(float).eps * shift.fro_sq() * fro_tall**2
     if not math.isfinite(margin):
         margin = None
     elif margin < 1.0:
-        G = shift.gram()
-        return _band_split(G, margin) or _gram_split(shift, G, margin)
+        return _band_split(shift, margin) or _gram_split(shift, shift.gram(), margin)
     return _svd_split(section()[:, : shift.N], margin)
 
 
@@ -515,11 +522,12 @@ def _svd_split(
 
 
 def _band_split(
-    G: np.ndarray, margin: float
+    shift: _ShiftRecurrence, margin: float
 ) -> tuple[DecompositionResult, np.ndarray, float, None] | None:
     """:func:`_polar_split` from the block-tridiagonal part ``G_b`` of ``G =
     T*T`` (blocks of order ``_BAND``), or ``None`` when the band route does
-    not apply or does not certify its numbers; ``G`` is not modified.
+    not apply or does not certify its numbers.  ``G`` is read through the
+    panels of ``shift`` (:func:`_band_blocks`): no N x N array is formed.
 
     It applies when ``G`` has at least ``_BAND_MIN_BLOCKS`` blocks, the
     bound on ``||G - G_b||_F`` of :func:`_band_blocks` is at most ``eps
@@ -551,11 +559,11 @@ def _band_split(
     = Y^2 - G_b`` for ``E = Y - G_b^{1/2}``), with ``Y^2`` formed in full;
     that bound must be at most ``_BAND_TOL``.
     """
-    N = G.shape[0]
+    N = shift.N
     nb = -(-N // _BAND)
     if nb < _BAND_MIN_BLOCKS:
         return None
-    S, tails_itt, lo, hi, dropped = _band_blocks(G, nb)
+    S, tails_itt, lo, hi, dropped = _band_blocks(shift, nb)
     if not (lo > 0.0 and dropped <= np.finfo(float).eps * hi):
         return None
     # the identity that pads the last block widens the bracket to 1
@@ -585,6 +593,7 @@ def _band_split(
         return None
     _check_resolved(s_min)
     Y, Z = (_band_hermitian(x) for x in roots)
+    del roots
     Y *= math.sqrt(scale)
     Z /= math.sqrt(scale)
     floor = min(s_min, 1.0)
@@ -598,9 +607,12 @@ def _band_split(
     Y -= eye
     column_decay = _band_column_norms(Y)[:N]
     column_decay.flags.writeable = False
+    del Y
     gz = _band_product(S, Z)
+    del S, diag
     _flush_tiny(gz)
     vtv = _band_product(Z, gz)
+    del Z, gz
     vtv[vtv.shape[0] // 2] -= eye[1]
     defect = float(_band_column_norms(vtv)[:N].max())
     if defect > _REFINE_DEFECT:
@@ -610,10 +622,12 @@ def _band_split(
 
 
 def _band_blocks(
-    G: np.ndarray, nb: int
+    shift: _ShiftRecurrence, nb: int
 ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """One pass over the Hermitian ``G`` in block rows of ``_BAND``: the
-    stacks ``S`` of its block-tridiagonal part ``G_b`` (see
+    """One pass over the Hermitian ``G = T*T`` of ``shift``, one panel of
+    ``_BAND`` rows at a time
+    (:meth:`~operators._ShiftRecurrence.gram_panels`), each overwritten as
+    it is read: the stacks ``S`` of its block-tridiagonal part ``G_b`` (see
     :func:`_band_product`), padded to ``nb`` blocks by the identity; the
     column norms of ``I - G``; its Gershgorin bracket ``lo, hi``; and a
     bound on ``||G - G_b||_F``.  That bound is the norm of ``G``'s entries
@@ -621,13 +635,12 @@ def _band_blocks(
     for each entry of ``G_b`` below that, which is zeroed
     (:func:`_flush_tiny`) so that the band route's products stay out of
     subnormal arithmetic."""
-    N, b = G.shape[0], _BAND
-    S = np.zeros((3, nb, b, b), G.dtype)
+    N, b = shift.N, _BAND
+    S = np.zeros((3, nb, b, b), np.result_type(shift.r, 1.0))
     tails = np.empty(N)
     lo, hi, outside_sq = math.inf, -math.inf, 0.0
-    for i in range(nb):
-        r0, r1 = i * b, min(N, (i + 1) * b)
-        rows = G[r0:r1].copy()
+    for r0, rows in shift.gram_panels():
+        i, r1 = r0 // b, r0 + rows.shape[0]
         on = (np.arange(r1 - r0), np.arange(r0, r1))
         S[1, i, : r1 - r0, : r1 - r0] = rows[:, r0:r1]
         if i:
@@ -698,7 +711,9 @@ def _band_hermitian(S: np.ndarray) -> np.ndarray:
 
 def _band_column_norms(S: np.ndarray) -> np.ndarray:
     """Column norms of a block-banded matrix stored as stacks ``S``."""
-    return np.sqrt(np.sum(np.abs(S) ** 2, axis=(0, 2))).ravel()
+    squares = np.abs(S)
+    squares *= squares
+    return np.sqrt(np.sum(squares, axis=(0, 2))).ravel()
 
 
 def _newton_schulz(
@@ -868,9 +883,10 @@ def _flush_tiny(x: np.ndarray) -> None:
     ``s`` its entries move by at most about ``κ(T) H * 2**-511``.  ``margin
     < 1`` bounds ``κ(T) <= ||T||_F ||X||_F``, ``X`` the left inverse, below
     ``(H eps)**-0.5``, about 1e6 at ``H`` of a few thousand, so every move
-    stays far below half an ulp of anything the split reports.  ``G`` itself
-    is not flushed.  The band route flushes its copy of ``G``'s band (and
-    counts what that drops into its ``||G - G_b||_F`` bound), its
+    stays far below half an ulp of anything the split reports.  The dense
+    Gram route's ``G`` is not flushed.  The band route flushes its stacks of
+    ``G``'s band, read off ``G``'s panels (and counts what that drops into
+    its ``||G - G_b||_F`` bound), its
     Newton–Schulz iterates, stacks or diagonals, which its a posteriori
     certificates cover, and ``G_b Z``, which moves the isometry defect, the
     last of those certificates, by about ``2**-511``.

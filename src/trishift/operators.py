@@ -26,8 +26,8 @@ run contiguous, and give the columns' tail bounds.  The adjoint section is
 the shift section conjugate-transposed in place, ``_BLOCK``-square tiles at
 a time.  The same two-term recurrences along the rows let
 ``_ShiftRecurrence`` apply the shift's tall section and form its Gram
-matrix and the column norms that the analysis needs without building a
-section.
+matrix, whole or in panels of ``_BLOCK`` rows, and the column norms that
+the analysis needs without building a section.
 
 Every section takes the dtype of its :class:`SequencePair`: float64 for a
 real family, complex128 otherwise.  A section owns the array it is built
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +126,8 @@ def _require_horizon(seq: SequencePair, needed: int, what: str) -> None:
         )
 
 
-# rows and columns per block: the Gram's upper triangle, the columns whose
-# discarded rows are run together and the tiles of the adjoint's transpose
+# rows and columns per block: the Gram's panels, the columns whose discarded
+# rows are run together and the tiles of the adjoint's transpose
 _BLOCK = 64
 
 
@@ -259,8 +260,10 @@ class _ShiftRecurrence:
     down, per unit of its first entry.  Row ``k + 1`` of ``T`` left of
     column ``k - 1`` is ``r_k`` times row ``k``, and every product and
     column norm below follows a recurrence: nothing of size ``H x H`` or ``H
-    x N`` is formed but the product ``T X``.  Every factor is a direct ratio
-    of the pair's entries, so exact rescalings keep every bit.
+    x N`` is formed but the product ``T X``, and nothing of size ``N x N``
+    but the Gram that :meth:`gram` returns; :meth:`gram_panels` gives it in
+    ``O(N _BLOCK)`` memory.  Every factor is a direct ratio of the pair's
+    entries, so exact rescalings keep every bit.
     """
 
     def __init__(self, seq: SequencePair, N: int) -> None:
@@ -307,30 +310,66 @@ class _ShiftRecurrence:
             z *= self.r[i]
         return Y
 
-    def gram(self) -> np.ndarray:
-        """``G = T*T`` in O(N^2): for ``i < j``, ``G[i, j] = conj(T[j+1, i])
-        s_j + conj(T[j+2, i]) c_j Q_{j+2}``, and ``T[j+2, i] = r_{j+1}
-        T[j+1, i]``, so column ``j`` above the diagonal is ``conj(T[j+1,
-        :j])`` times one number.  Both triangles are filled: the lower one
-        row by row, the upper one from it in blocks of rows, so that no
-        long strided column is written."""
+    def gram_panels(
+        self, G: np.ndarray | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(r0, G[r0:r0 + _BLOCK])`` for ``G = T*T`` in order of
+        ``r0``, each panel in O(N _BLOCK) memory: into the rows of ``G``
+        when it is given, otherwise into one buffer, which the caller may
+        overwrite and the next panel rewrites in full.
+
+        For ``i < j``, ``G[i, j] = conj(T[j+1, i]) s_j + conj(T[j+2, i]) c_j
+        Q_{j+2}``, and ``T[j+2, i] = r_{j+1} T[j+1, i]``, so row ``j`` left
+        of the diagonal is ``T[j+1, :j]`` times ``conj(β_j)``, one number.
+        A panel's rows left of the diagonal come from that row recurrence,
+        whose state, row ``j + 1`` of ``T``, is carried from panel to
+        panel; its upper part inside the diagonal block is their conjugate;
+        right of the block, its columns of ``T`` run on down the rows, each
+        row times ``conj(β_j)``, and are conjugated.  A real run is one
+        ``np.cumprod`` along the rows; a complex one takes the row step
+        ``*= r`` that the recurrence takes, as ``np.cumprod`` rounds a
+        complex product differently.  So every entry is the recurrence's
+        product, whichever panel holds it."""
         N = self.N
         r, c = self.r, self.c
+        dtype = np.result_type(r, 1.0)
         beta = self.sub[:N] + np.conj(r[1 : N + 1]) * c[:N] * self.q[2 : N + 2]
-        G = np.empty((N, N), np.result_type(r, 1.0))
-        G.flat[:: N + 1] = self.gram_diagonal()
-        row = np.zeros(N, G.dtype)  # row j + 1 of T, columns < j
-        for j in range(N):
-            if j:
-                lower = G[j, :j]
-                np.multiply(row[:j], np.conj(beta[j]), out=lower)
-                top = j - j % _BLOCK  # the diagonal block's upper part
-                G[top:j, j] = np.conj(lower[top:])
-            row[:j] *= r[j + 1]
-            row[j] = c[j]
-        for top in range(0, N, _BLOCK):
-            bottom = top + _BLOCK
-            G[top:bottom, bottom:] = np.conj(G[bottom:, top:bottom]).T
+        beta_conj = np.conj(beta)
+        diagonal = self.gram_diagonal()
+        buffer = np.empty((min(_BLOCK, N), N), dtype) if G is None else None
+        row = np.zeros(N, dtype)  # row j + 1 of T, columns < j
+        for r0 in range(0, N, _BLOCK):
+            r1 = min(r0 + _BLOCK, N)
+            panel = buffer[: r1 - r0] if G is None else G[r0:r1]
+            for j in range(r0, r1):
+                if j:
+                    lower = panel[j - r0, :j]
+                    np.multiply(row[:j], beta_conj[j], out=lower)
+                    panel[: j - r0, j] = np.conj(lower[r0:])
+                panel[j - r0, j] = diagonal[j]
+                row[:j] *= r[j + 1]
+                row[j] = c[j]
+            right = panel[:, r1:]
+            if r1 < N and dtype == np.float64:
+                right[:, 0] = row[r0:r1]
+                right[:, 1:] = r[r1 + 1 : N]
+                np.cumprod(right, axis=1, out=right)
+                right *= beta[r1:]
+            elif r1 < N:
+                cols = row[r0:r1].copy()
+                run = np.empty((N - r1, r1 - r0), dtype)
+                for j in range(r1, N):
+                    np.multiply(cols, beta_conj[j], out=run[j - r1])
+                    cols *= r[j + 1]
+                np.conjugate(run.T, out=right)
+            yield r0, panel
+
+    def gram(self) -> np.ndarray:
+        """``G = T*T`` in O(N^2), the panels of :meth:`gram_panels` written
+        into one array."""
+        G = np.empty((self.N, self.N), np.result_type(self.r, 1.0))
+        for _ in self.gram_panels(G):
+            pass
         return G
 
     def _row_masses(self) -> np.ndarray:

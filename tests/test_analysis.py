@@ -710,6 +710,8 @@ def _assert_recurrence_matches_dense(seq, N, label, rng):
     assert np.max(np.abs(shift.apply(X) - want["tall"] @ X)) <= tol, label
     gram = shift.gram()
     assert np.array_equal(gram, gram.conj().T), label
+    panels = [(r0, rows.tobytes()) for r0, rows in shift.gram_panels()]
+    assert panels == [(r0, gram[r0 : r0 + _BAND].tobytes()) for r0 in range(0, N, _BAND)], label
     assert np.max(np.abs(gram - want["gram"])) <= tol, label
     assert abs(math.sqrt(shift.fro_sq()) - want["fro"]) <= tol, label
     itt = np.linalg.norm(np.eye(N) - gram, axis=0)
@@ -736,6 +738,10 @@ def test_shift_recurrence_matches_dense_sections():
         kinds.add(seq.a.dtype.kind)
         _assert_recurrence_matches_dense(seq, N, (N, pad), rng)
     assert kinds == {"f", "c"}
+    # G over several panels, the last one ragged
+    for N, pad in ((200, 16), (257, 1)):
+        for seq in (make_pair("sqrt(n+1)", "0.5", N + pad), complex_baseline_pair(N, N + pad)):
+            _assert_recurrence_matches_dense(seq, N, ("panels", N, seq.a.dtype.kind), rng)
     # running products above 1 at the start: the recurrences stay stable
     seq = _growing_ratio_pair(80)
     for N in (8, 64, 79, 80):
@@ -907,7 +913,7 @@ def _band_stacks(seq, N):
     ``_band_split`` scales them, and the identity stacks."""
     shift = _ShiftRecurrence(seq, N)
     nb = -(-N // _BAND)
-    S, _, lo, hi, _ = _band_blocks(shift.gram(), nb)
+    S, _, lo, hi, _ = _band_blocks(shift, nb)
     S /= (min(lo, 1.0) + max(hi, 1.0)) / 2.0
     eye = np.zeros(S.shape)
     eye[1] = np.eye(_BAND)
@@ -980,6 +986,44 @@ def test_band_route_takes_no_dense_factorization(monkeypatch):
         assert diag.decomposition.isometry_defect <= 1e-13
         data = diag.index_data
         assert (data.ker_route, data.coker_route, data.index) == ("certified", "certified", -1)
+
+
+def test_band_route_forms_no_dense_gram(monkeypatch):
+    # the band route reads G's panels; only a declined band route forms G
+    calls = []
+    gram = _ShiftRecurrence.gram
+
+    def counting(self):
+        calls.append(self.N)
+        return gram(self)
+
+    monkeypatch.setattr(_ShiftRecurrence, "gram", counting)
+    fam = next(fam for fam in CORPUS if fam.name == "alt-a-2")
+    assert compact_isometry_split(family_pair(fam, BAND_N + BAND_PAD), BAND_N).route == "gram"
+    assert calls == [BAND_N]
+
+    def refuse(self):
+        raise AssertionError("the dense Gram was formed")
+
+    monkeypatch.setattr(_ShiftRecurrence, "gram", refuse)
+    N = 1024
+    seq = make_pair("sqrt(n+1)", "0.5", N + BAND_PAD)
+    assert compact_isometry_split(seq, N).route == "band"
+    assert equivalence_diagnostics(seq, N).decomposition.route == "band"
+
+
+def test_band_split_allocates_less_than_the_dense_gram():
+    # G alone is 8 N^2 bytes; the band route holds O(N _BAND) at a time
+    N = 4096
+    seq = make_pair("sqrt(n+1)", "0.5", N + BAND_PAD)
+    tracemalloc.start()
+    try:
+        deco = compact_isometry_split(seq, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert deco.route == "band"
+    assert peak < 8 * N * N
 
 
 def test_band_route_is_bitwise_invariant_under_exact_rescaling():
