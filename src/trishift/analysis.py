@@ -10,9 +10,11 @@ shift on the full materialized horizon.
 Below its subdiagonal, every column of the shift is a running product, so
 ``T`` and the left inverse ``L`` are read through their two-term recurrences
 (``operators._ShiftRecurrence``) instead of built: ``G = T*T`` costs
-O(N^2) time, and O(64 N) memory when it is read in panels of 64 rows, ``T
-X`` O(H K) for an N x K block ``X``, and the column norms of ``L - T*`` and
-``I - TT*`` and the Frobenius norms of ``T`` and ``L`` cost O(N).
+O(N^2) time, and O(64 N) memory when it is read in panels of 64 rows cut at
+the end of their diagonal block, the rest of ``G`` being their conjugate
+transpose, ``T X`` O(H K) for an N x K block ``X``, and the column norms of
+``L - T*`` and ``I - TT*`` and the Frobenius norms of ``T`` and ``L`` cost
+O(N).
 
 The polar split has three routes.  The Gram squares the condition number,
 so ``G`` is used only when the left inverse certifies that double precision
@@ -29,10 +31,11 @@ or when a certificate fails, the dense Gram route (``"gram"``) takes ``G =
 W Λ W^H``: the remainder has the column norms of ``(Λ^{1/2} - I) W^H`` and
 ``V = T W Λ^{-1/2} W^H``, refined by one Newton–Schulz step when it is not
 orthonormal to 1e-13.  So the band route forms no N x N array: it reads
-``G`` panel by panel, and ``G`` is formed whole only for the dense Gram
-route, whose O(N^3) work is ``eigh(G)``, ``(T W / s) W^H`` and ``V^H V``
-alone, and the dense horizon section is built only for the SVD route and for
-an index rank that the left inverse does not certify.  The factors ``W`` and
+``G``'s lower block triangle panel by panel and takes the rest by Hermitian
+symmetry, and ``G`` is formed whole only for the dense Gram route, whose
+O(N^3) work is ``eigh(G)``, ``(T W / s) W^H`` and ``V^H V`` alone, and the
+dense horizon section is built only for the SVD route and for an index
+rank that the left inverse does not certify.  The factors ``W`` and
 ``T W / s`` of the dense Gram route's product, ``V`` before ``V^H V`` on
 both dense routes and the band route's iterates have their entries below
 ``2**-511`` zeroed first, which keeps the products out of subnormal
@@ -625,37 +628,50 @@ def _band_blocks(
     shift: _ShiftRecurrence, nb: int
 ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """One pass over the Hermitian ``G = T*T`` of ``shift``, one panel of
-    ``_BAND`` rows at a time
-    (:meth:`~operators._ShiftRecurrence.gram_panels`), each overwritten as
-    it is read: the stacks ``S`` of its block-tridiagonal part ``G_b`` (see
-    :func:`_band_product`), padded to ``nb`` blocks by the identity; the
-    column norms of ``I - G``; its Gershgorin bracket ``lo, hi``; and a
-    bound on ``||G - G_b||_F``.  That bound is the norm of ``G``'s entries
-    outside the block-tridiagonal part, summed directly, plus ``2**-511``
-    for each entry of ``G_b`` below that, which is zeroed
-    (:func:`_flush_tiny`) so that the band route's products stay out of
-    subnormal arithmetic."""
+    ``_BAND`` rows up to the end of their diagonal block at a time
+    (:meth:`~operators._ShiftRecurrence.gram_panels`): the stacks ``S`` of
+    its block-tridiagonal part ``G_b`` (see :func:`_band_product`), padded
+    to ``nb`` blocks by the identity; the column norms of ``I - G``; its
+    Gershgorin bracket ``lo, hi``; and a bound on ``||G - G_b||_F``.
+
+    ``G``'s part right of a panel is the conjugate transpose of later
+    panels' parts left of their diagonal blocks.  So the superdiagonal
+    stacks ``S[0]`` are the subdiagonal stacks ``S[2]`` conjugate-transposed,
+    and each row's Gershgorin radius and squared norm are its panel's row
+    sums plus the column sums of later panels, added into two vectors of
+    length ``N``.  The bound is the norm of ``G``'s entries outside the
+    block-tridiagonal part, summed directly with the part left of the band
+    counted twice, plus ``2**-511`` for each entry of ``G_b`` below that,
+    which is zeroed (:func:`_flush_tiny`) so that the band route's products
+    stay out of subnormal arithmetic."""
     N, b = shift.N, _BAND
     S = np.zeros((3, nb, b, b), np.result_type(shift.r, 1.0))
-    tails = np.empty(N)
-    lo, hi, outside_sq = math.inf, -math.inf, 0.0
+    diag = shift.gram_diagonal()
+    radius, norm_sq = np.empty(N), np.empty(N)
+    mags = np.empty((min(b, N), N))
+    outside_sq = 0.0
     for r0, rows in shift.gram_panels():
         i, r1 = r0 // b, r0 + rows.shape[0]
         on = (np.arange(r1 - r0), np.arange(r0, r1))
         S[1, i, : r1 - r0, : r1 - r0] = rows[:, r0:r1]
         if i:
             S[2, i - 1, : r1 - r0] = rows[:, r0 - b : r0]
-        if i + 1 < nb:
-            S[0, i + 1, :, : min(b, N - r1)] = rows[:, r1 : r1 + b]
-        for far in (rows[:, : max(0, r0 - b)], rows[:, r1 + b :]):
-            outside_sq += float(np.vdot(far, far).real)
-        diag = rows[on].real
-        rows[on] = 0.0
-        radius = np.abs(rows).sum(axis=1)
-        lo = min(lo, float((diag - radius).min()))
-        hi = max(hi, float((diag + radius).max()))
-        rows[on] = diag - 1.0
-        tails[r0:r1] = np.linalg.norm(rows, axis=1)  # G is Hermitian
+            np.conjugate(S[2, i - 1, : r1 - r0].T, out=S[0, i, :, : r1 - r0])
+        # row sums left of the block end; later panels add those right of it
+        m = mags[: r1 - r0, :r1]
+        np.abs(rows, out=m)
+        m[on] = 0.0
+        radius[r0:r1] = m.sum(axis=1)
+        radius[:r0] += m[:, :r0].sum(axis=0)
+        m[on] = np.abs(diag[r0:r1] - 1.0)
+        m *= m
+        norm_sq[r0:r1] = m.sum(axis=1)
+        norm_sq[:r0] += m[:, :r0].sum(axis=0)
+        outside_sq += 2.0 * float(m[:, : max(0, r0 - b)].sum())
+    lo, hi = float((diag - radius).min()), float((diag + radius).max())
+    tails = np.sqrt(norm_sq, out=norm_sq)
+    # free the scratch before _flush_tiny's temporaries raise the peak
+    del mags, m, rows, diag, radius
     pad = nb * b - N
     S[1, -1, b - pad :, b - pad :] = np.eye(pad)
     tiny = np.count_nonzero(S) - np.count_nonzero(np.abs(S) >= _TINY)

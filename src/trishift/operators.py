@@ -26,8 +26,9 @@ run contiguous, and give the columns' tail bounds.  The adjoint section is
 the shift section conjugate-transposed in place, ``_BLOCK``-square tiles at
 a time.  The same two-term recurrences along the rows let
 ``_ShiftRecurrence`` apply the shift's tall section and form its Gram
-matrix, whole or in panels of ``_BLOCK`` rows, and the column norms that
-the analysis needs without building a section.
+matrix, whole or in panels of ``_BLOCK`` rows cut at the end of their
+diagonal block (the rest of ``G`` is their conjugate transpose), and the
+column norms that the analysis needs without building a section.
 
 Every section takes the dtype of its :class:`SequencePair`: float64 for a
 real family, complex128 otherwise.  A section owns the array it is built
@@ -261,9 +262,9 @@ class _ShiftRecurrence:
     column ``k - 1`` is ``r_k`` times row ``k``, and every product and
     column norm below follows a recurrence: nothing of size ``H x H`` or ``H
     x N`` is formed but the product ``T X``, and nothing of size ``N x N``
-    but the Gram that :meth:`gram` returns; :meth:`gram_panels` gives it in
-    ``O(N _BLOCK)`` memory.  Every factor is a direct ratio of the pair's
-    entries, so exact rescalings keep every bit.
+    but the Gram that :meth:`gram` returns; :meth:`gram_panels` gives its
+    lower block triangle in ``O(N _BLOCK)`` memory.  Every factor is a
+    direct ratio of the pair's entries, so exact rescalings keep every bit.
     """
 
     def __init__(self, seq: SequencePair, N: int) -> None:
@@ -310,37 +311,31 @@ class _ShiftRecurrence:
             z *= self.r[i]
         return Y
 
-    def gram_panels(
-        self, G: np.ndarray | None = None
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(r0, G[r0:r0 + _BLOCK])`` for ``G = T*T`` in order of
-        ``r0``, each panel in O(N _BLOCK) memory: into the rows of ``G``
-        when it is given, otherwise into one buffer, which the caller may
-        overwrite and the next panel rewrites in full.
+    def gram_panels(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(r0, G[r0:r1, :r1])`` for ``G = T*T`` in order of ``r0``,
+        ``r1 = min(r0 + _BLOCK, N)``: the rows of each panel up to the end
+        of their diagonal block, written into one buffer of ``_BLOCK`` rows,
+        which the caller may overwrite and the next panel rewrites in full.
+        The rest of ``G``'s rows is the conjugate transpose of later panels.
 
         For ``i < j``, ``G[i, j] = conj(T[j+1, i]) s_j + conj(T[j+2, i]) c_j
         Q_{j+2}``, and ``T[j+2, i] = r_{j+1} T[j+1, i]``, so row ``j`` left
         of the diagonal is ``T[j+1, :j]`` times ``conj(β_j)``, one number.
         A panel's rows left of the diagonal come from that row recurrence,
         whose state, row ``j + 1`` of ``T``, is carried from panel to
-        panel; its upper part inside the diagonal block is their conjugate;
-        right of the block, its columns of ``T`` run on down the rows, each
-        row times ``conj(β_j)``, and are conjugated.  A real run is one
-        ``np.cumprod`` along the rows; a complex one takes the row step
-        ``*= r`` that the recurrence takes, as ``np.cumprod`` rounds a
-        complex product differently.  So every entry is the recurrence's
-        product, whichever panel holds it."""
+        panel; its upper part inside the diagonal block is their
+        conjugate."""
         N = self.N
         r, c = self.r, self.c
         dtype = np.result_type(r, 1.0)
         beta = self.sub[:N] + np.conj(r[1 : N + 1]) * c[:N] * self.q[2 : N + 2]
         beta_conj = np.conj(beta)
         diagonal = self.gram_diagonal()
-        buffer = np.empty((min(_BLOCK, N), N), dtype) if G is None else None
+        buffer = np.empty((min(_BLOCK, N), N), dtype)
         row = np.zeros(N, dtype)  # row j + 1 of T, columns < j
         for r0 in range(0, N, _BLOCK):
             r1 = min(r0 + _BLOCK, N)
-            panel = buffer[: r1 - r0] if G is None else G[r0:r1]
+            panel = buffer[: r1 - r0, :r1]
             for j in range(r0, r1):
                 if j:
                     lower = panel[j - r0, :j]
@@ -349,27 +344,20 @@ class _ShiftRecurrence:
                 panel[j - r0, j] = diagonal[j]
                 row[:j] *= r[j + 1]
                 row[j] = c[j]
-            right = panel[:, r1:]
-            if r1 < N and dtype == np.float64:
-                right[:, 0] = row[r0:r1]
-                right[:, 1:] = r[r1 + 1 : N]
-                np.cumprod(right, axis=1, out=right)
-                right *= beta[r1:]
-            elif r1 < N:
-                cols = row[r0:r1].copy()
-                run = np.empty((N - r1, r1 - r0), dtype)
-                for j in range(r1, N):
-                    np.multiply(cols, beta_conj[j], out=run[j - r1])
-                    cols *= r[j + 1]
-                np.conjugate(run.T, out=right)
             yield r0, panel
 
     def gram(self) -> np.ndarray:
-        """``G = T*T`` in O(N^2), the panels of :meth:`gram_panels` written
-        into one array."""
+        """``G = T*T`` in O(N^2): the panels of :meth:`gram_panels` copied
+        into one array, each panel's part left of its diagonal block also
+        conjugate-transposed into the column block above it, so that ``G``
+        is exactly Hermitian."""
         G = np.empty((self.N, self.N), np.result_type(self.r, 1.0))
-        for _ in self.gram_panels(G):
-            pass
+        for r0, rows in self.gram_panels():
+            r1 = r0 + rows.shape[0]
+            G[r0:r1, :r1] = rows
+            # a real panel's conj() is the panel itself, and a plain
+            # transposed copy is faster than np.conjugate(..., out=...)
+            G[:r0, r0:r1] = rows[:, :r0].T.conj()
         return G
 
     def _row_masses(self) -> np.ndarray:

@@ -711,7 +711,9 @@ def _assert_recurrence_matches_dense(seq, N, label, rng):
     gram = shift.gram()
     assert np.array_equal(gram, gram.conj().T), label
     panels = [(r0, rows.tobytes()) for r0, rows in shift.gram_panels()]
-    assert panels == [(r0, gram[r0 : r0 + _BAND].tobytes()) for r0 in range(0, N, _BAND)], label
+    assert panels == [
+        (r0, gram[r0 : r0 + _BAND, : r0 + _BAND].tobytes()) for r0 in range(0, N, _BAND)
+    ], label
     assert np.max(np.abs(gram - want["gram"])) <= tol, label
     assert abs(math.sqrt(shift.fro_sq()) - want["fro"]) <= tol, label
     itt = np.linalg.norm(np.eye(N) - gram, axis=0)
@@ -918,6 +920,45 @@ def _band_stacks(seq, N):
     eye = np.zeros(S.shape)
     eye[1] = np.eye(_BAND)
     return S, eye
+
+
+def test_band_blocks_match_the_dense_gram():
+    # several panels, the last one ragged at N = 200 and 257: the
+    # superdiagonal stacks and the right-hand halves of the row sums are
+    # taken from later panels by symmetry
+    b = _BAND
+    for N in (200, 257, 1024):
+        nb = -(-N // b)
+        for seq in (make_pair("sqrt(n+1)", "0.5", N + 64), complex_baseline_pair(2024, N + 64)):
+            label = (N, seq.a.dtype.kind)
+            shift = _ShiftRecurrence(seq, N)
+            S, tails, lo, hi, dropped = _band_blocks(shift, nb)
+            G = shift.gram()
+            padded = np.eye(nb * b, dtype=G.dtype)
+            padded[:N, :N] = G
+            padded[np.abs(padded) < TINY] = 0.0
+            want = np.zeros_like(S)
+            for j in range(nb):
+                block = slice(j * b, (j + 1) * b)
+                want[1, j] = padded[block, block]
+                if j + 1 < nb:
+                    want[2, j] = padded[(j + 1) * b : (j + 2) * b, block]
+                if j:
+                    want[0, j] = padded[(j - 1) * b : j * b, block]
+            for k in range(3):
+                assert S[k].tobytes() == want[k].tobytes(), (label, k)
+            itt = np.linalg.norm(np.eye(N) - G, axis=1)
+            assert np.max(np.abs(tails - itt)) <= 1e-15, label
+            diag = G.diagonal().real
+            off = np.abs(G)
+            np.fill_diagonal(off, 0.0)
+            radius = off.sum(axis=1)
+            tol = 1e-14 * max(abs(hi), 1.0)
+            assert abs(lo - float((diag - radius).min())) <= tol, label
+            assert abs(hi - float((diag + radius).max())) <= tol, label
+            blocks = np.arange(N) // b
+            outside = np.abs(blocks[:, None] - blocks[None, :]) > 1
+            assert dropped >= np.linalg.norm(G[outside]) * (1.0 - 1e-12), label
 
 
 def test_newton_schulz_on_a_diagonal_equals_the_block_iteration():
