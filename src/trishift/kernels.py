@@ -32,6 +32,16 @@ block.  Its certificate is therefore
 shift section's column tail bounds ``tail_j``: no operator norm, and no
 factorization.  A finite certificate also carries the rounding of the
 computed residual, which is far above that term where ``kappa_w`` decays fast.
+
+No adjoint section is formed either.  Row ``j`` of ``P_N M* P_N`` applied to
+``kappa`` is ``conj(s_j) kappa_{j+1} + conj(c_j) y_{j+2}``, where ``y_m =
+kappa_m + conj(r_m) y_{m+1}`` is Horner's rule on the shift's ratios ``r_m =
+-b_m / a_{m+1}``, run backward over every point at once, 64 rows at a time,
+with ``|A| |kappa|`` from the same recurrence on magnitudes.  Time is
+O(N (N + points)) and memory O(N points).  The rounding term counts that
+recurrence's own operations: ``gamma_{2N}`` for real ratios and
+``gamma_{4N}`` for complex ones (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., 2002, section 5.1).
 """
 
 from __future__ import annotations
@@ -43,16 +53,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    _BLOCK,
     TruncatedOperator,
-    _adjoint_entries,
     _geometric_tail_norm,
+    _require_horizon,
+    _shift_tails,
     build_shift,
 )
-from .sequences import SequencePair
+from .sequences import SequencePair, c_coefficients
 
 
 _UNIT_ROUNDOFF = 2.0**-53
-_ROW_BLOCK = 32  # rows of |A| formed at a time by adjoint_residual_grid
 
 
 class KernelDivergenceError(ArithmeticError):
@@ -275,19 +286,16 @@ def defect_matrix(seq: SequencePair, N: int) -> TruncatedOperator:
     return TruncatedOperator(C)
 
 
-def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A @ x`` for a complex vector ``x``.  A real ``A`` is applied to the
-    real and imaginary parts apart, so that it is never cast to complex."""
-    if np.iscomplexobj(A):
-        return A @ x
-    return A @ x.real + 1j * (A @ x.imag)
+def _gamma(n: int) -> float:
+    """``gamma_n = n u / (1 - n u)``, the bound on ``n`` roundings."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
 
 def adjoint_residual_grid(
     seq: SequencePair, pts: PointSet, N: int
 ) -> list[tuple[float, float]]:
     """Relative residual of ``M* kappa_w = conj(w) kappa_w`` on the N-window
-    at each point w, with its certificate, sharing one adjoint section.
+    at each point w, with its certificate, from the shift's recurrence.
 
     The residual ``||P_N M* (I - P_N) kappa_w|| / ||P_N kappa_w||`` is at
     most ``F ||(I - P_N) kappa_w|| / ||P_N kappa_w||``, where ``F``, the
@@ -297,40 +305,64 @@ def adjoint_residual_grid(
     geometrically with the largest coefficient ratio measured on the
     window's trailing quarter.  The certificate is inf when the shift has no
     tail bound (``r_hat >= 1`` or horizon ``<= N``) or that ratio reaches 1.
+    The tail bounds come from the shift's row recurrence with no row
+    written, the bits :func:`~trishift.operators.build_shift` returns.
 
-    A finite certificate adds the rounding term
-    ``gamma_{N+2} (|| |A| |kappa_w| || / ||P_N kappa_w|| + |w|)``: the
-    componentwise error bound of the computed ``A kappa_w - conj(w) kappa_w``
-    (each row of the adjoint section ``A`` has at most N - 1 nonzeros),
-    relative to ``||P_N kappa_w||``, with ``gamma_n = n u / (1 - n u)``.
-    ``|A| |kappa_w|`` is one real product for the whole grid, a block of
-    rows of ``|A|`` at a time.  Each point's residual applies ``A`` on its
-    own, so one point's residual is bit for bit its residual in any grid.
+    No section is formed.  With ``r_m = -b_m / a_{m+1}``, ``s_j = a_j /
+    a_{j+1}`` and ``c_j`` the shift's coefficients, row ``j`` of the adjoint
+    section ``A`` applied to the window ``kappa`` (``kappa_m = 0`` for ``m >=
+    N``) is ``conj(s_j) kappa_{j+1} + conj(c_j) y_{j+2}``, with ``y_m =
+    kappa_m + conj(r_m) y_{m+1}`` and ``y_N = 0``: Horner's rule, run
+    backward over every point at once, ``_BLOCK`` rows at a time.  Each
+    chunk's squared residuals, and those of ``v = |A| |kappa|`` from the same
+    recurrence on magnitudes, are added into one sum per point.  Every
+    complex product is formed in split real form (:func:`_times`), and each
+    point's sums run in order down its own column, so a point's rounding
+    does not depend on the other points: one point's residual is bit for
+    bit its residual in any grid.
+
+    A finite certificate adds the rounding term ``gamma_R (phi ||v|| /
+    ||P_N kappa_w|| + |w|)``, with ``v = |A| |kappa_w|`` as computed,
+    ``gamma_n = n u / (1 - n u)`` and ``u = 2^-53``; ``gamma_R`` bounds
+    each computed residual entry's error by ``gamma_R (v_j + |w|
+    |kappa_j|)``.  By Horner's error analysis (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., 2002, section 5.1):
+
+    * A real ratio costs a step of ``y`` two roundings, a product and a sum,
+      on the real and imaginary parts apart, so ``kappa_k`` reaches ``y_m``
+      through at most ``2(N - m) - 1`` of them.  Forming row ``j`` (a
+      product, a sum) and subtracting ``conj(w) kappa_j`` (one rounding)
+      bring it to ``2N - 2``; the split product ``conj(w) kappa_j`` costs
+      ``sqrt(2) gamma_2 <= gamma_3``.  So ``gamma_R = gamma_{2N}``.
+    * A complex ratio's split product costs ``sqrt(2) gamma_2 <= gamma_3``,
+      so a step costs ``gamma_4``: ``4(N - m) - 3`` for ``y_m`` and at most
+      ``4N - 6`` for a residual entry, and ``gamma_R = gamma_{4N}``.
+    * ``||v||`` must not fall below the exact norm.  Its recurrence adds
+      only non-negative terms, and every rounding then scales a term by at
+      least ``1 - u``.  Counting each complex magnitude as three roundings
+      (numpy's complex ``abs`` measures within 2.4 u), a ``v_j`` term passes
+      through at most ``5N``; the squares, at most ``N`` additions of them,
+      the root and the division by ``||P_N kappa_w||`` bring the computed
+      norm to at least ``(1 - u)^{6N + 3}`` times the exact one, so
+      ``phi = 1 + gamma_{6N + 3}``.
     """
+    if N < 2:
+        raise ValueError("section order must be at least 2")
+    _require_horizon(seq, N, "adjoint residual")
     H = seq.horizon
     start = max(1, (3 * N) // 4)
     points = list(pts)
+    K = len(points)
     # entry n of kappa_w is conj(f_n(w)), n <= H
-    coeffs = np.empty((len(points), H + 1), dtype=complex)
+    coeffs = np.empty((K, H + 1), dtype=complex)
     for row, (re, im) in zip(coeffs, _point_parts(seq, points)):
         row.real, row.imag = re, -im
     mags = np.abs(coeffs)
-    Astar, tails = _adjoint_entries(seq, N)
+    tails = _shift_tails(seq, N)
     block = math.inf if tails is None else _geometric_tail_norm(tails, 0.0)
-    if tails is not None:
-        # || |A| |kappa_w| ||^2 for every point, a block of rows at a time
-        # so that no second N x N array is held
-        spread_sq = sum(
-            np.square(np.abs(Astar[i : i + _ROW_BLOCK]) @ mags[:, :N].T).sum(axis=0)
-            for i in range(0, N, _ROW_BLOCK)
-        )
-        gamma = (N + 2) * _UNIT_ROUNDOFF / (1.0 - (N + 2) * _UNIT_ROUNDOFF)
-    out = []
-    for k, w in enumerate(points):
-        kappa = coeffs[k, :N]
-        resid_vec = _apply(Astar, kappa) - np.conj(w) * kappa
-        norm_kappa = float(np.linalg.norm(kappa))
-        residual = float(np.linalg.norm(resid_vec)) / norm_kappa
+    norms, truncation = [], []
+    for k in range(K):
+        norms.append(float(np.linalg.norm(coeffs[k, :N])))
         cur, nxt = mags[k, start : N - 1], mags[k, start + 1 : N]
         live = cur > 0.0
         if np.any(~live & (nxt > 0.0)):  # a zero coefficient before a nonzero one
@@ -338,13 +370,79 @@ def adjoint_residual_grid(
         else:
             decay = float(np.fmax.reduce(nxt[live] / cur[live], initial=0.0))
         if decay >= 1.0 or tails is None:
-            certificate = math.inf
+            truncation.append(math.inf)
         else:
             rest = _geometric_tail_norm(mags[k, N:], decay)
-            spread = math.sqrt(spread_sq[k]) / norm_kappa
-            certificate = block * rest / norm_kappa + gamma * (spread + abs(w))
+            truncation.append(block * rest / norms[-1])
+    resid_sq, spread_sq = _residual_sums(seq, coeffs, mags, points, N)
+    gamma = _gamma((4 if np.iscomplexobj(seq.a) else 2) * N)
+    inflate = 1.0 + _gamma(6 * N + 3)
+    out = []
+    for k, w in enumerate(points):
+        residual = math.sqrt(resid_sq[k]) / norms[k]
+        certificate = truncation[k]
+        if certificate < math.inf:
+            spread = inflate * math.sqrt(spread_sq[k]) / norms[k]
+            certificate += gamma * (spread + abs(w))
         out.append((residual, certificate))
     return out
+
+
+def _residual_sums(
+    seq: SequencePair,
+    coeffs: np.ndarray,
+    mags: np.ndarray,
+    points: list[complex],
+    N: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, ``||A kappa - conj(w) kappa||^2`` and ``|| |A| |kappa|
+    ||^2`` for the N x N adjoint section ``A`` and the window ``kappa =
+    coeffs[:, :N]`` (magnitudes ``mags``), by the backward recurrence of
+    :func:`adjoint_residual_grid`."""
+    a = seq.a
+    K = len(points)
+    # row m holds Re kappa_m, Im kappa_m and |kappa_m| of every point, and
+    # row N (kappa_N, cut by the window) zeros
+    data = np.zeros((N + 1, 3, K))
+    data[:N, 0] = coeffs[:, :N].real.T
+    data[:N, 1] = coeffs[:, :N].imag.T
+    data[:N, 2] = mags[:, :N].T
+    # the conjugated coefficients; c_j for j >= N - 2 only meets y_N = 0
+    rho = np.conj(-(seq.b[:N] / a[1 : N + 1]))
+    s = np.conj(a[:N] / a[1 : N + 1])
+    c = np.zeros(N, a.dtype)
+    c[: min(N, seq.horizon - 1)] = np.conj(c_coefficients(seq)[:N])
+    scale = np.stack([rho.real, rho.real, np.abs(rho)], axis=1)[:, :, None]
+    cross = np.stack([-rho.imag, rho.imag], axis=1)[:, :, None] if np.iscomplexobj(rho) else None
+    parts = np.stack([s.real, np.imag(s), np.abs(s), c.real, np.imag(c), np.abs(c)])[:, :, None]
+    w = np.conj(np.array(points, dtype=complex))
+    resid_sq = np.zeros(K)
+    spread_sq = np.zeros(K)
+    # y's real and imaginary parts and the magnitudes' z at rows r0 .. r1 + 1
+    y = np.zeros((_BLOCK + 2, 3, K))
+    for r0 in reversed(range(0, N, _BLOCK)):
+        r1 = min(r0 + _BLOCK, N)
+        n = r1 - r0
+        y[n : n + 2] = y[:2]  # rows r1 and r1 + 1; zeros on the first chunk
+        for i in range(n - 1, -1, -1):
+            m = r0 + i
+            # (rho_r yr - rho_i yi, rho_r yi + rho_i yr, |rho| z): _times's
+            # split product, each operation rounded on its own
+            np.multiply(y[i + 1], scale[m], out=y[i])
+            if cross is not None:
+                y[i, :2] += y[i + 1, 1::-1] * cross[m]
+            y[i] += data[m]
+        rows, nxt = slice(r0, r1), slice(r0 + 1, r1 + 1)
+        sr, si, sa, cr, ci, ca = parts[:, rows]
+        er, ei = _times(data[nxt, 0], data[nxt, 1], sr, si)
+        yr, yi = _times(y[2 : n + 2, 0], y[2 : n + 2, 1], cr, ci)
+        wr, wi = _times(data[rows, 0], data[rows, 1], w.real, w.imag)
+        er, ei = er + yr - wr, ei + yi - wi
+        # running sums down each point's column: sequential whatever K is
+        resid_sq += np.cumsum(er * er + ei * ei, axis=0)[-1]
+        v = sa * data[nxt, 2] + ca * y[2 : n + 2, 2]
+        spread_sq += np.cumsum(v * v, axis=0)[-1]
+    return resid_sq, spread_sq
 
 
 __all__ = [

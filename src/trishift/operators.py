@@ -22,9 +22,12 @@ a running product down the column forms, and a section's entries do not
 depend on its order, so every section is bit for bit the leading window of
 the horizon section.  The rows past the section continue the
 recurrence to the horizon in chunks of ``_BLOCK`` columns, each column's
-run contiguous, and give the columns' tail bounds.  The adjoint section is
-the shift section conjugate-transposed in place, ``_BLOCK``-square tiles at
-a time.  The same two-term recurrences along the rows let
+run contiguous, and give the columns' tail bounds.  Given a row count in
+place of a section, the routine writes no row and returns the same bounds,
+bit for bit: that is how the kernel's adjoint residual grid gets the
+shift's tails with no section.  :func:`build_adjoint` builds the shift
+section and conjugate-transposes it in place, ``_BLOCK``-square tiles at a
+time.  The same two-term recurrences along the rows let
 ``_ShiftRecurrence`` apply the shift's tall section and form its Gram
 matrix, whole or in panels of ``_BLOCK`` rows cut at the end of their
 diagonal block (the rest of ``G`` is their conjugate transpose), and the
@@ -128,18 +131,22 @@ def _require_horizon(seq: SequencePair, needed: int, what: str) -> None:
 
 
 # rows and columns per block: the Gram's panels, the columns whose discarded
-# rows are run together and the tiles of the adjoint's transpose
+# rows are run together, the tiles of the adjoint's transpose and the
+# kernel's adjoint residual chunks
 _BLOCK = 64
 
 
 def _running_columns(
     seq: SequencePair,
-    out: np.ndarray,
+    out: np.ndarray | int,
     starts: np.ndarray,
     first: int,
     bound: bool = True,
 ) -> np.ndarray | None:
     """Fill ``out`` with running-product columns; return their tail bounds.
+    Given a row count in place of ``out``, run the same recurrence over that
+    many rows and ``len(starts)`` columns, write nothing, and return the
+    same bounds, bit for bit.
 
     Column ``j`` is ``t_0 = starts[j]``, ``t_{m+1} = t_m r_{first+j+m}``,
     ``r_k = -b_k / a_{k+1}``, with ``t_m`` in row ``j + m``, run to basis
@@ -162,7 +169,10 @@ def _running_columns(
     its own.
     """
     H = seq.horizon
-    rows, cols = out.shape
+    if isinstance(out, np.ndarray):
+        rows, cols = out.shape
+    else:
+        rows, cols, out = out, len(starts), None
     ratios = -(seq.b[:-1] / seq.a[1:])
     r = ratios.tolist()
     P = np.empty(cols, seq.a.dtype)
@@ -173,7 +183,8 @@ def _running_columns(
         if i < cols:
             P[i] = 1.0
             k += 1
-        np.multiply(P[:k], starts[:k], out=out[i, :k])
+        if out is not None:
+            np.multiply(P[:k], starts[:k], out=out[i, :k])
     if not (bound and first + rows < H):
         return None
     r_hat = validate_assumptions(seq).r_hat
@@ -444,7 +455,18 @@ def _fill_shift(seq: SequencePair, M: np.ndarray) -> np.ndarray | None:
     a = seq.a
     idx = np.arange(N - 1)
     M[idx + 1, idx] = a[: N - 1] / a[1:N]
-    tail = _running_columns(seq, M[2:], c_coefficients(seq)[:N], 2)
+    return _shift_tails(seq, N, M[2:])
+
+
+def _shift_tails(
+    seq: SequencePair, N: int, out: np.ndarray | None = None
+) -> np.ndarray | None:
+    """Column tail bounds of the N x N shift section, the section's rows
+    from 2 on written into ``out`` when it is given and nowhere when not;
+    the bounds are the same bits either way."""
+    a = seq.a
+    rows = N - 2 if out is None else out
+    tail = _running_columns(seq, rows, c_coefficients(seq)[:N], 2)
     if tail is not None:  # the last column's subdiagonal entry is cut too
         tail[N - 1] = math.hypot(abs(a[N - 1] / a[N]), tail[N - 1])
     return tail
@@ -459,21 +481,6 @@ def build_shift(seq: SequencePair, N: int) -> TruncatedOperator:
     M = np.zeros((N, N), dtype=seq.a.dtype)
     tail = _fill_shift(seq, M)
     return TruncatedOperator(M, tail)
-
-
-def _adjoint_entries(
-    seq: SequencePair, N: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Entries of the N x N adjoint section with the shift section's tail
-    bounds.  Bound ``j`` caps row ``j`` of the adjoint's discarded block
-    ``P_N M* (I - P_N)``, the conjugate transpose of the shift's."""
-    if N < 2:
-        raise ValueError("section order must be at least 2")
-    _require_horizon(seq, N, "adjoint section")
-    A = np.zeros((N, N), dtype=seq.a.dtype)
-    tail = _fill_shift(seq, A)
-    _conjugate_transpose(A)
-    return A, tail
 
 
 def _conjugate_transpose(A: np.ndarray) -> None:
@@ -493,8 +500,14 @@ def _conjugate_transpose(A: np.ndarray) -> None:
 
 def build_adjoint(seq: SequencePair, N: int) -> TruncatedOperator:
     """N x N section of the adjoint: the conjugate transpose of the shift
-    section.  Its columns are finitely supported, so nothing is discarded."""
-    A, _ = _adjoint_entries(seq, N)
+    section, built in place.  Its columns are finitely supported, so nothing
+    is discarded."""
+    if N < 2:
+        raise ValueError("section order must be at least 2")
+    _require_horizon(seq, N, "adjoint section")
+    A = np.zeros((N, N), dtype=seq.a.dtype)
+    _fill_shift(seq, A)
+    _conjugate_transpose(A)
     return TruncatedOperator(A, np.zeros(N))
 
 

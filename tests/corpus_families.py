@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from trishift import CoefficientSpec, SequencePair, materialize, parse_sequence_expr
 
 
@@ -64,3 +66,14 @@ def family_pair(fam: Family, horizon: int) -> SequencePair:
     if key not in _PAIR_CACHE:
         _PAIR_CACHE[key] = materialize(family_spec(fam), horizon)
     return _PAIR_CACHE[key]
+
+
+def complex_baseline_pair(seed: int, H: int) -> SequencePair:
+    """The Baseline's moduli ``sqrt(n+1)`` and ``0.5`` with phases drawn
+    from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    n = np.arange(H + 1)
+    return SequencePair(
+        a=np.sqrt(n + 1.0) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1)),
+        b=0.5 * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1)),
+    )

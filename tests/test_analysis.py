@@ -40,23 +40,12 @@ from trishift.analysis import (
 )
 from trishift.operators import _ShiftRecurrence
 
-from corpus_families import family_pair, CORPUS, FAILING, PASSING
+from corpus_families import family_pair, complex_baseline_pair, CORPUS, FAILING, PASSING
 
 
 def make_pair(a_text, b_text, N):
     spec = CoefficientSpec(parse_sequence_expr(a_text), parse_sequence_expr(b_text))
     return materialize(spec, N)
-
-
-def complex_baseline_pair(seed, H):
-    """The Baseline's moduli ``sqrt(n+1)`` and ``0.5`` with phases drawn
-    from ``default_rng(seed)``."""
-    rng = np.random.default_rng(seed)
-    n = np.arange(H + 1)
-    return SequencePair(
-        a=np.sqrt(n + 1.0) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1)),
-        b=0.5 * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, H + 1)),
-    )
 
 
 def random_pair(rng, N, b_scale=0.2):

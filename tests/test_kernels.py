@@ -1,17 +1,19 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from corpus_families import CORPUS, family_pair
+from corpus_families import CORPUS, complex_baseline_pair, family_pair
 from trishift import (
     CoefficientSpec,
     KernelDivergenceError,
     PointSet,
     SequencePair,
     adjoint_residual_grid,
+    build_adjoint,
     build_shift,
     defect_matrix,
     eval_basis,
@@ -21,7 +23,7 @@ from trishift import (
     materialize,
     parse_sequence_expr,
 )
-from trishift import kernels
+from trishift import kernels, operators
 from trishift.kernels import KernelValue, _basis_parts
 
 
@@ -528,3 +530,53 @@ def test_adjoint_residual_uses_consistent_operator():
     one = adjoint_residual_grid(seq, PointSet((0.4,)), 128)[0]
     grid = adjoint_residual_grid(seq, PointSet((0.4, 0.3j, -0.7)), 128)
     assert np.array(one).tobytes() == np.array(grid[0]).tobytes()
+
+
+def test_adjoint_residual_recurrence_matches_dense_adjoint():
+    # the backward recurrence against the dense adjoint section, at orders
+    # whose last 64-row chunk is full, ragged, and one row long; each
+    # point's row is bit for bit its one-point grid
+    pts = PointSet((0.0, 0.98, 0.98 * cmath.exp(2j), -0.98j, 0.5 + 0.5j, -0.3))
+    for N in (64, 200, 257):
+        H = N + 64
+        n = np.arange(H + 1)
+        rotating = SequencePair(np.ones(H + 1), 0.9 * np.exp(1j * n))
+        for seq in (make_pair("sqrt(n+1)", "0.5", H), complex_baseline_pair(2024, H), rotating):
+            A = build_adjoint(seq, N).entries
+            coeffs = np.array([re - 1j * im for re, im in (_basis_parts(seq, w, H + 1) for w in pts)])
+            _, spread_sq = kernels._residual_sums(seq, coeffs, np.abs(coeffs), list(pts), N)
+            grid = adjoint_residual_grid(seq, pts, N)
+            for k, (w, (residual, cert)) in enumerate(zip(pts, grid)):
+                one = adjoint_residual_grid(seq, PointSet((w,)), N)
+                assert np.array(one).tobytes() == np.array([(residual, cert)]).tobytes()
+                kappa = coeffs[k, :N]
+                norm = np.linalg.norm(kappa)
+                dense = np.linalg.norm(A @ kappa - np.conj(w) * kappa) / norm
+                assert abs(residual - dense) <= 1e-15, (N, k)
+                spread = np.linalg.norm(np.abs(A) @ np.abs(kappa))
+                assert math.sqrt(spread_sq[k]) >= spread * (1.0 - 1e-12), (N, k)
+                if math.isfinite(cert):
+                    assert dense <= cert, (N, k)
+
+
+def test_adjoint_residual_grid_forms_no_section(monkeypatch):
+    # neither the shift nor the adjoint section is built: the tails come from
+    # the row recurrence writing no row, and the grid holds O(N points)
+    def refuse(*args):
+        raise AssertionError("a dense section was built")
+
+    pts = PointSet(tuple(0.98 * cmath.exp(2j * math.pi * j / 32) for j in range(32)))
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "_fill_shift", refuse)
+        N = 1024
+        grid = adjoint_residual_grid(make_pair("sqrt(n+1)", "0.5", N + 64), pts, N)
+    assert all(math.isfinite(cert) for _, cert in grid)
+    N = 4096
+    seq = make_pair("sqrt(n+1)", "0.5", N + 64)
+    tracemalloc.start()
+    try:
+        adjoint_residual_grid(seq, pts, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N * N, peak  # the real adjoint section alone is 8 N^2 bytes

@@ -26,7 +26,7 @@ from trishift import (
     validate_assumptions,
 )
 from trishift import operators
-from trishift.operators import _adjoint_entries
+from trishift.operators import _shift_tails
 
 from corpus_families import CORPUS, family_pair
 
@@ -745,7 +745,7 @@ def test_tail_bounds_match_seed_column_construction(pad):
             shift, left = _seed_tails(seq, N)
             got = {
                 "shift": build_shift(seq, N).tail_bound,
-                "adjoint": _adjoint_entries(seq, N)[1],
+                "adjoint": _shift_tails(seq, N),
                 "left": build_left_inverse(seq, N).tail_bound,
             }
             if shift is None:
