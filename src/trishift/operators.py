@@ -37,12 +37,17 @@ Every section takes the dtype of its :class:`SequencePair`: float64 for a
 real family, complex128 otherwise.  A section owns the array it is built
 from: every builder hands a fresh buffer to :class:`TruncatedOperator`, which
 freezes it in place instead of copying it, and keeps no writable alias to it.
+The blocks' diagonal ``b1`` and unit shift ``u`` hold one entry per column,
+so their buffers are anonymous mappings without numpy's huge-page advice:
+only the 4 KB pages that hold an entry become resident, not every 2 MB page
+that a write touches.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import mmap
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -108,6 +113,8 @@ class BlockSet:
 
     All four sections are K x K and act on the span of the basis vectors
     from index 1 on; ``u`` is the unweighted unilateral shift there.
+    ``b1`` and ``u`` are dense ndarrays over anonymous mappings of their own,
+    resident only in the 4 KB pages that hold their O(K) entries.
     """
 
     b1: TruncatedOperator
@@ -528,6 +535,20 @@ def build_left_inverse(seq: SequencePair, N: int) -> TruncatedOperator:
     return TruncatedOperator(L, tail)
 
 
+def _zeros(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
+    """A zero-filled array over an anonymous mapping of its own, which it
+    owns through ``.base``.
+
+    numpy advises huge pages for every allocation of 4 MB or more, so the
+    first write to any entry of such an array makes its whole 2 MB page
+    resident.  This mapping takes no such advice: only the 4 KB pages that
+    hold a written entry become resident, which is what a section holding
+    one entry per column needs.  A dense section should not use it, since
+    faulting its pages in 4 KB at a time is slower."""
+    nbytes = math.prod(shape) * dtype.itemsize
+    return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, nbytes))
+
+
 def build_blocks(seq: SequencePair, N: int) -> BlockSet:
     """Blocks of the compressed difference (left inverse minus adjoint).
 
@@ -545,7 +566,9 @@ def build_blocks(seq: SequencePair, N: int) -> BlockSet:
     K = N - 1
 
     diag = a[2 : K + 2] / a[1 : K + 1] - np.conj(a[1 : K + 1] / a[2 : K + 2])
-    b1 = TruncatedOperator(np.diag(diag))
+    B1 = _zeros((K, K), seq.a.dtype)
+    np.fill_diagonal(B1, diag)
+    b1 = TruncatedOperator(B1)
 
     Z2 = np.zeros((K, K), dtype=seq.a.dtype)
     _running_columns(seq, Z2, -c_coefficients(seq)[1 : K + 1], 3, bound=False)
@@ -555,7 +578,7 @@ def build_blocks(seq: SequencePair, N: int) -> BlockSet:
     _running_columns(seq, Z3, d_coefficients(seq)[:K], 1, bound=False)
     b3 = TruncatedOperator(Z3)
 
-    U = np.zeros((K, K), dtype=seq.a.dtype)
+    U = _zeros((K, K), seq.a.dtype)
     idx = np.arange(K - 1)
     U[idx + 1, idx] = 1.0
     u_tail = np.zeros(K)

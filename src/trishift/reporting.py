@@ -150,15 +150,17 @@ def render_json(tree: Any) -> tuple[str, list[str]]:
 
 
 def _cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
+    # floats fill most cells, so they are tested first; ``value - value`` is
+    # 0.0 for a finite float and nan for nan or an infinity
+    if type(value) is not float:
+        if value is None:
             return ""
-        return repr(float(value))  # plain text for numpy float subclasses
-    return str(value)
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        if not isinstance(value, float):
+            return str(value)
+        value = float(value)  # plain text for numpy float subclasses
+    return repr(value) if value - value == 0.0 else ""
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:

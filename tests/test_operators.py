@@ -1,5 +1,12 @@
+import copy
+import gc
 import math
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +35,7 @@ from trishift import (
 from trishift import operators
 from trishift.operators import _shift_tails
 
-from corpus_families import CORPUS, family_pair
+from corpus_families import CORPUS, complex_baseline_pair, family_pair
 
 
 def make_pair(a_text, b_text, N):
@@ -306,6 +313,36 @@ def test_blocks_offsets_and_structure():
     assert np.max(np.abs(bl.b1.entries - np.diag(np.diag(bl.b1.entries)))) == 0.0
 
 
+def test_blocks_b1_and_u_are_their_dense_matrices_bit_for_bit():
+    # b1 and u live in mappings of their own; they must read, freeze, outlive
+    # their BlockSet and copy like any other section's array
+    for N in (12, 512):
+        K = N - 1
+        for seq in (make_pair("sqrt(n+1)", "0.5", N + 64),
+                    complex_baseline_pair(2024, N + 64)):
+            a = seq.a
+            diag = a[2 : K + 2] / a[1 : K + 1] - np.conj(a[1 : K + 1] / a[2 : K + 2])
+            U = np.zeros((K, K), a.dtype)
+            U[np.arange(1, K), np.arange(K - 1)] = 1.0
+            expected = {"b1": np.diag(diag), "u": U}
+            bl = build_blocks(seq, N)
+            for name, dense in expected.items():
+                entries = getattr(bl, name).entries
+                assert type(entries) is np.ndarray, (name, N)
+                assert entries.dtype == dense.dtype, (name, N)
+                assert not entries.flags.writeable, (name, N)
+                assert entries.tobytes() == dense.tobytes(), (name, N, a.dtype)
+            for clone in (pickle.loads(pickle.dumps(bl)), copy.deepcopy(bl)):
+                for name in ("b1", "b2", "b3", "u"):
+                    op, twin = getattr(bl, name), getattr(clone, name)
+                    assert np.array_equal(op.entries, twin.entries), name
+                    assert np.array_equal(op.tail_bound, twin.tail_bound), name
+            view = bl.b1.entries[:, :]
+            del bl, clone
+            gc.collect()
+            assert view.tobytes() == expected["b1"].tobytes(), (N, a.dtype)
+
+
 def test_unbounded_sections_measure_no_assumptions(monkeypatch):
     # the blocks keep no tail bound, so they never need r_hat; the bounded
     # sections measure it once each
@@ -522,9 +559,58 @@ def test_builders_hold_one_dense_array_per_section():
             peak, op = _peak_traced_bytes(build, seq, N)
             units = peak / (op.entries.itemsize * N * N)
             assert units <= 1.1, (build.__name__, seq.a.dtype, units)
+        # b2 and b3; tracemalloc does not see the mappings that hold b1 and
+        # u, whose resident size the test below measures
         peak, blocks = _peak_traced_bytes(build_blocks, seq, N)
         units = peak / (blocks.b2.entries.itemsize * K * K)
-        assert units <= 4.1, (seq.a.dtype, units)
+        assert units <= 2.1, (seq.a.dtype, units)
+
+
+_BLOCKS_RSS_CHILD = """
+import resource, sys
+from corpus_families import complex_baseline_pair
+from trishift import CoefficientSpec, build_blocks, materialize, parse_sequence_expr
+N = int(sys.argv[1])
+if sys.argv[2] == "real":
+    spec = CoefficientSpec(parse_sequence_expr("sqrt(n+1)"), parse_sequence_expr("0.5"))
+    seq = materialize(spec, N + 64)
+else:
+    seq = complex_baseline_pair(2024, N + 64)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+blocks = build_blocks(seq, N)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024 / (seq.a.itemsize * (N - 1) ** 2))
+"""
+
+
+def _transparent_huge_pages() -> str:
+    try:
+        return Path("/sys/kernel/mm/transparent_hugepage/enabled").read_text()
+    except OSError:
+        return ""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.skipif("[always]" in _transparent_huge_pages(),
+                    reason="every anonymous mapping gets huge pages")
+def test_build_blocks_keeps_b1_and_u_resident_only_where_they_hold_entries():
+    # the growth of a fresh child's peak RSS over build_blocks, in K x K
+    # sections of the family's itemsize: b2 and b3 are two; fully resident
+    # b1 and u would add nearly two more (3.8-3.9 measured), while their
+    # touched 4 KB pages add about a quarter each at N = 2048
+    tests = Path(__file__).resolve().parent
+    src = Path(operators.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), str(tests), env.get("PYTHONPATH")])
+    )
+    for kind in ("real", "complex"):
+        done = subprocess.run(
+            [sys.executable, "-c", _BLOCKS_RSS_CHILD, "2048", kind],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        units = float(done.stdout)
+        assert units <= 3.0, (kind, units)
 
 
 def test_split_result_holds_no_section():

@@ -11,6 +11,7 @@ from trishift import (
     validate_assumptions,
 )
 from trishift.reporting import (
+    _cell,
     check_report,
     decompose_report,
     flatten_scalars,
@@ -78,6 +79,19 @@ def test_write_csv_cells(tmp_path):
               [("a", 0.5), ("b", True), ("c", math.inf), ("d", 3), ("e", None)])
     lines = path.read_text().splitlines()
     assert lines == ["k,v", "a,0.5", "b,1", "c,", "d,3", "e,"]
+
+
+def test_cell_strings():
+    cases = [
+        (0.5, "0.5"), (1.0 / 3.0, "0.3333333333333333"), (1e300, "1e+300"),
+        (np.float64(0.25), "0.25"), (np.float64(np.inf), ""), (np.float64(np.nan), ""),
+        (-0.0, "-0.0"), (math.nan, ""), (math.inf, ""), (-math.inf, ""),
+        (True, "1"), (False, "0"), (3, "3"), (np.int64(-7), "-7"), (None, ""),
+        ("band", "band"),
+    ]
+    for value, text in cases:
+        cell = _cell(value)
+        assert type(cell) is str and cell == text, (value, cell)
 
 
 def test_repr_float_roundtrip(tmp_path):
