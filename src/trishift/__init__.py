@@ -1,53 +1,22 @@
 """Finite-section laboratory for shifts on tridiagonal reproducing-kernel
 spaces: coefficient families, explicit operator sections, a trailing-window
-compact-plus-isometry criterion, polar splits, and kernel-side identities."""
+compact-plus-isometry criterion, polar splits, and kernel-side identities.
 
-from .analysis import (
-    BoundUnavailableError,
-    CriterionReport,
-    DecompositionResult,
-    EquivalenceDiagnostics,
-    IndexData,
-    NearSingularError,
-    VERDICT_FAILS,
-    VERDICT_HOLDS,
-    VERDICT_INCONCLUSIVE,
-    check_main_criterion,
-    column_norm_profile,
-    compact_isometry_split,
-    equivalence_diagnostics,
-    index_data,
-    neumann_error_curve,
-    polar_decompose,
-)
+The public API republishes the ``__all__`` of :mod:`~trishift.analysis`,
+:mod:`~trishift.kernels` and :mod:`~trishift.operators` in full, and the
+names of :mod:`~trishift.expr` and :mod:`~trishift.sequences` imported
+below."""
+
+from . import analysis, kernels, operators
+from .analysis import *
 from .expr import (
     EvalError,
     ExprSyntaxError,
     SequenceExpr,
     parse_sequence_expr,
 )
-from .kernels import (
-    KernelDivergenceError,
-    KernelValue,
-    PointSet,
-    adjoint_residual_grid,
-    defect_matrix,
-    eval_basis,
-    eval_kernel,
-    gram_matrix,
-    kernel_sweep,
-)
-from .operators import (
-    BlockSet,
-    TruncatedOperator,
-    build_adjoint,
-    build_blocks,
-    build_left_inverse,
-    build_shift,
-    build_tail_blocks,
-    monomial_in_basis,
-    neumann_partial_sum,
-)
+from .kernels import *
+from .operators import *
 from .sequences import (
     AssumptionReport,
     CoefficientSpec,
@@ -66,54 +35,23 @@ from .sequences import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport",
-    "BlockSet",
-    "BoundUnavailableError",
-    "CoefficientSpec",
-    "CriterionReport",
-    "DecompositionResult",
-    "EquivalenceDiagnostics",
+    *analysis.__all__,
+    *kernels.__all__,
+    *operators.__all__,
     "EvalError",
     "ExprSyntaxError",
-    "HorizonError",
-    "IndexData",
-    "KernelDivergenceError",
-    "KernelValue",
-    "NearSingularError",
-    "PointSet",
     "SequenceExpr",
+    "parse_sequence_expr",
+    "AssumptionReport",
+    "CoefficientSpec",
+    "HorizonError",
     "SequencePair",
     "SequenceSpecError",
-    "TruncatedOperator",
-    "VERDICT_FAILS",
-    "VERDICT_HOLDS",
-    "VERDICT_INCONCLUSIVE",
     "ZeroCoefficientError",
-    "adjoint_residual_grid",
-    "build_adjoint",
-    "build_blocks",
-    "build_left_inverse",
-    "build_shift",
-    "build_tail_blocks",
     "c_coefficients",
-    "check_main_criterion",
-    "column_norm_profile",
-    "compact_isometry_split",
     "d_coefficients",
-    "defect_matrix",
-    "equivalence_diagnostics",
-    "eval_basis",
-    "eval_kernel",
-    "gram_matrix",
-    "index_data",
-    "kernel_sweep",
     "load_spec_file",
     "materialize",
-    "monomial_in_basis",
-    "neumann_error_curve",
-    "neumann_partial_sum",
-    "parse_sequence_expr",
-    "polar_decompose",
     "spec_from_document",
     "validate_assumptions",
     "__version__",

@@ -81,7 +81,6 @@ ROUTE_SVD = "svd"
 # entries below this magnitude have subnormal squares: products of two of
 # them underflow, which costs x86 hardware tens of cycles each
 _TINY = 2.0**-511
-_FLUSH_ROWS = 64
 
 # the Gram route refines V by one Newton–Schulz step above this defect
 _REFINE_DEFECT = 1e-13
@@ -907,8 +906,8 @@ def _flush_tiny(x: np.ndarray) -> None:
     certificates cover, and ``G_b Z``, which moves the isometry defect, the
     last of those certificates, by about ``2**-511``.
     """
-    for start in range(0, x.shape[0], _FLUSH_ROWS):
-        block = x[start : start + _FLUSH_ROWS]
+    for start in range(0, x.shape[0], _BLOCK):
+        block = x[start : start + _BLOCK]
         block[np.abs(block) < _TINY] = 0.0
 
 

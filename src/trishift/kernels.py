@@ -14,9 +14,9 @@ non-convergence instead of fabricating a value.
 
 One pair is one vectorized pass: the certificate over the whole horizon
 gives the stopping index, then the basis values and their products up to it
-are formed as split real and imaginary arrays, each complex product as
-``(ar br - ai bi, ar bi + ai br)`` with every operation rounded on its own,
-and summed sequentially.  The result is bit for bit the term-by-term sum.
+are formed as split real and imaginary arrays, each complex product by
+:func:`~trishift.operators._times`, and summed sequentially.  The result is
+bit for bit the term-by-term sum.
 A sweep over a point set forms each point's basis values once, over the
 whole horizon, and each pair sums a prefix of them; the certificate depends
 on the pair only through rho = |z||w|, so it is formed once per distinct
@@ -58,6 +58,7 @@ from .operators import (
     _geometric_tail_norm,
     _require_horizon,
     _shift_tails,
+    _times,
     build_shift,
 )
 from .sequences import SequencePair, c_coefficients
@@ -106,15 +107,6 @@ def eval_basis(seq: SequencePair, n: int, z: complex) -> complex:
         raise ValueError(f"basis index {n} outside horizon {seq.horizon}")
     z = complex(z)
     return complex((seq.a[n] + seq.b[n] * z) * z**n)
-
-
-def _times(
-    ar: np.ndarray, ai: np.ndarray, br, bi
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split-real complex product ``(ar br - ai bi, ar bi + ai br)``, rounded
-    operation by operation as the scalar complex product is (a complex array
-    multiply may fuse the multiply-adds)."""
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _powers(x, count: int) -> np.ndarray:
@@ -316,10 +308,10 @@ def adjoint_residual_grid(
     backward over every point at once, ``_BLOCK`` rows at a time.  Each
     chunk's squared residuals, and those of ``v = |A| |kappa|`` from the same
     recurrence on magnitudes, are added into one sum per point.  Every
-    complex product is formed in split real form (:func:`_times`), and each
-    point's sums run in order down its own column, so a point's rounding
-    does not depend on the other points: one point's residual is bit for
-    bit its residual in any grid.
+    complex product is formed by :func:`~trishift.operators._times`, and
+    each point's sums run in order down its own column, so a point's
+    rounding does not depend on the other points: one point's residual is
+    bit for bit its residual in any grid.
 
     A finite certificate adds the rounding term ``gamma_R (phi ||v|| /
     ||P_N kappa_w|| + |w|)``, with ``v = |A| |kappa_w|`` as computed,
@@ -426,8 +418,8 @@ def _residual_sums(
         y[n : n + 2] = y[:2]  # rows r1 and r1 + 1; zeros on the first chunk
         for i in range(n - 1, -1, -1):
             m = r0 + i
-            # (rho_r yr - rho_i yi, rho_r yi + rho_i yr, |rho| z): _times's
-            # split product, each operation rounded on its own
+            # (rho_r yr - rho_i yi, rho_r yi + rho_i yr, |rho| z): the split
+            # product of operators._times, fused with the magnitudes' step
             np.multiply(y[i + 1], scale[m], out=y[i])
             if cross is not None:
                 y[i, :2] += y[i + 1, 1::-1] * cross[m]

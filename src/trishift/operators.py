@@ -138,8 +138,8 @@ def _require_horizon(seq: SequencePair, needed: int, what: str) -> None:
 
 
 # rows and columns per block: the Gram's panels, the columns whose discarded
-# rows are run together, the tiles of the adjoint's transpose and the
-# kernel's adjoint residual chunks
+# rows are run together, the tiles of the adjoint's transpose, the kernel's
+# adjoint residual chunks and the row blocks of the analysis's _flush_tiny
 _BLOCK = 64
 
 
@@ -168,9 +168,9 @@ def _running_columns(
     ``P *= r`` and a new column's ``P_j = 1``, and row ``i`` is ``P *
     starts``, written contiguously.  ``P_j`` runs through the products that
     ``np.cumprod`` forms down column ``j``, so a real column is ``starts[j]
-    * cumprod`` bit for bit; a complex one is within an ulp of it, as an
-    array times an array rounds a complex product differently from a number
-    times an array.  The discarded rows continue the recurrence from the
+    * cumprod`` bit for bit; a complex step is :func:`_times`'s split
+    product, so a complex column's bits do not depend on the section's
+    order.  The discarded rows continue the recurrence from the
     last section row, ``_BLOCK`` columns at a time, each column's run held
     contiguously for its bound; a column that begins below ``out`` runs on
     its own.
@@ -219,10 +219,30 @@ def _running_columns(
     return tail
 
 
+def _times(ar: np.ndarray, ai: np.ndarray, br, bi) -> tuple[np.ndarray, np.ndarray]:
+    """The complex product ``(ar + i ai)(br + i bi)`` in split real form,
+    ``(ar br - ai bi, ar bi + ai br)``: four products and two sums, each
+    rounded on its own (the model of Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 2002, section 3.6), as Python's
+    ``complex`` product rounds it.
+
+    This is the one rule by which trishift rounds the complex products of
+    its running columns' steps, its Neumann terms and its kernel sums.  Each of the
+    six operations is one exactly rounded real operation, so a product's
+    bits depend on its operands alone, not on its lane in a vectorised
+    loop, the length or layout of its array, or the SIMD target numpy
+    dispatches to.  numpy's complex multiply makes no such promise: it may
+    fuse multiply-adds, and with numpy 2.4 on x86-64 about one real or
+    imaginary part in four differs from this form.  Hence complex sections
+    are bit for bit the leading windows of the horizon section, and repeat
+    runs are byte-identical."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def _scale(P: np.ndarray, r: float | complex) -> None:
-    """``P *= r`` in place, rounded as ``np.cumprod`` rounds each step: a
-    complex product as ``(pr rr - pi ri, pr ri + pi rr)``, each operation
-    rounded on its own (a complex array multiply rounds differently)."""
+    """``P *= r`` in place.  A complex ``r`` takes the six operations of
+    :func:`_times`, written in place, since its temporaries made the row
+    step measurably slower; a test pins the two to the same bits."""
     if isinstance(r, complex):
         re, im = P.real, P.imag
         cross = im * r.imag
@@ -455,25 +475,28 @@ def monomial_in_basis(seq: SequencePair, n: int, M: int) -> np.ndarray:
     return coef
 
 
-def _fill_shift(seq: SequencePair, M: np.ndarray) -> np.ndarray | None:
+def _fill_shift(
+    seq: SequencePair, M: np.ndarray, bound: bool = True
+) -> np.ndarray | None:
     """Write the shift section into the zero square ``M``; return its tail
-    bounds."""
+    bounds, or ``None`` when ``bound`` is false."""
     N = M.shape[0]
     a = seq.a
     idx = np.arange(N - 1)
     M[idx + 1, idx] = a[: N - 1] / a[1:N]
-    return _shift_tails(seq, N, M[2:])
+    return _shift_tails(seq, N, M[2:], bound)
 
 
 def _shift_tails(
-    seq: SequencePair, N: int, out: np.ndarray | None = None
+    seq: SequencePair, N: int, out: np.ndarray | None = None, bound: bool = True
 ) -> np.ndarray | None:
     """Column tail bounds of the N x N shift section, the section's rows
     from 2 on written into ``out`` when it is given and nowhere when not;
-    the bounds are the same bits either way."""
+    the bounds are the same bits either way.  ``None`` when ``bound`` is
+    false, as in :func:`_running_columns`."""
     a = seq.a
     rows = N - 2 if out is None else out
-    tail = _running_columns(seq, rows, c_coefficients(seq)[:N], 2)
+    tail = _running_columns(seq, rows, c_coefficients(seq)[:N], 2, bound)
     if tail is not None:  # the last column's subdiagonal entry is cut too
         tail[N - 1] = math.hypot(abs(a[N - 1] / a[N]), tail[N - 1])
     return tail
@@ -508,12 +531,12 @@ def _conjugate_transpose(A: np.ndarray) -> None:
 def build_adjoint(seq: SequencePair, N: int) -> TruncatedOperator:
     """N x N section of the adjoint: the conjugate transpose of the shift
     section, built in place.  Its columns are finitely supported, so nothing
-    is discarded."""
+    is discarded and the shift's tail bounds are not run."""
     if N < 2:
         raise ValueError("section order must be at least 2")
     _require_horizon(seq, N, "adjoint section")
     A = np.zeros((N, N), dtype=seq.a.dtype)
-    _fill_shift(seq, A)
+    _fill_shift(seq, A, bound=False)
     _conjugate_transpose(A)
     return TruncatedOperator(A, np.zeros(N))
 
@@ -627,9 +650,7 @@ def _neumann_partial_sums(weights: np.ndarray, D: np.ndarray):
     ``W`` is the weighted shift with subdiagonal ``weights``, so ``W @ term``
     is ``term`` moved down one row, row ``q + 1`` scaled by ``weights[q]``:
     the products a matrix multiply adds besides those are exact zeros.  A
-    complex product is formed as ``(wr tr - wi ti, wr ti + wi tr)`` with each
-    operation rounded on its own, as the matrix multiply rounds it (a complex
-    array multiply rounds differently)."""
+    complex product is formed by :func:`_times`."""
     negated = -weights[:, None]
     wr, wi = negated.real, negated.imag
     total = D.copy()
@@ -639,8 +660,7 @@ def _neumann_partial_sums(weights: np.ndarray, D: np.ndarray):
         shifted = np.zeros(term.shape, np.result_type(negated, term))
         if np.iscomplexobj(shifted):
             tr, ti = term[:-1].real, term[:-1].imag
-            shifted[1:].real = wr * tr - wi * ti
-            shifted[1:].imag = wr * ti + wi * tr
+            shifted[1:].real, shifted[1:].imag = _times(wr, wi, tr, ti)
         else:
             np.multiply(negated, term[:-1], out=shifted[1:])
         term = shifted

@@ -344,8 +344,8 @@ def test_blocks_b1_and_u_are_their_dense_matrices_bit_for_bit():
 
 
 def test_unbounded_sections_measure_no_assumptions(monkeypatch):
-    # the blocks keep no tail bound, so they never need r_hat; the bounded
-    # sections measure it once each
+    # the blocks and the adjoint keep no tail bound, so they never need
+    # r_hat; the bounded sections measure it once each
     calls = []
     monkeypatch.setattr(
         operators, "validate_assumptions",
@@ -354,6 +354,7 @@ def test_unbounded_sections_measure_no_assumptions(monkeypatch):
     seq = make_pair("sqrt(n+1)", "1/(n+1)", 40)
     build_blocks(seq, 24)
     build_tail_blocks(seq, 2, 24)
+    build_adjoint(seq, 24)
     assert calls == []
     assert build_shift(seq, 24).tail_bound is not None
     assert build_left_inverse(seq, 24).tail_bound is not None
@@ -664,6 +665,57 @@ def test_left_inverse_columns_factor_through_monomial_expansion():
         mono = monomial_in_basis(seq, n, N - n - 1)
         expect = d[n - 1] * seq.a[n] * mono
         assert np.max(np.abs(L[n:, n] - expect)) < 1e-13
+
+
+# ----------------------------------------------------- split complex product
+
+
+def _spread_complex(rng, n, exponents):
+    # parts m 2^(e + d), m in [1/2, 1) with a random sign, e the given
+    # exponent shared by both parts and |d| <= 8; one part in ten is a
+    # signed zero
+    parts = rng.uniform(0.5, 1.0, (n, 2)) * rng.choice([-1.0, 1.0], (n, 2))
+    parts = np.ldexp(parts, exponents[:, None] + rng.integers(-8, 9, (n, 2)))
+    zero = rng.random((n, 2)) < 0.1
+    parts[zero] = np.copysign(0.0, parts[zero])
+    return parts[:, 0] + 1j * parts[:, 1]
+
+
+def _bits(z):
+    return np.ascontiguousarray(z, dtype=complex).view(np.uint64)
+
+
+def test_split_product_rounds_as_the_python_complex_product():
+    # 2000 products, operand and product exponents over about +-300 decimal
+    # orders (+-996 binary); every partial product stays a normal double
+    rng = np.random.default_rng(2025)
+    n = 2000
+    ea = rng.integers(-996, 997, n)
+    eb = rng.integers(np.maximum(-996, -996 - ea), np.minimum(996, 996 - ea) + 1)
+    x, y = _spread_complex(rng, n, ea), _spread_complex(rng, n, eb)
+    re, im = operators._times(x.real, x.imag, y.real, y.imag)
+    expected = np.array([complex(p) * complex(q) for p, q in zip(x, y)])
+    assert np.array_equal(_bits(re), _bits(expected.real))
+    assert np.array_equal(_bits(im), _bits(expected.imag))
+
+
+def test_scale_on_a_complex_slice_is_the_split_product():
+    # _scale is the running columns' row step, P[:k] *= r in place; the
+    # exponents of P and r over +-498 binary orders keep every partial
+    # product a normal double
+    rng = np.random.default_rng(2026)
+    n = 2000
+    before = _spread_complex(rng, n, rng.integers(-498, 499, n))
+    for r in _spread_complex(rng, 8, rng.integers(-498, 499, 8)).tolist():
+        P = before.copy()
+        k = int(rng.integers(1, n))
+        operators._scale(P[:k], r)
+        re, im = operators._times(before[:k].real, before[:k].imag, r.real, r.imag)
+        assert np.array_equal(_bits(P[:k].real), _bits(re))
+        assert np.array_equal(_bits(P[:k].imag), _bits(im))
+        assert np.array_equal(_bits(P[k:]), _bits(before[k:]))
+        expected = [complex(p) * r for p in before[:k].tolist()]
+        assert np.array_equal(_bits(P[:k]), _bits(expected))
 
 
 # ------------------------------------------- one pass per column, to horizon
