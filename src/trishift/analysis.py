@@ -59,7 +59,6 @@ import numpy as np
 from .operators import (
     TruncatedOperator,
     _BLOCK,
-    _neumann_partial_sums,
     _ShiftRecurrence,
     build_shift,
     build_tail_blocks,
@@ -99,6 +98,10 @@ _BAND_TOL = 1e-13
 _RITZ_VECTORS = 8
 _RITZ_STEPS = 24
 _RITZ_SEED = 0
+# Neumann curve: Lanczos step cap, after which an order takes the dense
+# norm, and the Ritz residual, relative to the Ritz value, that settles one
+_KRYLOV_STEPS = 32
+_KRYLOV_TOL = 4 * np.finfo(float).eps
 
 
 class NearSingularError(ArithmeticError):
@@ -923,17 +926,21 @@ def _isometry_defect(V: np.ndarray) -> tuple[float, np.ndarray]:
 def neumann_error_curve(
     seq: SequencePair, n0: int, N: int, m_max: int
 ) -> list[tuple[int, float, float]]:
-    """Measured operator-norm error of the alternating partial sums against
-    the assembled tail block, next to the geometric bound M0 r^(m+1)/(1-r).
+    """Operator-norm error of the alternating partial sums against the
+    assembled tail block, next to the geometric bound M0 r^(m+1)/(1-r).
 
-    ``r`` is the supremum of the weights that enter the weighted shift
-    (``|b_n/a_{n+1}|`` for n >= n0+2 on the horizon) and M0 the largest
-    coupling coefficient magnitude.  Raises :class:`BoundUnavailableError`
-    when r >= 1.
+    The error of ``S_m = sum_{k<=m} (-W)^k D`` is the exact remainder
+    ``A2 - S_m = (-W)^{m+1} A2``: the part of ``A2`` below its m-th
+    subdiagonal, taken as rows of ``A2`` scaled by the weights' running
+    products, not as the rounded difference of two matrices.  Its norms
+    come from :func:`_remainder_norms`.  ``r`` is the supremum of the
+    weights that enter the weighted shift (``|b_n/a_{n+1}|`` for n >= n0+2
+    on the horizon) and M0 the largest coupling coefficient magnitude.
+    Raises :class:`BoundUnavailableError` when r >= 1.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    W, D, A2 = build_tail_blocks(seq, n0, N)
+    W, _, A2 = build_tail_blocks(seq, n0, N)
     weights = np.abs(seq.b[n0 + 2 : -1] / seq.a[n0 + 3 :])
     r = float(weights.max()) if weights.size else 0.0
     if r >= 1.0:
@@ -941,15 +948,117 @@ def neumann_error_curve(
             f"measured tail ratio {r:.4f} >= 1; no geometric bound exists"
         )
     m0 = float(np.abs(c_coefficients(seq)).max())
-    rows: list[tuple[int, float, float]] = []
-    sums = _neumann_partial_sums(np.diagonal(W.entries, -1), D.entries)
-    for m in range(m_max + 1):
-        total = next(sums, None)
-        if total is not None:  # otherwise the terms vanished: S_m = S_{m-1}
-            err = _spectral_norm(A2.entries - total)
-        bound = m0 * r ** (m + 1) / (1.0 - r) if r > 0.0 else 0.0
-        rows.append((m, err, bound))
-    return rows
+    errors = _remainder_norms(A2.entries, np.diagonal(W.entries, -1), m_max)
+    return [
+        (m, err, m0 * r ** (m + 1) / (1.0 - r) if r > 0.0 else 0.0)
+        for m, err in enumerate(errors)
+    ]
+
+
+def _remainder_norms(A2: np.ndarray, weights: np.ndarray, m_max: int) -> list[float]:
+    """``||(-W)^{m+1} A2||_2`` for m = 0..m_max, ``W`` the weighted shift
+    with subdiagonal ``weights`` and ``A2`` its assembled tail block.
+
+    Row ``t + m + 1`` of the remainder ``E_m`` is ``g_m[t] A2[t]``, with
+    ``g_m[t] = prod_{q=t}^{t+m} (-w_q)``.  Every entry of ``A2`` is a
+    product, so its phases factor as ``α_i β_j`` and ``||E_m||_2 = || |E_m|
+    ||_2``.  The norms are therefore those of real nonnegative matrices,
+    whose Grams ``B_m = |A2|^T diag(|g_m|^2) |A2|`` have a nonnegative Perron
+    vector ``p``.  The all-ones start of Lanczos overlaps it by ``sum(p) /
+    sqrt(K) >= 1/sqrt(K)``, so the iteration cannot miss the top eigenvalue.
+
+    One fully reorthogonalized Lanczos pass (Parlett, *The Symmetric
+    Eigenvalue Problem*, 1998, ch. 13) runs on all orders at once, in real
+    arithmetic: a step is two GEMMs through ``|A2|`` with the row weights
+    applied between them.  Each order is scaled by exact powers of two, so
+    that its largest entry lies in ``[1/4, 1)`` and no product overflows.
+    The top Ritz value ``θ``, with residual ``ρ``, is accepted when ``ρ <=
+    _KRYLOV_TOL θ`` and ``2θ - ρ + θ_3 + ... + θ_j > tr(B_m)``, the ``θ_i``
+    the lower Ritz values.  Some eigenvalue lies within ``ρ`` of ``θ``.  Were
+    ``λ_max`` another one, above ``θ + ρ``, then by interlacing (``λ_i >=
+    θ_i``) and ``B_m >= 0`` the trace would exceed that sum.  Rounding in the
+    test can only admit a ``λ_max`` above ``θ + ρ`` by a rounding-sized
+    amount.  An order not accepted within ``_KRYLOV_STEPS`` steps, or whose
+    Krylov space is exhausted first, takes :func:`_spectral_norm` of its
+    exact tail ``tril(A2, -(m+1))``.
+    """
+    K = A2.shape[0]
+    orders = m_max + 1
+    norms = [0.0] * orders
+    A = np.abs(A2)
+    top = float(A.max())
+    if top == 0.0:
+        return norms
+    # |A2| scaled into [0, 1) by 2**-shift, then each row by the power of two
+    # that brings its peak into [1/2, 1); g holds |g_m| as columns, zero
+    # where row t + m + 1 falls outside the block, times its row's scale
+    shift = math.frexp(top)[1]
+    A = np.ldexp(A, -shift)
+    row_exponents = np.frexp(A.max(axis=1))[1][:, None]
+    A = np.ldexp(A, -row_exponents)
+    g = np.zeros((K, orders))
+    run = np.abs(weights)
+    for m in range(min(orders, K - 1)):
+        g[: K - 1 - m, m] = run
+        run = run[:-1] * np.abs(weights[m + 1 :])
+    g = np.ldexp(g, row_exponents)
+    peaks = g.max(axis=0)
+    live = np.flatnonzero(peaks)
+    if live.size == 0:
+        return norms
+    # order m's matrix is diag(h_m) A, h_m = g_m / 2**exponent, and its
+    # Gram's trace the h_m**2-weighted sum of A's squared row norms
+    exponents = np.frexp(peaks[live])[1]
+    h2 = np.ldexp(g[:, live], -exponents).T ** 2
+    traces = h2 @ np.einsum("ij,ij->i", A, A)
+    steps = min(_KRYLOV_STEPS, K)
+    Q = np.empty((live.size, steps, K))  # each order's Lanczos basis
+    T = np.zeros((live.size, steps + 1, steps + 1))  # its tridiagonal
+    x = np.full((live.size, K), 1.0 / math.sqrt(K))
+    dense: list[int] = []
+    for j in range(steps):
+        Q[:, j] = x
+        z = ((x @ A.T) * h2) @ A  # the rows of B_m x_m
+        T[:, j, j] = np.einsum("ij,ij->i", x, z)
+        basis = Q[:, : j + 1]
+        for _ in range(2):  # classical Gram–Schmidt, twice
+            z -= np.einsum("ijk,ij->ik", basis, np.einsum("ijk,ik->ij", basis, z))
+        beta = np.linalg.norm(z, axis=1)
+        ritz = T[:, : j + 1, : j + 1]
+        values = np.linalg.eigvalsh(ritz)
+        theta = values[:, -1]
+        rho = beta * np.abs(_top_eigenvectors(ritz, theta)[:, -1])
+        lower = values[:, :-2].sum(axis=1)
+        proved = (rho <= _KRYLOV_TOL * theta) & (2.0 * theta - rho + lower > traces)
+        for i in np.flatnonzero(proved):
+            norms[live[i]] = math.ldexp(math.sqrt(theta[i]), int(exponents[i]) + shift)
+        # an exhausted Krylov space cannot grow: its unproved orders go dense
+        exhausted = beta <= _KRYLOV_TOL * theta
+        dense.extend(live[exhausted & ~proved])
+        keep = ~(proved | exhausted)
+        if not keep.all():
+            live, exponents, traces = live[keep], exponents[keep], traces[keep]
+            h2, Q, T, z, beta = h2[keep], Q[keep], T[keep], z[keep], beta[keep]
+        if live.size == 0:
+            break
+        T[:, j + 1, j] = T[:, j, j + 1] = beta
+        x = z / beta[:, None]
+    for m in dense + live.tolist():
+        norms[m] = _spectral_norm(np.tril(A2, -(m + 1)))
+    return norms
+
+
+def _top_eigenvectors(T: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors, as rows, of the stacked symmetric matrices ``T``
+    for their largest eigenvalues ``theta``: three steps of inverse
+    iteration from the all-ones vector, shifted ``2**-40 θ`` above ``θ``,
+    where ``T - σI`` is negative definite, so no solve is singular."""
+    shifted = T - (theta * (1.0 + 2.0**-40))[:, None, None] * np.eye(T.shape[-1])
+    y = np.ones(T.shape[:2])
+    for _ in range(3):
+        y = np.linalg.solve(shifted, y[:, :, None])[:, :, 0]
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+    return y
 
 
 def _spectral_norm(E: np.ndarray) -> float:

@@ -16,6 +16,7 @@ from trishift import (
     VERDICT_INCONCLUSIVE,
     build_left_inverse,
     build_shift,
+    build_tail_blocks,
     c_coefficients,
     check_main_criterion,
     column_norm_profile,
@@ -24,10 +25,12 @@ from trishift import (
     index_data,
     materialize,
     neumann_error_curve,
+    neumann_partial_sum,
     parse_sequence_expr,
     polar_decompose,
 )
 
+from trishift import analysis
 from trishift.analysis import (
     DEFAULT_RANK_TOL,
     _BAND,
@@ -1072,10 +1075,18 @@ def test_band_route_is_bitwise_invariant_under_exact_rescaling():
 
 
 def test_neumann_error_within_bound():
-    seq = make_pair("1", "1/(n+1)", 140)
-    curve = neumann_error_curve(seq, 1, 120, 40)
-    for _, err, bound in curve:
-        assert err <= bound + 1e-15
+    # with no slack: the Baseline's and the complex family's tail blocks at
+    # order 512 (K = 256), where the rounded difference A2 - S_m of two
+    # matrices read above the bound on 12 and 14 rows
+    inputs = [
+        (make_pair("1", "1/(n+1)", 140), 1, 120),
+        (make_pair("sqrt(n+1)", "0.5", 512 + 64), 0, 258),
+        (complex_baseline_pair(2024, 512 + 64), 0, 258),
+    ]
+    for seq, n0, N in inputs:
+        curve = neumann_error_curve(seq, n0, N, 40)
+        for m, err, bound in curve:
+            assert err <= bound, (N, m, err, bound)
 
 
 def test_neumann_error_ratio_geometric():
@@ -1084,7 +1095,47 @@ def test_neumann_error_ratio_geometric():
     weights = np.abs(seq.b[3:-1] / seq.a[4:])
     r = float(weights.max())
     for (_, e0, _), (_, e1, _) in zip(curve, curve[1:]):
-        assert e1 <= r * e0 * (1 + 1e-8) + 1e-15
+        assert e1 <= r * e0 * (1 + 1e-8)
+
+
+def test_neumann_errors_match_dense_norms_of_the_remainder(monkeypatch):
+    # each row against two dense references: the norm of A2's part below its
+    # m-th subdiagonal, and the norm of the rounded difference A2 - S_m that
+    # the curve used to report; the dense fallback runs only where Lanczos
+    # does not certify, which on alt-b-half (a flat top spectrum) is every
+    # row, and pulsed-b's remainders exhaust their Krylov space in two steps
+    H = 512 + 64
+    families = {f.name: f for f in CORPUS}
+    inputs = {
+        "baseline": make_pair("sqrt(n+1)", "0.5", H),
+        "complex": complex_baseline_pair(2024, H),
+        **{name: family_pair(families[name], H)
+           for name in ("harmonic-b", "alt-b-half", "pulsed-b")},
+    }
+    calls = []
+    dense = analysis._spectral_norm
+
+    def counted(E):
+        calls.append(E.shape)
+        return dense(E)
+
+    for label, seq in inputs.items():
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "_spectral_norm", counted)
+            curve = neumann_error_curve(seq, 0, 258, 40)
+        fallbacks = len(calls)
+        W, D, A2 = build_tail_blocks(seq, 0, 258)
+        scale = dense(A2.entries)
+        for m, err, _ in curve:
+            exact = dense(np.tril(A2.entries, -(m + 1)))
+            assert abs(err - exact) <= 1e-13 * exact, (label, m, err, exact)
+            rounded = dense(A2.entries - neumann_partial_sum(W, D, m).entries)
+            assert abs(err - rounded) <= 1e-15 * scale, (label, m, err, rounded)
+        if label == "baseline":
+            assert fallbacks == 0
+        if label == "alt-b-half":
+            assert fallbacks > 0
 
 
 def test_neumann_zero_for_constant_b():

@@ -390,7 +390,7 @@ def test_profile_neumann_csv_contract(tmp_path):
     assert header == ["m", "error", "bound"]
     assert len(rows) == 41
     for row in rows:
-        assert float(row[1]) <= float(row[2]) + 1e-15
+        assert float(row[1]) <= float(row[2])
 
 
 # ------------------------------------------------------------------- kernel

@@ -567,19 +567,32 @@ def test_builders_hold_one_dense_array_per_section():
         assert units <= 2.1, (seq.a.dtype, units)
 
 
+# the child's own peak RSS in KiB: VmHWM where /proc/self/status exists,
+# since ru_maxrss starts at the peak of the process that spawned it
 _BLOCKS_RSS_CHILD = """
 import resource, sys
 from corpus_families import complex_baseline_pair
 from trishift import CoefficientSpec, build_blocks, materialize, parse_sequence_expr
+
+def peak_kib():
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
 N = int(sys.argv[1])
 if sys.argv[2] == "real":
     spec = CoefficientSpec(parse_sequence_expr("sqrt(n+1)"), parse_sequence_expr("0.5"))
     seq = materialize(spec, N + 64)
 else:
     seq = complex_baseline_pair(2024, N + 64)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kib()
 blocks = build_blocks(seq, N)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+after = peak_kib()
 print((after - before) * 1024 / (seq.a.itemsize * (N - 1) ** 2))
 """
 
@@ -591,7 +604,7 @@ def _transparent_huge_pages() -> str:
         return ""
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.skipif(sys.platform != "linux", reason="peak RSS is read in KiB on Linux only")
 @pytest.mark.skipif("[always]" in _transparent_huge_pages(),
                     reason="every anonymous mapping gets huge pages")
 def test_build_blocks_keeps_b1_and_u_resident_only_where_they_hold_entries():
