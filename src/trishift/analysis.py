@@ -99,7 +99,7 @@ _RITZ_VECTORS = 8
 _RITZ_STEPS = 24
 _RITZ_SEED = 0
 # Neumann curve: Lanczos step cap, after which an order takes the dense
-# norm, and the Ritz residual, relative to the Ritz value, that settles one
+# norm, and the error bound, relative to the Ritz value, that settles one
 _KRYLOV_STEPS = 32
 _KRYLOV_TOL = 4 * np.finfo(float).eps
 
@@ -940,7 +940,7 @@ def neumann_error_curve(
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    W, _, A2 = build_tail_blocks(seq, n0, N)
+    _, _, A2 = build_tail_blocks(seq, n0, N)
     weights = np.abs(seq.b[n0 + 2 : -1] / seq.a[n0 + 3 :])
     r = float(weights.max()) if weights.size else 0.0
     if r >= 1.0:
@@ -948,7 +948,8 @@ def neumann_error_curve(
             f"measured tail ratio {r:.4f} >= 1; no geometric bound exists"
         )
     m0 = float(np.abs(c_coefficients(seq)).max())
-    errors = _remainder_norms(A2.entries, np.diagonal(W.entries, -1), m_max)
+    K = A2.entries.shape[0]
+    errors = _remainder_norms(A2.entries, weights[: K - 1], m_max)
     return [
         (m, err, m0 * r ** (m + 1) / (1.0 - r) if r > 0.0 else 0.0)
         for m, err in enumerate(errors)
@@ -970,38 +971,55 @@ def _remainder_norms(A2: np.ndarray, weights: np.ndarray, m_max: int) -> list[fl
     One fully reorthogonalized Lanczos pass (Parlett, *The Symmetric
     Eigenvalue Problem*, 1998, ch. 13) runs on all orders at once, in real
     arithmetic: a step is two GEMMs through ``|A2|`` with the row weights
-    applied between them.  Each order is scaled by exact powers of two, so
-    that its largest entry lies in ``[1/4, 1)`` and no product overflows.
-    The top Ritz value ``θ``, with residual ``ρ``, is accepted when ``ρ <=
-    _KRYLOV_TOL θ`` and ``2θ - ρ + θ_3 + ... + θ_j > tr(B_m)``, the ``θ_i``
-    the lower Ritz values.  Some eigenvalue lies within ``ρ`` of ``θ``.  Were
-    ``λ_max`` another one, above ``θ + ρ``, then by interlacing (``λ_i >=
-    θ_i``) and ``B_m >= 0`` the trace would exceed that sum.  Rounding in the
-    test can only admit a ``λ_max`` above ``θ + ρ`` by a rounding-sized
-    amount.  An order not accepted within ``_KRYLOV_STEPS`` steps, or whose
-    Krylov space is exhausted first, takes :func:`_spectral_norm` of its
-    exact tail ``tril(A2, -(m+1))``.
+    applied between them.  Each row of ``|A2|`` and each order is scaled by
+    exact powers of two, so that no product overflows; a zero row of ``A2``
+    adds nothing to any remainder, and an order that reaches none but zero
+    rows has norm 0.  The top Ritz value ``θ`` is accepted on either of two
+    proofs that ``λ_max``, which is at least ``θ``, is within a few
+    ``_KRYLOV_TOL θ`` of it:
+
+    - the Krylov space is nearly invariant, ``sqrt(K) β <= _KRYLOV_TOL θ``,
+      ``β`` the next off-diagonal.  With ``s = Q^T p``, ``Q`` the basis,
+      ``||(T - λ_max) s|| <= β`` and ``||s|| >= 1/sqrt(K)``, so some Ritz
+      value, hence ``θ``, lies within ``sqrt(K) β`` below ``λ_max``;
+    - the Ritz residual ``ρ <= _KRYLOV_TOL θ`` and ``2θ - ρ + θ_3 + ... +
+      θ_j > tr(B_m)``, the ``θ_i`` the lower Ritz values.  Some eigenvalue
+      lies within ``ρ`` of ``θ``.  Were ``λ_max`` another one, above ``θ +
+      ρ``, then by interlacing (``λ_i >= θ_i``) and ``B_m >= 0`` the trace
+      would exceed that sum.
+
+    Rounding in either test can only admit a ``λ_max`` above the bracket by
+    a rounding-sized amount.  An order not accepted within
+    ``_KRYLOV_STEPS`` steps takes :func:`_spectral_norm` of its exact tail
+    ``tril(|A2|, -(m+1))``, which has ``E_m``'s norm.  It leaves for it
+    earlier once the trace test cannot pass by the step cap: the Ritz
+    values sum to ``tr(T)``, each later step adds a Rayleigh quotient, at
+    most ``λ_max <= θ + sqrt(K) β`` (the first proof's bound), and the test's
+    left side is at most ``tr(T) + θ``.  An order with a flat top spectrum,
+    whose trace is many times ``λ_max``, so leaves well before the cap.
     """
     K = A2.shape[0]
     orders = m_max + 1
     norms = [0.0] * orders
-    A = np.abs(A2)
-    top = float(A.max())
+    modulus = np.abs(A2)
+    row_peaks = modulus.max(axis=1)
+    top = float(row_peaks.max())
     if top == 0.0:
         return norms
-    # |A2| scaled into [0, 1) by 2**-shift, then each row by the power of two
-    # that brings its peak into [1/2, 1); g holds |g_m| as columns, zero
-    # where row t + m + 1 falls outside the block, times its row's scale
-    shift = math.frexp(top)[1]
-    A = np.ldexp(A, -shift)
-    row_exponents = np.frexp(A.max(axis=1))[1][:, None]
-    A = np.ldexp(A, -row_exponents)
+    # each row of |A2| scaled by the power of two that brings its peak into
+    # [1/2, 1); g holds |g_m| as columns, zero where row t + m + 1 falls
+    # outside the block or row t of A2 is zero, times its row's scale over
+    # the block's, so that no entry of g exceeds 1
+    row_exponents = np.frexp(row_peaks)[1]
+    A = np.ldexp(modulus, -row_exponents[:, None])
     g = np.zeros((K, orders))
     run = np.abs(weights)
     for m in range(min(orders, K - 1)):
         g[: K - 1 - m, m] = run
         run = run[:-1] * np.abs(weights[m + 1 :])
-    g = np.ldexp(g, row_exponents)
+    g[row_peaks == 0.0] = 0.0
+    shift = math.frexp(top)[1]
+    g = np.ldexp(g, (row_exponents - shift)[:, None])
     peaks = g.max(axis=0)
     live = np.flatnonzero(peaks)
     if live.size == 0:
@@ -1029,14 +1047,19 @@ def _remainder_norms(A2: np.ndarray, weights: np.ndarray, m_max: int) -> list[fl
         theta = values[:, -1]
         rho = beta * np.abs(_top_eigenvectors(ritz, theta)[:, -1])
         lower = values[:, :-2].sum(axis=1)
-        proved = (rho <= _KRYLOV_TOL * theta) & (2.0 * theta - rho + lower > traces)
+        invariant = math.sqrt(K) * beta <= _KRYLOV_TOL * theta
+        traced = (rho <= _KRYLOV_TOL * theta) & (2.0 * theta - rho + lower > traces)
+        proved = invariant | traced
         for i in np.flatnonzero(proved):
             norms[live[i]] = math.ldexp(math.sqrt(theta[i]), int(exponents[i]) + shift)
-        # an exhausted Krylov space cannot grow: its unproved orders go dense
-        exhausted = beta <= _KRYLOV_TOL * theta
-        dense.extend(live[exhausted & ~proved])
-        keep = ~(proved | exhausted)
-        if not keep.all():
+        # each later step adds to the Ritz values' sum one Rayleigh quotient,
+        # at most λ_max <= θ + sqrt(K) β: an order whose trace that sum
+        # cannot reach by the step cap leaves for the dense norm now
+        reach = values.sum(axis=1) + (steps - j) * (theta + math.sqrt(K) * beta)
+        hopeless = ~proved & (reach < traces)
+        dense.extend(live[hopeless].tolist())
+        if (proved | hopeless).any():
+            keep = ~(proved | hopeless)
             live, exponents, traces = live[keep], exponents[keep], traces[keep]
             h2, Q, T, z, beta = h2[keep], Q[keep], T[keep], z[keep], beta[keep]
         if live.size == 0:
@@ -1044,7 +1067,7 @@ def _remainder_norms(A2: np.ndarray, weights: np.ndarray, m_max: int) -> list[fl
         T[:, j + 1, j] = T[:, j, j + 1] = beta
         x = z / beta[:, None]
     for m in dense + live.tolist():
-        norms[m] = _spectral_norm(np.tril(A2, -(m + 1)))
+        norms[m] = _spectral_norm(np.tril(modulus, -(m + 1)))
     return norms
 
 

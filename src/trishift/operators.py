@@ -45,7 +45,6 @@ that a write touches.
 
 from __future__ import annotations
 
-import itertools
 import math
 import mmap
 from collections.abc import Iterator
@@ -643,20 +642,31 @@ def build_tail_blocks(
     return w_op, d_op, a2_op
 
 
-def _neumann_partial_sums(weights: np.ndarray, D: np.ndarray):
-    """Yield the partial sums S_0, S_1, ... of sum_k (-1)^k W^k D, stopping
-    once a term vanishes: every later partial sum equals the last one.
+def neumann_partial_sum(
+    W: TruncatedOperator, D: TruncatedOperator, m: int
+) -> TruncatedOperator:
+    """Alternating partial sum S_m = sum_{k<=m} (-1)^k W^k D by iterated
+    multiplication; exact on the window because the shift section is nilpotent.
+    ``W`` must be a weighted shift, nonzero on its subdiagonal only, as
+    :func:`build_tail_blocks` builds it.
 
-    ``W`` is the weighted shift with subdiagonal ``weights``, so ``W @ term``
-    is ``term`` moved down one row, row ``q + 1`` scaled by ``weights[q]``:
-    the products a matrix multiply adds besides those are exact zeros.  A
-    complex product is formed by :func:`_times`."""
+    ``W @ term`` is ``term`` moved down one row, row ``q + 1`` scaled by
+    ``W``'s subdiagonal entry ``q``: the products a matrix multiply adds
+    besides those are exact zeros.  Once a term vanishes every later partial
+    sum equals the last one.  A complex product is formed by :func:`_times`.
+    """
+    if m < 0:
+        raise ValueError("partial-sum order must be nonnegative")
+    if W.entries.shape != D.entries.shape:
+        raise ValueError("W and D must be same-shape sections")
+    weights = np.diagonal(W.entries, -1)
+    if np.count_nonzero(W.entries) != np.count_nonzero(weights):
+        raise ValueError("W must be a weighted shift: nonzero on the subdiagonal only")
     negated = -weights[:, None]
     wr, wi = negated.real, negated.imag
-    total = D.copy()
-    term = D
-    while True:
-        yield total
+    total = D.entries.copy()
+    term = D.entries
+    for _ in range(m):
         shifted = np.zeros(term.shape, np.result_type(negated, term))
         if np.iscomplexobj(shifted):
             tr, ti = term[:-1].real, term[:-1].imag
@@ -665,26 +675,8 @@ def _neumann_partial_sums(weights: np.ndarray, D: np.ndarray):
             np.multiply(negated, term[:-1], out=shifted[1:])
         term = shifted
         if not term.any():
-            return
+            break
         total = total + term
-
-
-def neumann_partial_sum(
-    W: TruncatedOperator, D: TruncatedOperator, m: int
-) -> TruncatedOperator:
-    """Alternating partial sum S_m = sum_{k<=m} (-1)^k W^k D by iterated
-    multiplication; exact on the window because the shift section is nilpotent.
-    ``W`` must be a weighted shift, nonzero on its subdiagonal only, as
-    :func:`build_tail_blocks` builds it."""
-    if m < 0:
-        raise ValueError("partial-sum order must be nonnegative")
-    if W.entries.shape != D.entries.shape:
-        raise ValueError("W and D must be same-shape sections")
-    weights = np.diagonal(W.entries, -1)
-    if np.count_nonzero(W.entries) != np.count_nonzero(weights):
-        raise ValueError("W must be a weighted shift: nonzero on the subdiagonal only")
-    for total in itertools.islice(_neumann_partial_sums(weights, D.entries), m + 1):
-        pass
     return TruncatedOperator(total)
 
 

@@ -1103,14 +1103,20 @@ def test_neumann_errors_match_dense_norms_of_the_remainder(monkeypatch):
     # m-th subdiagonal, and the norm of the rounded difference A2 - S_m that
     # the curve used to report; the dense fallback runs only where Lanczos
     # does not certify, which on alt-b-half (a flat top spectrum) is every
-    # row, and pulsed-b's remainders exhaust their Krylov space in two steps
+    # row, and pulsed-b's remainders exhaust their Krylov space in two steps,
+    # which proves their Ritz values.
+    # The piecewise pair's b/a changes only 5 rows before the block's end, so
+    # c vanishes above that and A2's rows there are zero: every remainder
+    # past m = 4 is zero
     H = 512 + 64
     families = {f.name: f for f in CORPUS}
+    piecewise = np.where(np.arange(H + 1) < 256 - 5, 0.5, 0.25)
     inputs = {
         "baseline": make_pair("sqrt(n+1)", "0.5", H),
         "complex": complex_baseline_pair(2024, H),
         **{name: family_pair(families[name], H)
            for name in ("harmonic-b", "alt-b-half", "pulsed-b")},
+        "piecewise": materialize(CoefficientSpec([1.0] * (H + 1), piecewise.tolist()), H),
     }
     calls = []
     dense = analysis._spectral_norm
@@ -1136,6 +1142,17 @@ def test_neumann_errors_match_dense_norms_of_the_remainder(monkeypatch):
             assert fallbacks == 0
         if label == "alt-b-half":
             assert fallbacks > 0
+
+
+def test_remainder_norms_accept_an_invariant_krylov_space(monkeypatch):
+    # A2 = I: B_m is |g_m|^2 on its first K-1-m diagonal entries, a top
+    # eigenvalue of multiplicity K-1-m that no trace test separates, but the
+    # all-ones start spans an invariant space after two steps
+    K = 64
+    monkeypatch.setattr(analysis, "_spectral_norm", None)  # any call fails
+    norms = analysis._remainder_norms(np.eye(K), np.full(K - 1, 0.5), 40)
+    for m, norm in enumerate(norms):
+        assert abs(norm - 0.5 ** (m + 1)) <= 1e-15 * 0.5 ** (m + 1), (m, norm)
 
 
 def test_neumann_zero_for_constant_b():
