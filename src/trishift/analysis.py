@@ -80,6 +80,8 @@ ROUTE_SVD = "svd"
 # entries below this magnitude have subnormal squares: products of two of
 # them underflow, which costs x86 hardware tens of cycles each
 _TINY = 2.0**-511
+# _flush_tiny works on this many entries at a time (512 KB of float64)
+_FLUSH_CHUNK = 1 << 16
 
 # the Gram route refines V by one Newton–Schulz step above this defect
 _REFINE_DEFECT = 1e-13
@@ -542,12 +544,20 @@ def _band_split(
     centre, so that the spectrum lies in ``(0, 2)``) runs once
     (:func:`_newton_schulz`): on the diagonal alone when ``G_b`` is exactly
     diagonal, in block-tridiagonal arithmetic otherwise, each product
-    truncated back to the band.  It must reach ``||ZY - I||_F <=
-    _BAND_SETTLED`` within ``_BAND_STEPS`` steps.  Then ``Y ≈ |T| =
-    G^{1/2}`` and ``Z ≈ G^{-1/2}``, scaled back by ``sqrt(c)`` and made
-    Hermitian.  ``column_decay`` is the column norms of ``Y - I`` and the
-    isometry defect the largest column norm of ``Z G_b Z - I``, which is
-    ``V^H V - I`` for ``V = T Z`` up to ``||G - G_b||``.
+    Hermitian (:func:`_band_product`) and truncated back to the band.  It
+    must reach ``||ZY - I||_F <= _BAND_SETTLED`` within ``_BAND_STEPS``
+    steps.  Then ``Y ≈ |T| = G^{1/2}`` and ``Z ≈ G^{-1/2}``, exactly
+    Hermitian, scaled back by ``sqrt(c)``.  ``column_decay`` is the column
+    norms of ``Y - I`` and the isometry defect the largest column norm of
+    ``Z G_b Z - I``, which is ``V^H V - I`` for ``V = T Z`` up to ``||G -
+    G_b||``.
+
+    Memory is counted in stacks of ``G_b``, ``3 nb b^2`` entries.  Every
+    product reads its blocks straight from its factors' stacks, and a
+    Hermitian one forms only its blocks on and below the diagonal.  The
+    iteration holds ``G_b``, ``Y``, ``Z``, ``M`` and one product, and ``Z
+    (G_b Z)`` its two factors and its seven stacks: about 5.7 stacks at
+    the peak on the Baseline at ``N = 2048``.
 
     Certificates, each a fallback to the dense route when it fails; they
     are computed from full products, so they cover whatever the truncated
@@ -562,7 +572,8 @@ def _band_split(
     of ``Y`` above ``f / 2``.  So ``||Y - G^{1/2}||_2 <= (||Y^2 - G_b||_F +
     ||G - G_b||_F) / (1.5 f)`` (the Sylvester equation ``Y E + E G_b^{1/2}
     = Y^2 - G_b`` for ``E = Y - G_b^{1/2}``), with ``Y^2`` formed in full;
-    that bound must be at most ``_BAND_TOL``.
+    that bound must be at most ``_BAND_TOL``.  ``Y^2`` and ``Z (G_b Z)``
+    are Hermitian products; ``G_b Z`` is a general one.
     """
     N = shift.N
     nb = -(-N // _BAND)
@@ -577,11 +588,12 @@ def _band_split(
     eye[1] = np.eye(_BAND)
     diag = np.diagonal(S[1], axis1=1, axis2=2)
     if np.count_nonzero(S) == np.count_nonzero(diag):
-        roots = _newton_schulz(diag.ravel() / scale, np.ones(diag.size), np.multiply)
+        roots = _newton_schulz(diag.ravel(), scale, np.ones(diag.size), np.multiply)
         if roots is not None:
             roots = tuple(eye * x.reshape(nb, 1, _BAND) for x in roots)
     else:
-        roots = _newton_schulz(S / scale, eye, functools.partial(_band_product, keep=1))
+        product = functools.partial(_band_product, keep=1, hermitian=True)
+        roots = _newton_schulz(S, scale, eye, product)
     if roots is None:
         return None
     bottom = _edge_bracket(S, N, 1.0, lo)
@@ -597,14 +609,14 @@ def _band_split(
     if max(s_min_high - s_min, s_up - s_up_low) > _BAND_TOL:
         return None
     _check_resolved(s_min)
-    Y, Z = (_band_hermitian(x) for x in roots)
+    Y, Z = roots
     del roots
     Y *= math.sqrt(scale)
     Z /= math.sqrt(scale)
     floor = min(s_min, 1.0)
     if _block_cholesky(Y, nb * _BAND, 1.0, floor / 2.0) is None:
         return None
-    residual = _band_product(Y, Y)
+    residual = _band_product(Y, Y, hermitian=True)
     residual[1:4] -= S
     if (np.linalg.norm(residual) + dropped) / (1.5 * floor) > _BAND_TOL:
         return None
@@ -616,7 +628,7 @@ def _band_split(
     gz = _band_product(S, Z)
     del S, diag
     _flush_tiny(gz)
-    vtv = _band_product(Z, gz)
+    vtv = _band_product(Z, gz, hermitian=True)
     del Z, gz
     vtv[vtv.shape[0] // 2] -= eye[1]
     defect = float(_band_column_norms(vtv)[:N].max())
@@ -672,58 +684,54 @@ def _band_blocks(
         outside_sq += 2.0 * float(m[:, : max(0, r0 - b)].sum())
     lo, hi = float((diag - radius).min()), float((diag + radius).max())
     tails = np.sqrt(norm_sq, out=norm_sq)
-    # free the scratch before _flush_tiny's temporaries raise the peak
-    del mags, m, rows, diag, radius
     pad = nb * b - N
     S[1, -1, b - pad :, b - pad :] = np.eye(pad)
-    tiny = np.count_nonzero(S) - np.count_nonzero(np.abs(S) >= _TINY)
-    _flush_tiny(S)
+    tiny = _flush_tiny(S)
     return S, tails, lo, hi, math.sqrt(outside_sq + tiny * _TINY**2)
 
 
-def _band_product(X: np.ndarray, Y: np.ndarray, keep: int | None = None) -> np.ndarray:
+def _band_product(
+    X: np.ndarray, Y: np.ndarray, keep: int | None = None, hermitian: bool = False
+) -> np.ndarray:
     """``X Y`` for block-banded ``X`` and ``Y`` with all block offsets up to
-    ``keep`` (all of them when ``None``), one batched ``matmul`` per offset.
+    ``keep`` (all of them when ``None``).
 
     A block-banded matrix with ``nb`` blocks of order ``b`` and offsets up
     to ``p`` is a ``(2p + 1, nb, b, b)`` stack ``S`` with ``S[p + d, j]``
     the block in block row ``j + d`` and block column ``j``, zero where that
-    row does not exist.  Block row ``i`` of ``X`` is laid out as one ``b x
-    (2p + 1) b`` panel and block column ``j`` of ``Y`` as one ``(2q + 1) b x
-    b`` panel, so each output offset multiplies the overlap of two panels.
+    row does not exist.  Block ``(j + d, j)`` of ``X Y`` is the sum over
+    ``e`` of ``X``'s block ``(j + d, j + e)`` times ``Y``'s block ``(j + e,
+    j)``: one batched ``matmul`` over ``j`` per pair ``(d, e)``, read
+    straight from the two stacks into one reusable ``(nb, b, b)`` buffer.
+
+    With ``hermitian`` the caller states that ``X Y`` is Hermitian (``X``
+    and ``Y`` commute, or ``X Y = Z A Z`` with ``A`` and ``Z``
+    Hermitian).  Only the diagonal and subdiagonal stacks are formed; the
+    superdiagonal stacks are their conjugate transposes and the diagonal
+    blocks ``(D + D^H) / 2``, so the result is exactly Hermitian.  What the
+    mirror drops of a product that is Hermitian only approximately, the
+    band route's a posteriori certificates cover.
     """
     p, q = X.shape[0] // 2, Y.shape[0] // 2
     r = p + q if keep is None else keep
     nb, b = X.shape[1], X.shape[2]
-    dtype = np.result_type(X, Y)
-    rows = np.zeros((nb, b, (2 * p + 1) * b), dtype)
-    for m in range(2 * p + 1):  # block (i, i - p + m) lies on offset p - m
-        d = p - m
-        i0, i1 = max(0, d), min(nb, nb + d)
-        rows[i0:i1, :, m * b : (m + 1) * b] = X[p + d, i0 - d : i1 - d]
-    cols = Y.transpose(1, 0, 2, 3).reshape(nb, (2 * q + 1) * b, b)
-    out = np.zeros((2 * r + 1, nb, b, b), dtype)
-    for d in range(-r, r + 1):
-        k0, k1 = max(d - p, -q), min(d + p, q)  # block rows of Y, from j
-        j0, j1 = max(0, -d), min(nb, nb - d)
-        if k0 > k1 or j0 >= j1:
-            continue
-        np.matmul(
-            rows[j0 + d : j1 + d, :, (k0 - d + p) * b : (k1 - d + p + 1) * b],
-            cols[j0:j1, (k0 + q) * b : (k1 + q + 1) * b],
-            out=out[r + d, j0:j1],
-        )
-    return out
-
-
-def _band_hermitian(S: np.ndarray) -> np.ndarray:
-    """``(X + X^H) / 2`` for block-tridiagonal stacks ``S`` of ``X``."""
-    adj = np.conj(S.swapaxes(-1, -2))
-    out = S.copy()
-    out[1] += adj[1]
-    out[2, :-1] += adj[0, 1:]
-    out[0, 1:] += adj[2, :-1]
-    out /= 2.0
+    out = np.zeros((2 * r + 1, nb, b, b), np.result_type(X, Y))
+    buffer = np.empty((nb, b, b), out.dtype)
+    for d in range(0 if hermitian else -r, r + 1):
+        for e in range(max(-q, d - p), min(q, d + p) + 1):
+            j0, j1 = max(0, -d, -e), min(nb, nb - d, nb - e)
+            if j0 >= j1:
+                continue
+            part = buffer[: j1 - j0]
+            np.matmul(X[p + d - e, j0 + e : j1 + e], Y[q + e, j0:j1], out=part)
+            out[r + d, j0:j1] += part
+    if hermitian:
+        diagonal = out[r]
+        np.conjugate(diagonal.swapaxes(-1, -2), out=buffer)
+        diagonal += buffer
+        diagonal /= 2.0
+        for d in range(1, min(r, nb - 1) + 1):  # block (j - d, j) is (j, j - d)^H
+            np.conjugate(out[r + d, : nb - d].swapaxes(-1, -2), out=out[r - d, d:])
     return out
 
 
@@ -735,30 +743,35 @@ def _band_column_norms(S: np.ndarray) -> np.ndarray:
 
 
 def _newton_schulz(
-    A: np.ndarray, eye: np.ndarray, product: Callable[..., np.ndarray]
+    G: np.ndarray, scale: float, eye: np.ndarray, product: Callable[..., np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(Y, Z)`` with ``Y ≈ A^{1/2}`` and ``Z ≈ A^{-1/2}`` for a Hermitian
-    ``A`` with spectrum in ``(0, 2)``, by the coupled Newton–Schulz iteration
-    (Higham, *Functions of Matrices*, 2008, eq. 6.35), or ``None`` when it
-    does not settle within ``_BAND_STEPS`` steps.  ``A`` and the identity
-    ``eye`` (broadcast to ``A``'s shape) are either block-tridiagonal
-    stacks, with ``product`` the truncated ``_band_product(X, Y, keep=1)``,
+    """``(Y, Z)`` with ``Y ≈ A^{1/2}`` and ``Z ≈ A^{-1/2}`` for ``A = G /
+    scale``, Hermitian with spectrum in ``(0, 2)``, by the coupled
+    Newton–Schulz iteration (Higham, *Functions of Matrices*, 2008, eq.
+    6.35) from ``Y = A``, ``Z = I``, or ``None`` when it does not settle
+    within ``_BAND_STEPS`` steps.  ``A`` is the first ``Y`` and the only
+    copy of ``G`` made.  ``G`` and the identity ``eye`` (broadcast to
+    ``G``'s shape) are either block-tridiagonal stacks, with ``product`` the
+    truncated Hermitian ``_band_product(X, Y, keep=1, hermitian=True)``,
     or the diagonals of diagonal matrices, with ``product``
     ``np.multiply``.  Off the diagonal the stacks of a diagonal matrix add
     and multiply exact zeros only, so the diagonal form gives the diagonals
     of the stacks' iterates bit for bit; only ``||ZY - I||_F`` sums its
     squares in another order.
 
-    Once ``||M - I||_F <= _BAND_POLISH`` one more step squares the error
-    away, and ``||ZY - I||_F <= _BAND_SETTLED`` must hold after it.  Every
-    iterate has its sub-resolution entries flushed (:func:`_flush_tiny`).
-    What a truncated product drops is not bounded here: :func:`_band_split`
+    Every iterate is a polynomial in ``A``, so Hermitian up to what the
+    truncated products drop.  The first step forms no product with ``Z =
+    I``: ``Z Y = Y`` and ``M Z = M`` exactly, the same bits that the
+    products give when ``A``'s stacks are exactly Hermitian.  Once ``||M -
+    I||_F <= _BAND_POLISH`` one more step squares the error away, and
+    ``||ZY - I||_F <= _BAND_SETTLED`` must hold after it.  Every iterate has
+    its sub-resolution entries flushed (:func:`_flush_tiny`).  What a
+    truncated product drops is not bounded here: :func:`_band_split`
     certifies ``Y`` and ``Z`` afterwards from full products."""
-    Y = A.copy()
-    Z = eye + np.zeros_like(A)
+    Y, Z = G / scale, None
     polished = False
     for _ in range(_BAND_STEPS):
-        P = product(Z, Y)
+        P = Y.copy() if Z is None else product(Z, Y)
         P -= eye
         delta = float(np.linalg.norm(P))
         if polished:
@@ -768,7 +781,7 @@ def _newton_schulz(
         P += eye
         _flush_tiny(P)
         Y = product(Y, P)  # the old Y is freed before Z's product is formed
-        Z = product(P, Z)
+        Z = P if Z is None else product(P, Z)
         _flush_tiny(Y)
         _flush_tiny(Z)
     return None
@@ -887,10 +900,13 @@ def _edge_bracket(
     return shift, high
 
 
-def _flush_tiny(x: np.ndarray) -> None:
+def _flush_tiny(x: np.ndarray) -> int:
     """Zero, in place, every entry of ``x`` with ``|x| < 2**-511``, whose
-    square would be subnormal, one block of rows at a time so that no
-    temporary as large as ``x`` is formed.
+    square would be subnormal, and return how many nonzero entries it
+    zeroed.  ``x`` is read as a matrix of rows along its last axis (a view,
+    so a stack must be C-contiguous), ``_FLUSH_CHUNK`` entries at a time, so
+    that no temporary as large as ``x`` is formed: not on an ``N x N``
+    array, and not on a ``(3, nb, b, b)`` stack of the band route either.
 
     The split applies it to ``W`` (unitary), ``T W / s = V W`` and ``V``
     (orthonormal columns), whose entries are at most about 1, so each entry
@@ -909,9 +925,16 @@ def _flush_tiny(x: np.ndarray) -> None:
     certificates cover, and ``G_b Z``, which moves the isometry defect, the
     last of those certificates, by about ``2**-511``.
     """
-    for start in range(0, x.shape[0], _BLOCK):
-        block = x[start : start + _BLOCK]
-        block[np.abs(block) < _TINY] = 0.0
+    rows = x.reshape(-1, x.shape[-1])
+    step = max(1, _FLUSH_CHUNK // rows.shape[1])
+    flushed = 0
+    for start in range(0, rows.shape[0], step):
+        chunk = rows[start : start + step]
+        small = np.abs(chunk) < _TINY
+        # zeros are small too: count only the entries that the flush changes
+        flushed += int(np.count_nonzero(small)) - chunk.size + int(np.count_nonzero(chunk))
+        chunk[small] = 0.0
+    return flushed
 
 
 def _isometry_defect(V: np.ndarray) -> tuple[float, np.ndarray]:

@@ -581,6 +581,33 @@ def test_flush_tiny_allocates_no_array_sized_temporary():
     assert peak < x.nbytes / 8
 
 
+def test_flush_tiny_counts_what_it_zeroes_on_a_stack_as_on_its_rows():
+    rng = np.random.default_rng(23)
+    shape = (3, 9, 8, 8)
+    x = rng.standard_normal(shape) * 2.0 ** rng.integers(-560, 4, shape)
+    x[0, 0] = 0.0
+    rows = x.reshape(-1, 8).copy()
+    want = int(np.count_nonzero((np.abs(x) < TINY) & (x != 0.0)))
+    assert want and _flush_tiny(x) == want
+    assert _flush_tiny(rows) == want
+    assert x.tobytes() == rows.tobytes()
+    assert _flush_tiny(x) == 0  # a flushed array holds no tiny entry
+
+
+def test_flush_tiny_on_a_stack_allocates_no_stack_sized_temporary():
+    # the band route's (3, nb, b, b) stacks are flushed through their rows:
+    # a stack whose first axis is short is not one block of temporaries
+    x = np.full((3, 64, _BAND, _BAND), 2.0**-600)
+    tracemalloc.start()
+    try:
+        flushed = _flush_tiny(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 4
+    assert not x.any() and flushed == x.size
+
+
 def _unflushed_gram_split(seq, N):
     """The Gram route's formulas, ``G`` and ``T W`` by the shift's
     recurrences, with no entry flushed: ``(column_decay, isometry_defect,
@@ -869,10 +896,10 @@ def _counting_block_iterations(monkeypatch):
     calls = []
     iterate = analysis._newton_schulz
 
-    def counting(A, eye, product):
-        if A.ndim == 4:
-            calls.append(A.shape)
-        return iterate(A, eye, product)
+    def counting(G, scale, eye, product):
+        if G.ndim == 4:
+            calls.append(G.shape)
+        return iterate(G, scale, eye, product)
 
     monkeypatch.setattr(analysis, "_newton_schulz", counting)
     return calls
@@ -912,6 +939,144 @@ def _band_stacks(seq, N):
     eye = np.zeros(S.shape)
     eye[1] = np.eye(_BAND)
     return S, eye
+
+
+def _random_stack(rng, offsets, nb, b, dtype, hermitian=False):
+    """A random block-banded stack with blocks of order ``b`` at offsets up
+    to ``offsets``, zero where a block row does not exist; with
+    ``hermitian`` its matrix is Hermitian, bit for bit."""
+    S = rng.standard_normal((2 * offsets + 1, nb, b, b))
+    if dtype is np.complex128:
+        S = S + 1j * rng.standard_normal(S.shape)
+    for d in range(-offsets, offsets + 1):
+        S[offsets + d, max(0, nb - d) :] = 0.0  # block row j + d >= nb
+        S[offsets + d, : max(0, -d)] = 0.0  # block row j + d < 0
+    if hermitian:
+        S[offsets] += np.conj(S[offsets].swapaxes(-1, -2))
+        for d in range(1, offsets + 1):
+            S[offsets - d, d:] = np.conj(S[offsets + d, : nb - d].swapaxes(-1, -2))
+    return S
+
+
+def _dense_band(S):
+    """The matrix of the block-banded stack ``S``."""
+    offsets, nb, b = S.shape[0] // 2, S.shape[1], S.shape[2]
+    M = np.zeros((nb * b, nb * b), S.dtype)
+    for d in range(-offsets, offsets + 1):
+        for j in range(max(0, -d), min(nb, nb - d)):
+            M[(j + d) * b : (j + d + 1) * b, j * b : (j + 1) * b] = S[offsets + d, j]
+    return M
+
+
+def _within_offsets(M, b, keep):
+    blocks = np.arange(M.shape[0]) // b
+    return np.where(np.abs(blocks[:, None] - blocks[None, :]) <= keep, M, 0.0)
+
+
+def _assert_product_matches_dense(out, X, Y, keep):
+    b = X.shape[2]
+    r = X.shape[0] // 2 + Y.shape[0] // 2 if keep is None else keep
+    assert out.shape == (2 * r + 1,) + X.shape[1:]
+    assert out.dtype == np.result_type(X, Y)
+    want = _within_offsets(_dense_band(X) @ _dense_band(Y), b, r)
+    got = _dense_band(out)
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    # nothing is written where a block row does not exist
+    for d in range(-r, r + 1):
+        assert not out[r + d, max(0, out.shape[1] - d) :].any()
+        assert not out[r + d, : max(0, -d)].any()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("nb", [1, 2, 9])
+def test_band_product_matches_the_dense_product(dtype, nb):
+    rng = np.random.default_rng(nb)
+    b = 8
+    for p in (1, 2):
+        for q in (1, 2):
+            X = _random_stack(rng, p, nb, b, dtype)
+            Y = _random_stack(rng, q, nb, b, dtype)
+            for keep in (None, 1):
+                _assert_product_matches_dense(_band_product(X, Y, keep), X, Y, keep)
+
+
+def _hermitian_factors(rng, p, q, nb, b, dtype):
+    """Stacks ``X``, ``Y`` with offsets up to ``p`` and ``q`` whose product
+    is Hermitian: ``B B`` when ``p = q``, else ``Z (A Z)`` or ``(Z A) Z``
+    for Hermitian block-tridiagonal ``A`` and ``Z``."""
+    if p == q:
+        B = _random_stack(rng, p, nb, b, dtype, hermitian=True)
+        return B, B
+    A, Z = (_random_stack(rng, 1, nb, b, dtype, hermitian=True) for _ in range(2))
+    return (Z, _band_product(A, Z)) if p < q else (_band_product(Z, A), Z)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("nb", [1, 2, 9])
+def test_hermitian_band_product_matches_the_dense_product_and_is_exactly_hermitian(dtype, nb):
+    rng = np.random.default_rng(10 + nb)
+    b = 8
+    for p in (1, 2):
+        for q in (1, 2):
+            X, Y = _hermitian_factors(rng, p, q, nb, b, dtype)
+            for keep in (None, 1):
+                out = _band_product(X, Y, keep, hermitian=True)
+                _assert_product_matches_dense(out, X, Y, keep)
+                r = out.shape[0] // 2
+                diagonal = out[r]
+                # equal, not the same bytes: conj turns the +0.0 imaginary
+                # parts of the diagonal entries into -0.0
+                assert np.array_equal(diagonal, np.conj(diagonal.swapaxes(-1, -2)))
+                for d in range(1, r + 1):
+                    mirror = np.conj(out[r + d, : max(0, nb - d)]).swapaxes(-1, -2)
+                    assert out[r - d, d:].tobytes() == np.ascontiguousarray(mirror).tobytes()
+
+
+def _newton_schulz_from_the_identity(G, scale, eye, product):
+    """``_newton_schulz`` as written before its first step skipped the two
+    products with ``Z = I``: every product is formed."""
+    Y = G / scale
+    Z = eye + np.zeros_like(Y)
+    polished = False
+    for _ in range(analysis._BAND_STEPS):
+        P = product(Z, Y)
+        P -= eye
+        delta = float(np.linalg.norm(P))
+        if polished:
+            return (Y, Z) if delta <= analysis._BAND_SETTLED else None
+        polished = delta <= 2.0 * analysis._BAND_POLISH
+        P *= -0.5
+        P += eye
+        _flush_tiny(P)
+        Y = product(Y, P)
+        Z = product(P, Z)
+        _flush_tiny(Y)
+        _flush_tiny(Z)
+    return None
+
+
+def test_newton_schulz_skips_the_identity_products_without_moving_a_bit():
+    H = BAND_N + BAND_PAD
+    product = functools.partial(_band_product, keep=1, hermitian=True)
+    for seq in (make_pair("sqrt(n+1)", "0.5", H), complex_baseline_pair(2024, H)):
+        shift = _ShiftRecurrence(seq, BAND_N)
+        S, _, lo, hi, _ = _band_blocks(shift, -(-BAND_N // _BAND))
+        scale = (min(lo, 1.0) + max(hi, 1.0)) / 2.0
+        eye = np.zeros((3, 1, _BAND, _BAND))
+        eye[1] = np.eye(_BAND)
+        skipped = _newton_schulz(S, scale, eye, product)
+        full = _newton_schulz_from_the_identity(S, scale, eye, product)
+        assert skipped is not None and full is not None
+        for x, y in zip(skipped, full):
+            assert x.tobytes() == y.tobytes()
+    fam = next(fam for fam in CORPUS if fam.name == "bergman")
+    S, _ = _band_stacks(family_pair(fam, H), BAND_N)
+    diag = np.diagonal(S[1], axis1=1, axis2=2).ravel()
+    skipped = _newton_schulz(diag, 1.0, np.ones(diag.size), np.multiply)
+    full = _newton_schulz_from_the_identity(diag, 1.0, np.ones(diag.size), np.multiply)
+    assert skipped is not None and full is not None
+    for x, y in zip(skipped, full):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_band_blocks_match_the_dense_gram():
@@ -958,8 +1123,8 @@ def test_newton_schulz_on_a_diagonal_equals_the_block_iteration():
     S, eye = _band_stacks(family_pair(fam, BAND_N + BAND_PAD), BAND_N)
     diag = np.diagonal(S[1], axis1=1, axis2=2)
     assert np.count_nonzero(S) == np.count_nonzero(diag)
-    blocks = _newton_schulz(S, eye, functools.partial(_band_product, keep=1))
-    entries = _newton_schulz(diag.ravel(), np.ones(diag.size), np.multiply)
+    blocks = _newton_schulz(S, 1.0, eye, functools.partial(_band_product, keep=1, hermitian=True))
+    entries = _newton_schulz(diag.ravel(), 1.0, np.ones(diag.size), np.multiply)
     assert blocks is not None and entries is not None
     on = eye.astype(bool)
     for stacks, x in zip(blocks, entries):
@@ -1057,6 +1222,23 @@ def test_band_split_allocates_less_than_the_dense_gram():
         tracemalloc.stop()
     assert deco.route == "band"
     assert peak < 8 * N * N
+
+
+def test_band_split_peaks_within_six_stacks_of_its_band():
+    # the Baseline at order 2048: one block-tridiagonal stack of G_b is
+    # 3 * 32 * 64 * 64 * 8 bytes, 3.1 MB; the products read the stacks in
+    # place, and the Hermitian ones form half of their blocks
+    N = 2048
+    seq = make_pair("sqrt(n+1)", "0.5", N + BAND_PAD)
+    stack = 3 * (N // _BAND) * _BAND * _BAND * 8
+    tracemalloc.start()
+    try:
+        deco = compact_isometry_split(seq, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert deco.route == "band"
+    assert peak <= 6 * stack, peak / stack
 
 
 def test_band_route_is_bitwise_invariant_under_exact_rescaling():
