@@ -23,14 +23,14 @@ section ``T = U S W^H`` gives ``V = U W^H`` (route ``"svd"``).  On ``G``,
 the ``I - T*T`` column tails are the column norms of ``I - G``.  Where ``G``
 is numerically block-tridiagonal (blocks of 64) with a positive Gershgorin
 bracket, the band route (``"band"``) takes ``|T| = G^{1/2}`` and ``G^{-1/2}``
-from a coupled Newton–Schulz iteration in block-tridiagonal arithmetic
-(entry by entry when the band is diagonal) and certifies them a posteriori,
-the isometry defect of ``V = T G^{-1/2}`` included: the remainder ``T - V``
-has the column norms of ``|T| - I``, and ``V`` is never formed.  Otherwise,
-or when a certificate fails, the dense Gram route (``"gram"``) takes ``G =
-W Λ W^H``: the remainder has the column norms of ``(Λ^{1/2} - I) W^H`` and
-``V = T W Λ^{-1/2} W^H``, refined by one Newton–Schulz step when it is not
-orthonormal to 1e-13.  So the band route forms no N x N array: it reads
+from a coupled Newton–Schulz iteration in block-tridiagonal arithmetic and
+certifies them a posteriori, the isometry defect of ``V = T G^{-1/2}``
+included: the remainder ``T - V`` has the column norms of ``|T| - I``, and
+``V`` is never formed; a weighted shift's diagonal ``G`` gives its split
+in closed form.  Otherwise, or when a certificate fails, the dense Gram
+route (``"gram"``) takes ``G = W Λ W^H``: the remainder has the column
+norms of ``(Λ^{1/2} - I) W^H`` and ``V = T W Λ^{-1/2} W^H``, refined by
+one Newton–Schulz step when it is not orthonormal to 1e-13.  So the band route forms no N x N array: it reads
 ``G``'s lower block triangle panel by panel and takes the rest by Hermitian
 symmetry, and ``G`` is formed whole only for the dense Gram route, whose
 O(N^3) work is ``eigh(G)``, ``(T W / s) W^H`` and ``V^H V`` alone, and the
@@ -186,16 +186,18 @@ class DecompositionResult:
     ``V`` and the tall section's least singular value ``s_min``.
 
     ``route`` is ``"band"`` when the split came from a certified
-    Newton–Schulz iteration on the block-tridiagonal part of ``T*T``,
-    ``"gram"`` when it came from the eigendecomposition of ``T*T`` and
-    ``"svd"`` when it came from a thin SVD of ``T``.  ``margin`` is ``H *
-    eps * ||T||_F^2 * ||X||_F^2`` for the ``H``-row tall section ``T`` and
-    its left inverse ``X``: ``T*T`` is used (band or Gram route) below 1.
+    Newton–Schulz iteration on the block-tridiagonal part of ``T*T`` or in
+    closed form from a weighted shift's weights, ``"gram"`` when it came
+    from the eigendecomposition of ``T*T`` and ``"svd"`` when it came from
+    a thin SVD of ``T``.  ``margin`` is ``H * eps * ||T||_F^2 * ||X||_F^2``
+    for the ``H``-row tall section ``T`` and its left inverse ``X``:
+    ``T*T`` is used (band or Gram route) below 1.
     It is ``None`` when no finite bound exists.  On the band route
     ``column_decay`` is certified within 1e-13 of the exact ``|T| - I``
     column norms, ``s_min`` is a proved lower bound within 1e-13 of the
-    least singular value, and the isometry defect, at most 1e-13, is that
-    of ``V = T (T*T)^{-1/2}`` for the computed inverse root.  The sections
+    least singular value (a weighted shift's least weight modulus,
+    exactly), and the isometry defect, at most 1e-13, is that of ``V = T
+    (T*T)^{-1/2}`` for the computed inverse root.  The sections
     themselves come from :func:`polar_decompose`."""
 
     column_decay: np.ndarray
@@ -393,16 +395,6 @@ def _check_resolved(least: float) -> None:
         raise NearSingularError(least, DEFAULT_SINGULAR_FLOOR)
 
 
-def _polar_isometry(u: np.ndarray, s: np.ndarray, wh: np.ndarray) -> np.ndarray:
-    """Polar isometry ``U W^H`` of a thin SVD with descending ``s``.
-
-    Raises :class:`NearSingularError` when the least singular value is at or
-    below ``DEFAULT_SINGULAR_FLOOR``.
-    """
-    _check_resolved(float(s[-1]))
-    return u @ wh
-
-
 def polar_decompose(T: TruncatedOperator) -> tuple[TruncatedOperator, TruncatedOperator]:
     """Polar factors (V, P) with P = (T*T)^(1/2) and T = V P.
 
@@ -417,7 +409,8 @@ def polar_decompose(T: TruncatedOperator) -> tuple[TruncatedOperator, TruncatedO
     :func:`compact_isometry_split` against.
     """
     u, s, wh = np.linalg.svd(T.entries, full_matrices=False)
-    V = _polar_isometry(u, s, wh)
+    _check_resolved(float(s[-1]))
+    V = u @ wh
     P = (wh.conj().T * s) @ wh
     P = (P + P.conj().T) / 2.0
     return TruncatedOperator(V), TruncatedOperator(P)
@@ -519,7 +512,8 @@ def _svd_split(
     """:func:`_polar_split` from the thin SVD ``T = U S W^H``."""
     u, s, wh = np.linalg.svd(tall, full_matrices=False)
     tails_itt = np.linalg.norm((1.0 - s * s)[:, None] * wh, axis=0)
-    V = _polar_isometry(u, s, wh)
+    _check_resolved(float(s[-1]))
+    V = u @ wh
     column_decay = np.linalg.norm((s - 1.0)[:, None] * wh, axis=0)
     column_decay.flags.writeable = False
     deco = DecompositionResult(
@@ -536,17 +530,23 @@ def _band_split(
     not apply or does not certify its numbers.  ``G`` is read through the
     panels of ``shift`` (:func:`_band_blocks`): no N x N array is formed.
 
-    It applies when ``G`` has at least ``_BAND_MIN_BLOCKS`` blocks, the
-    bound on ``||G - G_b||_F`` of :func:`_band_blocks` is at most ``eps
-    hi`` and its Gershgorin bracket ``[lo, hi]`` has ``lo > 0``.  The
-    coupled Newton–Schulz iteration ``M = (3I - Z Y) / 2``, ``Y <- Y M``,
-    ``Z <- M Z`` from ``Y = G_b / c``, ``Z = I`` (``c`` the bracket's
-    centre, so that the spectrum lies in ``(0, 2)``) runs once
-    (:func:`_newton_schulz`): on the diagonal alone when ``G_b`` is exactly
-    diagonal, in block-tridiagonal arithmetic otherwise, each product
-    Hermitian (:func:`_band_product`) and truncated back to the band.  It
-    must reach ``||ZY - I||_F <= _BAND_SETTLED`` within ``_BAND_STEPS``
-    steps.  Then ``Y ≈ |T| = G^{1/2}`` and ``Z ≈ G^{-1/2}``, exactly
+    It applies when ``G`` has at least ``_BAND_MIN_BLOCKS`` blocks.  A
+    weighted shift (every ``c_j`` of the window zero, weights ``s_j = a_j /
+    a_{j+1}``) splits exactly (Shields, "Weighted shift operators and
+    analytic function theory", 1974): ``|T| = diag|s_j|``, and ``V`` is the
+    unweighted shift carrying the phases of ``s_j``.  Its numbers take O(N)
+    and read no panel of ``G``; the isometry defect is the largest ``|(|s_j|
+    z_j)^2 - 1|`` for the computed ``z_j = 1 / |s_j|``, ``Z G Z - I``.
+
+    Otherwise the bound on ``||G - G_b||_F`` of :func:`_band_blocks` must
+    be at most ``eps hi`` and its Gershgorin bracket ``[lo, hi]`` must have
+    ``lo > 0``.  The coupled Newton–Schulz iteration ``M = (3I - Z Y) /
+    2``, ``Y <- Y M``, ``Z <- M Z`` from ``Y = G_b / c``, ``Z = I`` (``c``
+    the bracket's centre, so that the spectrum lies in ``(0, 2)``) runs
+    once (:func:`_newton_schulz`) in block-tridiagonal arithmetic, each
+    product Hermitian (:func:`_band_product`) and truncated back to the
+    band.  It must reach ``||ZY - I||_F <= _BAND_SETTLED`` within
+    ``_BAND_STEPS`` steps.  Then ``Y ≈ |T| = G^{1/2}`` and ``Z ≈ G^{-1/2}``, exactly
     Hermitian, scaled back by ``sqrt(c)``.  ``column_decay`` is the column
     norms of ``Y - I`` and the isometry defect the largest column norm of
     ``Z G_b Z - I``, which is ``V^H V - I`` for ``V = T Z`` up to ``||G -
@@ -579,6 +579,15 @@ def _band_split(
     nb = -(-N // _BAND)
     if nb < _BAND_MIN_BLOCKS:
         return None
+    if not shift.c[:N].any():  # a weighted shift: G = diag(s^2), |T| = diag(s)
+        s = np.abs(shift.sub[:N])
+        s_min = float(s.min())
+        _check_resolved(s_min)
+        column_decay = np.abs(s - 1.0)
+        column_decay.flags.writeable = False
+        defect = float(np.abs((s * (1.0 / s)) ** 2 - 1.0).max())
+        deco = DecompositionResult(column_decay, defect, ROUTE_BAND, margin, s_min)
+        return deco, np.abs(1.0 - s * s), float(s.max()), None
     S, tails_itt, lo, hi, dropped = _band_blocks(shift, nb)
     if not (lo > 0.0 and dropped <= np.finfo(float).eps * hi):
         return None
@@ -586,14 +595,7 @@ def _band_split(
     scale = (min(lo, 1.0) + max(hi, 1.0)) / 2.0
     eye = np.zeros((3, 1, _BAND, _BAND))  # broadcast along the blocks
     eye[1] = np.eye(_BAND)
-    diag = np.diagonal(S[1], axis1=1, axis2=2)
-    if np.count_nonzero(S) == np.count_nonzero(diag):
-        roots = _newton_schulz(diag.ravel(), scale, np.ones(diag.size), np.multiply)
-        if roots is not None:
-            roots = tuple(eye * x.reshape(nb, 1, _BAND) for x in roots)
-    else:
-        product = functools.partial(_band_product, keep=1, hermitian=True)
-        roots = _newton_schulz(S, scale, eye, product)
+    roots = _newton_schulz(S, scale, eye)
     if roots is None:
         return None
     bottom = _edge_bracket(S, N, 1.0, lo)
@@ -626,7 +628,7 @@ def _band_split(
     column_decay.flags.writeable = False
     del Y
     gz = _band_product(S, Z)
-    del S, diag
+    del S
     _flush_tiny(gz)
     vtv = _band_product(Z, gz, hermitian=True)
     del Z, gz
@@ -743,7 +745,7 @@ def _band_column_norms(S: np.ndarray) -> np.ndarray:
 
 
 def _newton_schulz(
-    G: np.ndarray, scale: float, eye: np.ndarray, product: Callable[..., np.ndarray]
+    G: np.ndarray, scale: float, eye: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """``(Y, Z)`` with ``Y ≈ A^{1/2}`` and ``Z ≈ A^{-1/2}`` for ``A = G /
     scale``, Hermitian with spectrum in ``(0, 2)``, by the coupled
@@ -751,13 +753,8 @@ def _newton_schulz(
     6.35) from ``Y = A``, ``Z = I``, or ``None`` when it does not settle
     within ``_BAND_STEPS`` steps.  ``A`` is the first ``Y`` and the only
     copy of ``G`` made.  ``G`` and the identity ``eye`` (broadcast to
-    ``G``'s shape) are either block-tridiagonal stacks, with ``product`` the
-    truncated Hermitian ``_band_product(X, Y, keep=1, hermitian=True)``,
-    or the diagonals of diagonal matrices, with ``product``
-    ``np.multiply``.  Off the diagonal the stacks of a diagonal matrix add
-    and multiply exact zeros only, so the diagonal form gives the diagonals
-    of the stacks' iterates bit for bit; only ``||ZY - I||_F`` sums its
-    squares in another order.
+    ``G``'s shape) are block-tridiagonal stacks, and every product is the
+    truncated Hermitian ``_band_product(X, Y, keep=1, hermitian=True)``.
 
     Every iterate is a polynomial in ``A``, so Hermitian up to what the
     truncated products drop.  The first step forms no product with ``Z =
@@ -768,6 +765,7 @@ def _newton_schulz(
     its sub-resolution entries flushed (:func:`_flush_tiny`).  What a
     truncated product drops is not bounded here: :func:`_band_split`
     certifies ``Y`` and ``Z`` afterwards from full products."""
+    product = functools.partial(_band_product, keep=1, hermitian=True)
     Y, Z = G / scale, None
     polished = False
     for _ in range(_BAND_STEPS):
@@ -920,10 +918,9 @@ def _flush_tiny(x: np.ndarray) -> int:
     stays far below half an ulp of anything the split reports.  The dense
     Gram route's ``G`` is not flushed.  The band route flushes its stacks of
     ``G``'s band, read off ``G``'s panels (and counts what that drops into
-    its ``||G - G_b||_F`` bound), its
-    Newton–Schulz iterates, stacks or diagonals, which its a posteriori
-    certificates cover, and ``G_b Z``, which moves the isometry defect, the
-    last of those certificates, by about ``2**-511``.
+    its ``||G - G_b||_F`` bound), its Newton–Schulz iterates, which its a
+    posteriori certificates cover, and ``G_b Z``, which moves the isometry
+    defect, the last of those certificates, by about ``2**-511``.
     """
     rows = x.reshape(-1, x.shape[-1])
     step = max(1, _FLUSH_CHUNK // rows.shape[1])

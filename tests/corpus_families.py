@@ -68,6 +68,23 @@ def family_pair(fam: Family, horizon: int) -> SequencePair:
     return _PAIR_CACHE[key]
 
 
+def make_pair(a_text: str, b_text: str, N: int, label: str = "") -> SequencePair:
+    """The pair of the expressions ``a_text`` and ``b_text`` on horizon ``N``."""
+    spec = CoefficientSpec(parse_sequence_expr(a_text), parse_sequence_expr(b_text), label)
+    return materialize(spec, N)
+
+
+def random_pair(rng: np.random.Generator, N: int, b_scale: float = 0.2) -> SequencePair:
+    """A complex pair with random moduli and phases on horizon ``N``:
+    ``|b_n| <= b_scale * sqrt(2)`` and ``|a_n| >= 0.5`` keep ``|b_n/a_{n+1}|
+    < 1``."""
+    mags = rng.uniform(0.5, 2.0, N + 1)
+    phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, N + 1))
+    a = mags * phases
+    b = b_scale * (rng.uniform(-1, 1, N + 1) + 1j * rng.uniform(-1, 1, N + 1))
+    return SequencePair(a=a, b=b)
+
+
 def complex_baseline_pair(seed: int, H: int) -> SequencePair:
     """The Baseline's moduli ``sqrt(n+1)`` and ``0.5`` with phases drawn
     from ``default_rng(seed)``."""

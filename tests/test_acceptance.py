@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from trishift import (
-    CoefficientSpec,
     PointSet,
     adjoint_residual_grid,
     build_adjoint,
@@ -28,22 +27,15 @@ from trishift import (
     eval_kernel,
     gram_matrix,
     index_data,
-    materialize,
     neumann_error_curve,
-    parse_sequence_expr,
 )
 from trishift.cli import main as cli_main
 
-from corpus_families import CORPUS, family_pair
+from corpus_families import CORPUS, family_pair, make_pair
 
 
 def _report(num: int, text: str) -> None:
     print(f"ACCEPTANCE {num}: PASS - {text}")
-
-
-def make_pair(a_text, b_text, N, label=""):
-    spec = CoefficientSpec(parse_sequence_expr(a_text), parse_sequence_expr(b_text), label)
-    return materialize(spec, N)
 
 
 def test_criterion_1_identity_suite():

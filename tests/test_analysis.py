@@ -26,7 +26,6 @@ from trishift import (
     materialize,
     neumann_error_curve,
     neumann_partial_sum,
-    parse_sequence_expr,
     polar_decompose,
 )
 
@@ -43,20 +42,15 @@ from trishift.analysis import (
 )
 from trishift.operators import _ShiftRecurrence
 
-from corpus_families import family_pair, complex_baseline_pair, CORPUS, FAILING, PASSING
-
-
-def make_pair(a_text, b_text, N):
-    spec = CoefficientSpec(parse_sequence_expr(a_text), parse_sequence_expr(b_text))
-    return materialize(spec, N)
-
-
-def random_pair(rng, N, b_scale=0.2):
-    mags = rng.uniform(0.5, 2.0, N + 1)
-    phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, N + 1))
-    a = mags * phases
-    b = b_scale * (rng.uniform(-1, 1, N + 1) + 1j * rng.uniform(-1, 1, N + 1))
-    return SequencePair(a=a, b=b)
+from corpus_families import (
+    CORPUS,
+    FAILING,
+    PASSING,
+    complex_baseline_pair,
+    family_pair,
+    make_pair,
+    random_pair,
+)
 
 
 # ----------------------------------------------------------------- criterion
@@ -830,6 +824,11 @@ def test_gram_route_builds_no_dense_section(monkeypatch):
 # --------------------------------------------------------------- band route
 
 BAND_N, BAND_PAD = 512, 64
+# the corpus families with b/a constant, whose coupling coefficients vanish
+WEIGHTED_SHIFTS = (
+    "szego", "bergman", "dirichlet", "const-half-b", "high-const-b",
+    "alt-a-2", "alt-a-3", "alt-a-15",
+)
 
 
 def _band_families():
@@ -848,11 +847,10 @@ def test_band_route_matches_svd_reference():
         if compact_isometry_split(seq, BAND_N).route == "band":
             _assert_routes_agree(seq, BAND_N, name, route="band")
             taken.add(name)
-    # every passing family whose Gram is banded, the Baseline and its
-    # complex twin; the diagonal failing families need more Newton-Schulz
-    # steps than the cap allows
+    # every passing family whose Gram is banded, the Baseline, its complex
+    # twin and the failing weighted shifts, which split in closed form
     passing = {fam.name for fam in PASSING} - {"drifting-b"}
-    assert taken == passing | {"baseline", "complex"}
+    assert taken == passing | {"baseline", "complex", "alt-a-2", "alt-a-3", "alt-a-15"}
 
 
 def test_band_route_bounds_the_largest_singular_value_as_the_dense_route():
@@ -889,56 +887,84 @@ def test_band_route_leaves_wide_and_indefinite_grams_to_the_dense_route():
 
 
 def _counting_block_iterations(monkeypatch):
-    """Replace ``_newton_schulz`` by a wrapper that counts its block calls
-    (stacks of ``ndim`` 4) in the returned list."""
-    from trishift import analysis
-
+    """Replace ``_newton_schulz`` by a wrapper that counts its calls in the
+    returned list."""
     calls = []
     iterate = analysis._newton_schulz
 
-    def counting(G, scale, eye, product):
-        if G.ndim == 4:
-            calls.append(G.shape)
-        return iterate(G, scale, eye, product)
+    def counting(G, scale, eye):
+        calls.append(G.shape)
+        return iterate(G, scale, eye)
 
     monkeypatch.setattr(analysis, "_newton_schulz", counting)
     return calls
 
 
 def test_band_route_reads_a_diagonal_grams_fate_off_its_diagonal(monkeypatch):
-    # the six families with b = 0 have an exactly diagonal Gram, so the
-    # iteration runs on its diagonal alone: the passing ones settle and take
-    # the band route, the failing ones have an eigenvalue ratio that the
-    # step cap cannot bridge and take the dense route, and none runs a
-    # block iteration
+    # the corpus weighted shifts (b/a constant, so every c_j = 0) have an
+    # exactly diagonal Gram: each takes the band route in closed form,
+    # without reading the band, iterating or bracketing
+    calls = {}
+    for name in ("_band_blocks", "_newton_schulz", "_edge_bracket", "_block_cholesky"):
+        def counting(*args, _name=name, _routine=getattr(analysis, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _routine(*args)
+
+        monkeypatch.setattr(analysis, name, counting)
+    H = BAND_N + BAND_PAD
+    routes = {
+        fam.name: compact_isometry_split(family_pair(fam, H), BAND_N).route
+        for fam in CORPUS
+        if fam.name in WEIGHTED_SHIFTS
+    }
+    assert routes == dict.fromkeys(WEIGHTED_SHIFTS, "band")
+    assert calls == {}
+
+
+def _weighted_shift_pairs(H):
+    """The corpus weighted shifts and a complex one, the Baseline's moduli
+    with seeded phases and ``b = 0``, on horizon ``H``."""
+    pairs = [(fam.name, family_pair(fam, H)) for fam in CORPUS if fam.name in WEIGHTED_SHIFTS]
+    phased = complex_baseline_pair(2024, H)
+    pairs.append(("complex", SequencePair(a=phased.a, b=np.zeros_like(phased.b))))
+    return pairs
+
+
+@pytest.mark.parametrize("N", [512, 1024])
+def test_weighted_shifts_split_in_closed_form(monkeypatch, N):
+    # |T| = diag|a_j / a_{j+1}|: no eigensolver, SVD, Gram panel or
+    # iteration runs, and s_min is the least weight modulus, bit for bit
+    H = N + BAND_PAD
+    zero_c = {fam.name for fam in CORPUS if not c_coefficients(family_pair(fam, H)).any()}
+    assert zero_c == set(WEIGHTED_SHIFTS)
+    pairs = _weighted_shift_pairs(H)
+    references = [_svd_reference(seq, N)[1] for _, seq in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form ran a dense or iterative routine")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(_ShiftRecurrence, "gram_panels", refuse)
+    monkeypatch.setattr(analysis, "_newton_schulz", refuse)
+    for (name, seq), decay in zip(pairs, references):
+        deco = compact_isometry_split(seq, N)
+        assert deco.route == "band", name
+        assert np.max(np.abs(deco.column_decay - decay)) <= 1e-15, name
+        assert deco.s_min == float(np.abs(seq.a[:N] / seq.a[1 : N + 1]).min()), name
+
+
+def test_one_coupling_coefficient_keeps_the_block_iteration(monkeypatch):
+    # b/a steps from 0 to 0.25 inside the window, so c_300 = -0.25 is the one
+    # nonzero coupling coefficient and the Gram is not diagonal
     calls = _counting_block_iterations(monkeypatch)
     H = BAND_N + BAND_PAD
-    routes = {}
-    for fam in CORPUS:
-        if fam.b != "0":
-            continue
-        calls.clear()
-        routes[fam.name] = (compact_isometry_split(family_pair(fam, H), BAND_N).route, len(calls))
-    assert routes == {
-        "szego": ("band", 0),
-        "bergman": ("band", 0),
-        "dirichlet": ("band", 0),
-        "alt-a-2": ("gram", 0),
-        "alt-a-3": ("gram", 0),
-        "alt-a-15": ("gram", 0),
-    }
-
-
-def _band_stacks(seq, N):
-    """The stacks of ``G_b`` for ``seq`` at order ``N``, scaled as
-    ``_band_split`` scales them, and the identity stacks."""
-    shift = _ShiftRecurrence(seq, N)
-    nb = -(-N // _BAND)
-    S, _, lo, hi, _ = _band_blocks(shift, nb)
-    S /= (min(lo, 1.0) + max(hi, 1.0)) / 2.0
-    eye = np.zeros(S.shape)
-    eye[1] = np.eye(_BAND)
-    return S, eye
+    b = np.zeros(H + 1)
+    b[301:] = 0.25
+    seq = SequencePair(a=np.ones(H + 1), b=b)
+    assert np.flatnonzero(c_coefficients(seq)).tolist() == [300]
+    assert compact_isometry_split(seq, BAND_N).route == "band"
+    assert len(calls) == 1
 
 
 def _random_stack(rng, offsets, nb, b, dtype, hermitian=False):
@@ -1032,9 +1058,10 @@ def test_hermitian_band_product_matches_the_dense_product_and_is_exactly_hermiti
                     assert out[r - d, d:].tobytes() == np.ascontiguousarray(mirror).tobytes()
 
 
-def _newton_schulz_from_the_identity(G, scale, eye, product):
+def _newton_schulz_from_the_identity(G, scale, eye):
     """``_newton_schulz`` as written before its first step skipped the two
     products with ``Z = I``: every product is formed."""
+    product = functools.partial(_band_product, keep=1, hermitian=True)
     Y = G / scale
     Z = eye + np.zeros_like(Y)
     polished = False
@@ -1057,26 +1084,17 @@ def _newton_schulz_from_the_identity(G, scale, eye, product):
 
 def test_newton_schulz_skips_the_identity_products_without_moving_a_bit():
     H = BAND_N + BAND_PAD
-    product = functools.partial(_band_product, keep=1, hermitian=True)
     for seq in (make_pair("sqrt(n+1)", "0.5", H), complex_baseline_pair(2024, H)):
         shift = _ShiftRecurrence(seq, BAND_N)
         S, _, lo, hi, _ = _band_blocks(shift, -(-BAND_N // _BAND))
         scale = (min(lo, 1.0) + max(hi, 1.0)) / 2.0
         eye = np.zeros((3, 1, _BAND, _BAND))
         eye[1] = np.eye(_BAND)
-        skipped = _newton_schulz(S, scale, eye, product)
-        full = _newton_schulz_from_the_identity(S, scale, eye, product)
+        skipped = _newton_schulz(S, scale, eye)
+        full = _newton_schulz_from_the_identity(S, scale, eye)
         assert skipped is not None and full is not None
         for x, y in zip(skipped, full):
             assert x.tobytes() == y.tobytes()
-    fam = next(fam for fam in CORPUS if fam.name == "bergman")
-    S, _ = _band_stacks(family_pair(fam, H), BAND_N)
-    diag = np.diagonal(S[1], axis1=1, axis2=2).ravel()
-    skipped = _newton_schulz(diag, 1.0, np.ones(diag.size), np.multiply)
-    full = _newton_schulz_from_the_identity(diag, 1.0, np.ones(diag.size), np.multiply)
-    assert skipped is not None and full is not None
-    for x, y in zip(skipped, full):
-        assert x.tobytes() == y.tobytes()
 
 
 def test_band_blocks_match_the_dense_gram():
@@ -1116,20 +1134,6 @@ def test_band_blocks_match_the_dense_gram():
             blocks = np.arange(N) // b
             outside = np.abs(blocks[:, None] - blocks[None, :]) > 1
             assert dropped >= np.linalg.norm(G[outside]) * (1.0 - 1e-12), label
-
-
-def test_newton_schulz_on_a_diagonal_equals_the_block_iteration():
-    fam = next(fam for fam in CORPUS if fam.name == "bergman")
-    S, eye = _band_stacks(family_pair(fam, BAND_N + BAND_PAD), BAND_N)
-    diag = np.diagonal(S[1], axis1=1, axis2=2)
-    assert np.count_nonzero(S) == np.count_nonzero(diag)
-    blocks = _newton_schulz(S, 1.0, eye, functools.partial(_band_product, keep=1, hermitian=True))
-    entries = _newton_schulz(diag.ravel(), 1.0, np.ones(diag.size), np.multiply)
-    assert blocks is not None and entries is not None
-    on = eye.astype(bool)
-    for stacks, x in zip(blocks, entries):
-        assert np.diagonal(stacks[1], axis1=1, axis2=2).ravel().tobytes() == x.tobytes()
-        assert not np.any(stacks[~on])
 
 
 @pytest.mark.parametrize("spoiled", [0, 1], ids=["Y", "Z"])
@@ -1196,7 +1200,7 @@ def test_band_route_forms_no_dense_gram(monkeypatch):
         return gram(self)
 
     monkeypatch.setattr(_ShiftRecurrence, "gram", counting)
-    fam = next(fam for fam in CORPUS if fam.name == "alt-a-2")
+    fam = next(fam for fam in CORPUS if fam.name == "alt-b-half")
     assert compact_isometry_split(family_pair(fam, BAND_N + BAND_PAD), BAND_N).route == "gram"
     assert calls == [BAND_N]
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from corpus_families import CORPUS, complex_baseline_pair, family_pair
+from corpus_families import CORPUS, complex_baseline_pair, family_pair, make_pair
 from trishift import (
     CoefficientSpec,
     KernelDivergenceError,
@@ -21,15 +21,9 @@ from trishift import (
     gram_matrix,
     kernel_sweep,
     materialize,
-    parse_sequence_expr,
 )
 from trishift import kernels, operators
 from trishift.kernels import KernelValue, _basis_parts
-
-
-def make_pair(a_text, b_text, N):
-    spec = CoefficientSpec(parse_sequence_expr(a_text), parse_sequence_expr(b_text))
-    return materialize(spec, N)
 
 
 def szego(N=256):

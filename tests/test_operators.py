@@ -14,7 +14,6 @@ import pytest
 from trishift import (
     CoefficientSpec,
     HorizonError,
-    SequencePair,
     TruncatedOperator,
     build_adjoint,
     build_blocks,
@@ -28,28 +27,13 @@ from trishift import (
     materialize,
     monomial_in_basis,
     neumann_partial_sum,
-    parse_sequence_expr,
     polar_decompose,
     validate_assumptions,
 )
 from trishift import operators
 from trishift.operators import _shift_tails
 
-from corpus_families import CORPUS, complex_baseline_pair, family_pair
-
-
-def make_pair(a_text, b_text, N):
-    spec = CoefficientSpec(parse_sequence_expr(a_text), parse_sequence_expr(b_text))
-    return materialize(spec, N)
-
-
-def random_pair(rng, N, b_scale=0.2):
-    # |b_n| <= b_scale * sqrt(2) and |a_n| >= 0.5 keep |b_n/a_{n+1}| < 1
-    mags = rng.uniform(0.5, 2.0, N + 1)
-    phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, N + 1))
-    a = mags * phases
-    b = b_scale * (rng.uniform(-1, 1, N + 1) + 1j * rng.uniform(-1, 1, N + 1))
-    return SequencePair(a=a, b=b)
+from corpus_families import CORPUS, complex_baseline_pair, family_pair, make_pair, random_pair
 
 
 # ---------------------------------------------------------------- monomials

@@ -14,10 +14,7 @@ from trishift import (
     validate_assumptions,
 )
 
-
-def make_pair(a_text, b_text, N):
-    spec = CoefficientSpec(parse_sequence_expr(a_text), parse_sequence_expr(b_text))
-    return materialize(spec, N)
+from corpus_families import make_pair
 
 
 def test_materialize_constant():
