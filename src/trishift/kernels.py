@@ -350,7 +350,7 @@ def adjoint_residual_grid(
     for row, (re, im) in zip(coeffs, _point_parts(seq, points)):
         row.real, row.imag = re, -im
     mags = np.abs(coeffs)
-    tails = _shift_tails(seq, N)
+    tails, _ = _shift_tails(seq, N)
     block = math.inf if tails is None else _geometric_tail_norm(tails, 0.0)
     norms, truncation = [], []
     for k in range(K):

@@ -27,7 +27,19 @@ place of a section, the routine writes no row and returns the same bounds,
 bit for bit: that is how the kernel's adjoint residual grid gets the
 shift's tails with no section.  :func:`build_adjoint` builds the shift
 section and conjugate-transposes it in place, ``_BLOCK``-square tiles at a
-time.  The same two-term recurrences along the rows let
+time.
+
+Where ``|b_n / a_{n+1}|`` decays, a column's products underflow to exact
+zeros within a few hundred rows (about 160 on the Baseline
+``sqrt(n+1)``/``0.5``), and a zero product stays zero.  So each row step
+scales and writes only the live band, from the first column whose product
+is nonzero, the tail pass skips every chunk left of it, and the adjoint
+moves only the tiles that meet it: the work is O(N x band), not O(N^2).
+Every live entry and every tail bound is formed by the same operations as
+when every begun column ran on every row; the one difference is that an
+entry left of the band holds the buffer's ``+0.0`` where the full run
+could write ``-0.0``.  Values, and with them every report, are
+unchanged.  The same two-term recurrences along the rows let
 ``_ShiftRecurrence`` apply the shift's tall section and form its Gram
 matrix, whole or in panels of ``_BLOCK`` rows cut at the end of their
 diagonal block (the rest of ``G`` is their conjugate transpose), and the
@@ -38,9 +50,14 @@ real family, complex128 otherwise.  A section owns the array it is built
 from: every builder hands a fresh buffer to :class:`TruncatedOperator`, which
 freezes it in place instead of copying it, and keeps no writable alias to it.
 The blocks' diagonal ``b1`` and unit shift ``u`` hold one entry per column,
-so their buffers are anonymous mappings without numpy's huge-page advice:
-only the 4 KB pages that hold an entry become resident, not every 2 MB page
-that a write touches.
+so their buffers are anonymous mappings that refuse huge pages: only the
+4 KB pages that hold an entry become resident, not every 2 MB page that a
+write touches.  A running-product section takes such a mapping too when
+the band it is predicted to live in, from prefix sums of ``log2 |r_k|``
+against the underflow, would make under a third of its pages resident,
+the measured break-even of 4 KB against 2 MB page faults
+(:func:`_section_zeros`); a dense band keeps numpy's huge-page array.  The
+choice rests on the input alone: no option selects it.
 """
 
 from __future__ import annotations
@@ -113,7 +130,9 @@ class BlockSet:
     All four sections are K x K and act on the span of the basis vectors
     from index 1 on; ``u`` is the unweighted unilateral shift there.
     ``b1`` and ``u`` are dense ndarrays over anonymous mappings of their own,
-    resident only in the 4 KB pages that hold their O(K) entries.
+    resident only in the 4 KB pages that hold their O(K) entries; ``b2``
+    and ``b3`` are too when their running products underflow within a
+    narrow band, and numpy arrays otherwise.
     """
 
     b1: TruncatedOperator
@@ -148,11 +167,11 @@ def _running_columns(
     starts: np.ndarray,
     first: int,
     bound: bool = True,
-) -> np.ndarray | None:
-    """Fill ``out`` with running-product columns; return their tail bounds.
-    Given a row count in place of ``out``, run the same recurrence over that
-    many rows and ``len(starts)`` columns, write nothing, and return the
-    same bounds, bit for bit.
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Fill ``out`` with running-product columns; return their tail bounds
+    and each row's dead prefix.  Given a row count in place of ``out``, run
+    the same recurrence over that many rows and ``len(starts)`` columns,
+    write nothing, and return the same bounds, bit for bit.
 
     Column ``j`` is ``t_0 = starts[j]``, ``t_{m+1} = t_m r_{first+j+m}``,
     ``r_k = -b_k / a_{k+1}``, with ``t_m`` in row ``j + m``, run to basis
@@ -169,10 +188,15 @@ def _running_columns(
     ``np.cumprod`` forms down column ``j``, so a real column is ``starts[j]
     * cumprod`` bit for bit; a complex step is :func:`_times`'s split
     product, so a complex column's bits do not depend on the section's
-    order.  The discarded rows continue the recurrence from the
-    last section row, ``_BLOCK`` columns at a time, each column's run held
-    contiguously for its bound; a column that begins below ``out`` runs on
-    its own.
+    order.  A product that has underflowed to zero stays zero under finite
+    ratios, so the row steps keep ``lo``, the first begun column whose
+    ``P_j`` is nonzero, and scale and write only columns ``lo`` on: the
+    entries left of it stay as they are, which is zero in a fresh section.
+    The second array returned holds ``lo`` for every row run.  The
+    discarded rows continue the recurrence from the last section row,
+    ``_BLOCK`` columns at a time, each column's run held contiguously for
+    its bound; a chunk wholly left of ``lo`` has the bound 0.0 without
+    being run, and a column that begins below ``out`` runs on its own.
     """
     H = seq.horizon
     if isinstance(out, np.ndarray):
@@ -181,27 +205,35 @@ def _running_columns(
         rows, cols, out = out, len(starts), None
     ratios = -(seq.b[:-1] / seq.a[1:])
     r = ratios.tolist()
+    dies = bool(np.isfinite(ratios).all())  # 0 * inf would not stay zero
     P = np.empty(cols, seq.a.dtype)
-    for i in range(min(rows, H - first + 1)):
+    lows = np.empty(min(rows, H - first + 1), np.intp)
+    lo = 0
+    for i in range(len(lows)):
         k = min(i, cols)
-        if k:
-            _scale(P[:k], r[first + i - 1])
+        if k > lo:
+            _scale(P[lo:k], r[first + i - 1])
+            while dies and lo < k and P[lo] == 0:
+                lo += 1
         if i < cols:
             P[i] = 1.0
             k += 1
+        lows[i] = lo
         if out is not None:
-            np.multiply(P[:k], starts[:k], out=out[i, :k])
+            np.multiply(P[lo:k], starts[lo:k], out=out[i, lo:k])
     if not (bound and first + rows < H):
-        return None
+        return None, lows
     r_hat = validate_assumptions(seq).r_hat
     if not r_hat < 1.0:  # a NaN ratio gives no bound either
-        return None
+        return None, lows
     tail = np.empty(cols)
     begun = min(rows, cols)
+    dead = lo - lo % _BLOCK  # the chunks wholly left of lo
+    tail[:dead] = 0.0
     # row 0 of a chunk's runs is the last section row's products, then
     # column m + 1 is the discarded row m: one cumprod along each run
     run = np.empty((_BLOCK, H - first - rows + 2), seq.a.dtype)
-    for j0 in range(0, begun, _BLOCK):
+    for j0 in range(dead, begun, _BLOCK):
         j1 = min(j0 + _BLOCK, begun)
         chunk = run[: j1 - j0]
         chunk[:, 0] = P[j0:j1]
@@ -215,7 +247,7 @@ def _running_columns(
         vals[0] = starts[j]
         vals[1:] = starts[j] * np.cumprod(ratios[f:])
         tail[j] = _geometric_tail_norm(np.abs(vals), r_hat)
-    return tail
+    return tail, lows
 
 
 def _times(ar: np.ndarray, ai: np.ndarray, br, bi) -> tuple[np.ndarray, np.ndarray]:
@@ -474,11 +506,94 @@ def monomial_in_basis(seq: SequencePair, n: int, M: int) -> np.ndarray:
     return coef
 
 
+def _zeros(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
+    """A zero-filled array over an anonymous mapping of its own, which it
+    owns through ``.base``.
+
+    numpy advises huge pages for every allocation of 4 MB or more, so the
+    first write to any entry of such an array makes its whole 2 MB page
+    resident.  This mapping refuses huge pages (``MADV_NOHUGEPAGE``, where
+    ``mmap`` has it), also where the kernel would give them unasked: only
+    the 4 KB pages that hold a written entry become resident, which is what
+    a section holding one entry per column, or a narrow band, needs.  A
+    dense section should not use it, since faulting its pages in 4 KB at a
+    time is slower (:func:`_section_zeros`)."""
+    nbytes = math.prod(shape) * dtype.itemsize
+    buffer = mmap.mmap(-1, nbytes)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.ndarray(shape, dtype, buffer=buffer)
+
+
+# 2^-1075, half the least subnormal, rounds to zero: a running product that
+# falls this many binary orders below 1 has underflowed
+_UNDERFLOW_BITS = 1075.0
+# the share of an array's 4 KB pages below which they fault in faster than
+# numpy's 2 MB pages fault in the whole array (see _section_zeros)
+_SMALL_PAGE_SHARE = 1.0 / 3.0
+
+
+def _section_zeros(
+    seq: SequencePair,
+    shape: tuple[int, int],
+    first: int,
+    at: tuple[int, int],
+    mirrored: bool = False,
+) -> np.ndarray:
+    """A zero array for a section whose running columns
+    :func:`_running_columns` writes into ``[at[0]:, at[1]:]`` from ratio
+    ``first`` on: :func:`_zeros` when the band those columns live in is
+    predicted to make under ``_SMALL_PAGE_SHARE`` of its 4 KB pages
+    resident, numpy's ``np.zeros`` otherwise.  ``mirrored`` counts the
+    band twice, for a section that also writes its conjugate transpose.
+
+    Column ``j`` at row ``i`` of the window is ``P = r_{first+j} ...
+    r_{first+i-1}`` times its start, so with ``lam_i = sum_{m<i} log2
+    |r_{first+m}|`` it has underflowed once ``lam_j - lam_i`` exceeds
+    ``_UNDERFLOW_BITS``.  Row ``i``'s band is predicted to begin at the
+    first ``j`` where the running minimum of ``lam`` comes within
+    ``_UNDERFLOW_BITS`` of ``lam_i``, which is never right of the first
+    live column; a zero ratio, whose ``log2`` is ``-inf``, counts as twice
+    the underflow, so it kills every begun column at once and leaves no
+    NaN.
+
+    The break-even share is measured: first-touching a 4096 x 4096 float64
+    array took 84 ms in 4 KB pages and 30 ms in 2 MB pages (2 vCPUs,
+    transparent huge pages on ``madvise``), so a 4 KB page costs about 2.8
+    times as much per byte, and the small pages win while they make less
+    than 30/84 = 0.36 of the array resident; its lower triangle took 51
+    against 30 ms, which puts the break-even near 0.3 for the triangular
+    write pattern.  A third lies between."""
+    H = seq.horizon
+    rows = min(shape[0] - at[0], H - first + 1)
+    cols = min(shape[1] - at[1], rows)
+    with np.errstate(divide="ignore"):
+        steps = np.log2(np.abs(seq.b[first : first + rows - 1] / seq.a[first + 1 : first + rows]))
+    lam = np.zeros(rows)
+    np.cumsum(np.maximum(steps, -2.0 * _UNDERFLOW_BITS), out=lam[1:])
+    floor = np.minimum.accumulate(lam[:cols])
+    i = np.arange(rows)
+    hi = np.minimum(i + 1, cols)
+    lo = np.minimum(np.searchsorted(-floor, -(lam + _UNDERFLOW_BITS)), hi)
+    itemsize = np.dtype(seq.a.dtype).itemsize
+    offset = (i + at[0]) * shape[1] + at[1]
+    first_page = (offset + lo) * itemsize // mmap.PAGESIZE
+    last_page = ((offset + hi) * itemsize - 1) // mmap.PAGESIZE
+    # both ends grow with the row, so each row adds the pages past the last
+    seen = np.concatenate(([-1], last_page[:-1]))
+    pages = np.sum(np.maximum(last_page - np.maximum(first_page, seen + 1) + 1, 0))
+    total = -(-math.prod(shape) * itemsize // mmap.PAGESIZE)
+    if (1 + mirrored) * pages < _SMALL_PAGE_SHARE * total:
+        return _zeros(shape, seq.a.dtype)
+    return np.zeros(shape, seq.a.dtype)
+
+
 def _fill_shift(
     seq: SequencePair, M: np.ndarray, bound: bool = True
-) -> np.ndarray | None:
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Write the shift section into the zero square ``M``; return its tail
-    bounds, or ``None`` when ``bound`` is false."""
+    bounds, or ``None`` when ``bound`` is false, and the dead prefix of
+    each of its rows from 2 on, as :func:`_running_columns` returns it."""
     N = M.shape[0]
     a = seq.a
     idx = np.arange(N - 1)
@@ -492,13 +607,14 @@ def _shift_tails(
     """Column tail bounds of the N x N shift section, the section's rows
     from 2 on written into ``out`` when it is given and nowhere when not;
     the bounds are the same bits either way.  ``None`` when ``bound`` is
-    false, as in :func:`_running_columns`."""
+    false; the rows' dead prefixes come with them, as from
+    :func:`_running_columns`."""
     a = seq.a
     rows = N - 2 if out is None else out
-    tail = _running_columns(seq, rows, c_coefficients(seq)[:N], 2, bound)
+    tail, lows = _running_columns(seq, rows, c_coefficients(seq)[:N], 2, bound)
     if tail is not None:  # the last column's subdiagonal entry is cut too
         tail[N - 1] = math.hypot(abs(a[N - 1] / a[N]), tail[N - 1])
-    return tail
+    return tail, lows
 
 
 def build_shift(seq: SequencePair, N: int) -> TruncatedOperator:
@@ -507,21 +623,26 @@ def build_shift(seq: SequencePair, N: int) -> TruncatedOperator:
     if N < 2:
         raise ValueError("section order must be at least 2")
     _require_horizon(seq, N, "shift section")
-    M = np.zeros((N, N), dtype=seq.a.dtype)
-    tail = _fill_shift(seq, M)
+    M = _section_zeros(seq, (N, N), 2, (2, 0))
+    tail, _ = _fill_shift(seq, M)
     return TruncatedOperator(M, tail)
 
 
-def _conjugate_transpose(A: np.ndarray) -> None:
-    """Conjugate-transpose the strictly lower triangular square ``A`` in
-    place, ``_BLOCK``-square tiles at a time: each diagonal tile through one
-    tile of scratch, each tile below them into its mirror tile above, which
-    is zero, and then zeroed."""
+def _conjugate_transpose(A: np.ndarray, lows: np.ndarray) -> None:
+    """Conjugate-transpose the shift section ``A`` in place, ``_BLOCK``-square
+    tiles at a time: each diagonal tile through one tile of scratch, each
+    tile below them that meets the band into its mirror tile above, which
+    is zero, and then zeroed.  ``lows[i]``, nondecreasing, is the first
+    column that may be nonzero in row ``i + 2`` left of the subdiagonal, as
+    :func:`_fill_shift` returns it; a tile whose first row's ``lows`` lies
+    right of it is zero, and so is every tile below it."""
     N = A.shape[0]
     for top in range(0, N, _BLOCK):
-        rows = slice(top, top + _BLOCK)
+        end = top + _BLOCK
+        rows = slice(top, end)
         A[rows, rows] = np.conj(A[rows, rows].T)
-        for left in range(top + _BLOCK, N, _BLOCK):
+        stop = min(N, int(np.searchsorted(lows, end)) + 2)  # rows past are zero left of end
+        for left in range(end, stop, _BLOCK):
             cols = slice(left, left + _BLOCK)
             np.conjugate(A[cols, rows].T, out=A[rows, cols])
             A[cols, rows] = 0.0
@@ -534,9 +655,9 @@ def build_adjoint(seq: SequencePair, N: int) -> TruncatedOperator:
     if N < 2:
         raise ValueError("section order must be at least 2")
     _require_horizon(seq, N, "adjoint section")
-    A = np.zeros((N, N), dtype=seq.a.dtype)
-    _fill_shift(seq, A, bound=False)
-    _conjugate_transpose(A)
+    A = _section_zeros(seq, (N, N), 2, (2, 0), mirrored=True)
+    _, lows = _fill_shift(seq, A, bound=False)
+    _conjugate_transpose(A, lows)
     return TruncatedOperator(A, np.zeros(N))
 
 
@@ -547,28 +668,14 @@ def build_left_inverse(seq: SequencePair, N: int) -> TruncatedOperator:
         raise ValueError("section order must be at least 2")
     _require_horizon(seq, N, "left-inverse section")
     a = seq.a
-    L = np.zeros((N, N), dtype=seq.a.dtype)
+    L = _section_zeros(seq, (N, N), 1, (1, 1))
     idx = np.arange(N - 1)
     L[idx, idx + 1] = a[1:N] / a[: N - 1]
     d = d_coefficients(seq)  # d[k] = d_{k+1}
-    tail = _running_columns(seq, L[1:, 1:], d[: N - 1], 1)
+    tail, _ = _running_columns(seq, L[1:, 1:], d[: N - 1], 1)
     if tail is not None:  # the first column is zero
         tail = np.concatenate(([0.0], tail))
     return TruncatedOperator(L, tail)
-
-
-def _zeros(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
-    """A zero-filled array over an anonymous mapping of its own, which it
-    owns through ``.base``.
-
-    numpy advises huge pages for every allocation of 4 MB or more, so the
-    first write to any entry of such an array makes its whole 2 MB page
-    resident.  This mapping takes no such advice: only the 4 KB pages that
-    hold a written entry become resident, which is what a section holding
-    one entry per column needs.  A dense section should not use it, since
-    faulting its pages in 4 KB at a time is slower."""
-    nbytes = math.prod(shape) * dtype.itemsize
-    return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, nbytes))
 
 
 def build_blocks(seq: SequencePair, N: int) -> BlockSet:
@@ -592,11 +699,11 @@ def build_blocks(seq: SequencePair, N: int) -> BlockSet:
     np.fill_diagonal(B1, diag)
     b1 = TruncatedOperator(B1)
 
-    Z2 = np.zeros((K, K), dtype=seq.a.dtype)
+    Z2 = _section_zeros(seq, (K, K), 3, (0, 0))
     _running_columns(seq, Z2, -c_coefficients(seq)[1 : K + 1], 3, bound=False)
     b2 = TruncatedOperator(Z2)
 
-    Z3 = np.zeros((K, K), dtype=seq.a.dtype)
+    Z3 = _section_zeros(seq, (K, K), 1, (0, 0))
     _running_columns(seq, Z3, d_coefficients(seq)[:K], 1, bound=False)
     b3 = TruncatedOperator(Z3)
 

@@ -1,6 +1,7 @@
 import copy
 import gc
 import math
+import mmap
 import os
 import pickle
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 from trishift import (
     CoefficientSpec,
     HorizonError,
+    SequencePair,
     TruncatedOperator,
     build_adjoint,
     build_blocks,
@@ -551,12 +553,15 @@ def test_builders_hold_one_dense_array_per_section():
         assert units <= 2.1, (seq.a.dtype, units)
 
 
-# the child's own peak RSS in KiB: VmHWM where /proc/self/status exists,
-# since ru_maxrss starts at the peak of the process that spawned it
-_BLOCKS_RSS_CHILD = """
+# the growth of the child's own peak RSS in KiB over one builder, in
+# sections of the result's order and the family's itemsize: VmHWM where
+# /proc/self/status exists, since ru_maxrss starts at the peak of the process
+# that spawned it
+_BUILDER_RSS_CHILD = """
 import resource, sys
+import trishift
 from corpus_families import complex_baseline_pair
-from trishift import CoefficientSpec, build_blocks, materialize, parse_sequence_expr
+from trishift import CoefficientSpec, materialize, parse_sequence_expr
 
 def peak_kib():
     try:
@@ -574,11 +579,29 @@ if sys.argv[2] == "real":
     seq = materialize(spec, N + 64)
 else:
     seq = complex_baseline_pair(2024, N + 64)
+build = getattr(trishift, sys.argv[3])
 before = peak_kib()
-blocks = build_blocks(seq, N)
+result = build(seq, N)
 after = peak_kib()
-print((after - before) * 1024 / (seq.a.itemsize * (N - 1) ** 2))
+order = getattr(result, "b1", result).order
+print((after - before) * 1024 / (seq.a.itemsize * order ** 2))
 """
+
+
+def _builder_rss_units(build: str, kind: str, N: int) -> float:
+    """The growth of a fresh child's peak RSS over ``build`` on the
+    Baseline (``kind`` "real") or its seeded complex twin, in sections."""
+    tests = Path(__file__).resolve().parent
+    src = Path(operators.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), str(tests), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _BUILDER_RSS_CHILD, str(N), kind, build],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return float(done.stdout)
 
 
 def _transparent_huge_pages() -> str:
@@ -592,23 +615,80 @@ def _transparent_huge_pages() -> str:
 @pytest.mark.skipif("[always]" in _transparent_huge_pages(),
                     reason="every anonymous mapping gets huge pages")
 def test_build_blocks_keeps_b1_and_u_resident_only_where_they_hold_entries():
-    # the growth of a fresh child's peak RSS over build_blocks, in K x K
-    # sections of the family's itemsize: b2 and b3 are two; fully resident
-    # b1 and u would add nearly two more (3.8-3.9 measured), while their
-    # touched 4 KB pages add about a quarter each at N = 2048
-    tests = Path(__file__).resolve().parent
-    src = Path(operators.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(src), str(tests), env.get("PYTHONPATH")])
-    )
-    for kind in ("real", "complex"):
-        done = subprocess.run(
-            [sys.executable, "-c", _BLOCKS_RSS_CHILD, "2048", kind],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        units = float(done.stdout)
-        assert units <= 3.0, (kind, units)
+    # in K x K sections at N = 2048: b1 and u touch one 4 KB page per row,
+    # a quarter of a real section and an eighth of a complex one (fully
+    # resident, they would add nearly two).  The real b2 and b3 put their
+    # diagonal on a page boundary, so each row's band touches two of its
+    # four pages, over the third at which 4 KB pages stop paying: they stay
+    # in numpy's arrays (2.46 measured).  The complex ones take two pages
+    # of eight and live in mappings too (0.76 measured, 2.2 before)
+    for kind, gate in (("real", 2.6), ("complex", 0.9)):
+        units = _builder_rss_units("build_blocks", kind, 2048)
+        assert units <= gate, (kind, units)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="peak RSS is read in KiB on Linux only")
+@pytest.mark.skipif("[always]" in _transparent_huge_pages(),
+                    reason="every anonymous mapping gets huge pages")
+def test_narrow_band_sections_keep_only_their_band_resident():
+    # in N x N sections of the real Baseline at N = 2048: the running
+    # products underflow within about 180 rows, so a row's band takes one
+    # or two of its four 4 KB pages (0.34 measured); in numpy's
+    # huge-page-advised array every page became resident (1.0)
+    for build in ("build_shift", "build_left_inverse"):
+        units = _builder_rss_units(build, "real", 2048)
+        assert units <= 0.45, (build, units)
+
+
+def _vm_flags(address: int) -> list[str]:
+    """The VmFlags of the mapping in /proc/self/smaps that holds ``address``."""
+    inside = False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            head = line.split(maxsplit=1)[0]
+            if "-" in head and not head.endswith(":"):
+                lo, hi = (int(x, 16) for x in head.split("-"))
+                inside = lo <= address < hi
+            elif inside and head == "VmFlags:":
+                return line.split()[1:]
+    raise LookupError(f"no mapping holds {address:#x}")
+
+
+@pytest.mark.skipif(not Path("/proc/self/smaps").exists(), reason="no /proc/self/smaps")
+@pytest.mark.skipif(not hasattr(mmap, "MADV_NOHUGEPAGE"), reason="no MADV_NOHUGEPAGE")
+def test_mapped_sections_refuse_huge_pages():
+    # so that they stay resident in 4 KB pages where transparent huge pages
+    # are "always", not only where numpy's advice is what would get them
+    A = operators._zeros((1024, 1024), np.dtype(np.float64))
+    assert "nh" in _vm_flags(A.ctypes.data)
+
+
+def test_narrow_bands_choose_the_mapping_and_dense_ones_numpy():
+    # the predicted band of each section at N = 4096, as its builder asks:
+    # the Baseline's and harmonic-b's products underflow within about 160
+    # and 100 rows; high-const-b's (0.9 per row), drifting-b's and the
+    # growing SVD-route family's never do within the section
+    N, K = 4096, 4095
+    sections = {
+        "shift": ((N, N), 2, (2, 0), False),
+        "left": ((N, N), 1, (1, 1), False),
+        "adjoint": ((N, N), 2, (2, 0), True),
+        "b2": ((K, K), 3, (0, 0), False),
+        "b3": ((K, K), 1, (0, 0), False),
+    }
+    families = {
+        ("sqrt(n+1)", "0.5"): mmap.mmap,
+        ("1", "1/(n+1)"): mmap.mmap,
+        ("1", "0.9"): type(None),
+        ("1", "(n+1)/(n+3)"): type(None),
+        ("1", "1.2 + 0.3*(-1)^n"): type(None),
+    }
+    for (a_text, b_text), base in families.items():
+        seq = make_pair(a_text, b_text, N + 64)
+        for name, args in sections.items():
+            A = operators._section_zeros(seq, *args)
+            assert type(A.base) is base, (b_text, name)
+            assert A.shape == args[0] and A.dtype == np.float64
 
 
 def test_split_result_holds_no_section():
@@ -880,7 +960,7 @@ def test_tail_bounds_match_seed_column_construction(pad):
             shift, left = _seed_tails(seq, N)
             got = {
                 "shift": build_shift(seq, N).tail_bound,
-                "adjoint": _shift_tails(seq, N),
+                "adjoint": _shift_tails(seq, N)[0],
                 "left": build_left_inverse(seq, N).tail_bound,
             }
             if shift is None:
@@ -888,6 +968,53 @@ def test_tail_bounds_match_seed_column_construction(pad):
                 continue
             for name, ref in (("shift", shift), ("adjoint", shift), ("left", left)):
                 assert np.array_equal(got[name], ref), (fam.name, N, name)
+
+
+def _dead_prefix_pairs(H):
+    """Pairs whose running products die inside a window of 200 rows."""
+    n = np.arange(H + 1)
+    # b_37 = b_150 = 0: every column begun by then dies at once, and the
+    # columns begun after start fresh
+    b = 0.3 + 0.1 * np.cos(n)
+    b[[37, 150]] = 0.0
+    yield "zero b", SequencePair(a=np.ones(H + 1), b=b)
+    # about 10 binary orders per row, and b_60 = b_61, b_100 = b_101: the
+    # starts c_60 = c_100 = 0 and d_61 = d_101 = 0 beside live columns
+    b = 0.001 * (2.0 + (-1.0) ** n)
+    b[[61, 101]] = b[[60, 100]]
+    yield "zero starts", SequencePair(a=np.ones(H + 1), b=b)
+    # complex, each ratio real or imaginary, so that each part of every
+    # product is one rounded real product, however numpy fuses it: the
+    # seed's cumprod then rounds as the split product does, through about
+    # eight rows of subnormal products per column
+    b = 0.001 * (1.0 + (n % 7) / 8.0) * np.array([1, 1j, -1, -1j])[n % 4]
+    yield "complex", SequencePair(a=np.ones(H + 1, complex), b=b)
+
+
+@pytest.mark.parametrize("pad", [0, 1, 64])
+def test_dead_prefix_matches_seed_column_construction(pad):
+    # by row 200 the live band has left the first chunk of 64 columns (the
+    # first two after b_150 = 0), so the chunks wholly left of it take the
+    # bound 0 at the section's last rows without being run
+    N = 200
+    for name, seq in _dead_prefix_pairs(N + pad):
+        got, ref = _sections(seq, N), _seed_sections(seq, N)
+        for key in ref:
+            assert np.array_equal(got[key], ref[key]), (name, key)
+        tail, lows = _shift_tails(seq, N)
+        assert lows[-1] >= operators._BLOCK, name
+        shift, left = _seed_tails(seq, N)
+        if pad == 0:
+            assert shift is None and tail is None, name
+            continue
+        assert np.array_equal(build_shift(seq, N).tail_bound, shift), name
+        assert np.array_equal(tail, shift), name
+        assert np.array_equal(build_left_inverse(seq, N).tail_bound, left), name
+        assert np.all(shift[: operators._BLOCK] == 0.0), name
+        if name == "complex":  # its products pass through the subnormals to zero
+            entries = np.abs(got["shift"])
+            assert np.any((entries > 0.0) & (entries < np.finfo(float).tiny))
+            assert np.count_nonzero(np.tril(entries, -2) == 0.0) > N * N // 4
 
 
 def test_tail_bounds_reach_the_discarded_mass_on_random_complex_families():
