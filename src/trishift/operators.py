@@ -25,16 +25,19 @@ recurrence to the horizon in chunks of ``_BLOCK`` columns, each column's
 run contiguous, and give the columns' tail bounds.  Given a row count in
 place of a section, the routine writes no row and returns the same bounds,
 bit for bit: that is how the kernel's adjoint residual grid gets the
-shift's tails with no section.  :func:`build_adjoint` builds the shift
-section and conjugate-transposes it in place, ``_BLOCK``-square tiles at a
-time.
+shift's tails with no section.  :func:`build_adjoint` writes the shift
+section's rows straight into the columns of its array, through the array's
+transpose, where the band is narrow, and below the diagonal, to be moved
+up in strips of ``_BLOCK`` columns, where it is dense; a complex family's
+strips are then conjugated in place.
 
 Where ``|b_n / a_{n+1}|`` decays, a column's products underflow to exact
 zeros within a few hundred rows (about 160 on the Baseline
 ``sqrt(n+1)``/``0.5``), and a zero product stays zero.  So each row step
 scales and writes only the live band, from the first column whose product
-is nonzero, the tail pass skips every chunk left of it, and the adjoint
-moves only the tiles that meet it: the work is O(N x band), not O(N^2).
+is nonzero, the tail pass skips every chunk left of it, and the adjoint's
+strips reach up only to the tile rows that meet it: the work is O(N x
+band), not O(N^2).
 Every live entry and every tail bound is formed by the same operations as
 when every begun column ran on every row; the one difference is that an
 entry left of the band holds the buffer's ``+0.0`` where the full run
@@ -55,9 +58,14 @@ so their buffers are anonymous mappings that refuse huge pages: only the
 write touches.  A running-product section takes such a mapping too when
 the band it is predicted to live in, from prefix sums of ``log2 |r_k|``
 against the underflow, would make under a third of its pages resident,
-the measured break-even of 4 KB against 2 MB page faults
-(:func:`_section_zeros`); a dense band keeps numpy's huge-page array.  The
-choice rests on the input alone: no option selects it.
+the measured break-even of 4 KB against 2 MB page faults; a dense band
+keeps numpy's huge-page array.  The pages are counted with the array at
+the start of its mapping and placed so that row 0's band ends on a page's
+last byte, and the mapping takes the placement with fewer: where every
+row's diagonal then falls on a page's last slot, as in the blocks at N a
+multiple of 512, a narrow band takes one page per row instead of two
+(:func:`_section_zeros`).  The choice rests on the input alone: no option
+selects it.
 """
 
 from __future__ import annotations
@@ -132,7 +140,9 @@ class BlockSet:
     ``b1`` and ``u`` are dense ndarrays over anonymous mappings of their own,
     resident only in the 4 KB pages that hold their O(K) entries; ``b2``
     and ``b3`` are too when their running products underflow within a
-    narrow band, and numpy arrays otherwise.
+    narrow band, placed in the mapping so that each row's band ends on a
+    page's last byte where the row length allows it, and numpy arrays
+    otherwise.
     """
 
     b1: TruncatedOperator
@@ -156,7 +166,7 @@ def _require_horizon(seq: SequencePair, needed: int, what: str) -> None:
 
 
 # rows and columns per block: the Gram's panels, the columns whose discarded
-# rows are run together, the tiles of the adjoint's transpose, the kernel's
+# rows are run together, the adjoint's column strips, the kernel's
 # adjoint residual chunks and the row blocks of the analysis's _flush_tiny
 _BLOCK = 64
 
@@ -506,9 +516,9 @@ def monomial_in_basis(seq: SequencePair, n: int, M: int) -> np.ndarray:
     return coef
 
 
-def _zeros(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
+def _zeros(shape: tuple[int, int], dtype: np.dtype, offset: int = 0) -> np.ndarray:
     """A zero-filled array over an anonymous mapping of its own, which it
-    owns through ``.base``.
+    owns through ``.base``, placed ``offset`` bytes into the mapping.
 
     numpy advises huge pages for every allocation of 4 MB or more, so the
     first write to any entry of such an array makes its whole 2 MB page
@@ -517,12 +527,15 @@ def _zeros(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
     the 4 KB pages that hold a written entry become resident, which is what
     a section holding one entry per column, or a narrow band, needs.  A
     dense section should not use it, since faulting its pages in 4 KB at a
-    time is slower (:func:`_section_zeros`)."""
+    time is slower (:func:`_section_zeros`).  ``offset``, a multiple of the
+    itemsize below ``mmap.PAGESIZE``, moves the page boundaries against the
+    rows, so that :func:`_section_zeros` can put a band's row ends on page
+    ends; the array is C-contiguous whatever it is."""
     nbytes = math.prod(shape) * dtype.itemsize
-    buffer = mmap.mmap(-1, nbytes)
+    buffer = mmap.mmap(-1, nbytes + offset)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buffer.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.ndarray(shape, dtype, buffer=buffer)
+    return np.ndarray(shape, dtype, buffer=buffer, offset=offset)
 
 
 # 2^-1075, half the least subnormal, rounds to zero: a running product that
@@ -534,18 +547,13 @@ _SMALL_PAGE_SHARE = 1.0 / 3.0
 
 
 def _section_zeros(
-    seq: SequencePair,
-    shape: tuple[int, int],
-    first: int,
-    at: tuple[int, int],
-    mirrored: bool = False,
+    seq: SequencePair, shape: tuple[int, int], first: int, at: tuple[int, int]
 ) -> np.ndarray:
     """A zero array for a section whose running columns
     :func:`_running_columns` writes into ``[at[0]:, at[1]:]`` from ratio
     ``first`` on: :func:`_zeros` when the band those columns live in is
     predicted to make under ``_SMALL_PAGE_SHARE`` of its 4 KB pages
-    resident, numpy's ``np.zeros`` otherwise.  ``mirrored`` counts the
-    band twice, for a section that also writes its conjugate transpose.
+    resident, numpy's ``np.zeros`` otherwise.
 
     Column ``j`` at row ``i`` of the window is ``P = r_{first+j} ...
     r_{first+i-1}`` times its start, so with ``lam_i = sum_{m<i} log2
@@ -557,6 +565,19 @@ def _section_zeros(
     the underflow, so it kills every begun column at once and leaves no
     NaN.
 
+    The band's pages are counted at two placements of the array in its
+    mapping: at its start, and ``offset`` bytes in, where row 0's band
+    ends on a page's last byte.  The mapping takes the one with fewer
+    pages.  Every row's band ends on the diagonal, which moves one row and
+    one entry on per row.  Where that step fills whole pages, as for the
+    blocks' ``K = N - 1`` at N a multiple of 512 (256 for complex entries),
+    the second placement puts every diagonal entry on a page's last slot:
+    a band narrower than a page then takes one page per row, where at the
+    start each row would spill its diagonal entry onto a page of its own.
+    The adjoint, which writes the shift's band into its transpose, asks as
+    the shift does: the transposed band has the same row widths, give or
+    take the staircase's steps.
+
     The break-even share is measured: first-touching a 4096 x 4096 float64
     array took 84 ms in 4 KB pages and 30 ms in 2 MB pages (2 vCPUs,
     transparent huge pages on ``madvise``), so a 4 KB page costs about 2.8
@@ -565,6 +586,7 @@ def _section_zeros(
     against 30 ms, which puts the break-even near 0.3 for the triangular
     write pattern.  A third lies between."""
     H = seq.horizon
+    dtype = seq.a.dtype
     rows = min(shape[0] - at[0], H - first + 1)
     cols = min(shape[1] - at[1], rows)
     with np.errstate(divide="ignore"):
@@ -575,23 +597,30 @@ def _section_zeros(
     i = np.arange(rows)
     hi = np.minimum(i + 1, cols)
     lo = np.minimum(np.searchsorted(-floor, -(lam + _UNDERFLOW_BITS)), hi)
-    itemsize = np.dtype(seq.a.dtype).itemsize
-    offset = (i + at[0]) * shape[1] + at[1]
-    first_page = (offset + lo) * itemsize // mmap.PAGESIZE
-    last_page = ((offset + hi) * itemsize - 1) // mmap.PAGESIZE
-    # both ends grow with the row, so each row adds the pages past the last
-    seen = np.concatenate(([-1], last_page[:-1]))
-    pages = np.sum(np.maximum(last_page - np.maximum(first_page, seen + 1) + 1, 0))
-    total = -(-math.prod(shape) * itemsize // mmap.PAGESIZE)
-    if (1 + mirrored) * pages < _SMALL_PAGE_SHARE * total:
-        return _zeros(shape, seq.a.dtype)
-    return np.zeros(shape, seq.a.dtype)
+    start = ((i + at[0]) * shape[1] + at[1]) * dtype.itemsize  # each row's byte
+    begin, end = start + lo * dtype.itemsize, start + hi * dtype.itemsize
+
+    def pages(offset: int) -> int:
+        first_page = (begin + offset) // mmap.PAGESIZE
+        last_page = (end + offset - 1) // mmap.PAGESIZE
+        # both ends grow with the row, so each row adds the pages past the last
+        seen = np.concatenate(([-1], last_page[:-1]))
+        return int(np.sum(np.maximum(last_page - np.maximum(first_page, seen + 1) + 1, 0)))
+
+    # an empty window (N = 2) has no row 0 to place
+    offsets = (0, -int(end[0]) % mmap.PAGESIZE) if rows else (0,)
+    count, offset = min((pages(offset), offset) for offset in offsets)
+    total = -(-math.prod(shape) * dtype.itemsize // mmap.PAGESIZE)
+    if count < _SMALL_PAGE_SHARE * total:
+        return _zeros(shape, dtype, offset)
+    return np.zeros(shape, dtype)
 
 
 def _fill_shift(
     seq: SequencePair, M: np.ndarray, bound: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Write the shift section into the zero square ``M``; return its tail
+    """Write the shift section into the zero square ``M``, which may be the
+    transpose of a fresh array (:func:`build_adjoint`); return its tail
     bounds, or ``None`` when ``bound`` is false, and the dead prefix of
     each of its rows from 2 on, as :func:`_running_columns` returns it."""
     N = M.shape[0]
@@ -603,7 +632,7 @@ def _fill_shift(
 
 def _shift_tails(
     seq: SequencePair, N: int, out: np.ndarray | None = None, bound: bool = True
-) -> np.ndarray | None:
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Column tail bounds of the N x N shift section, the section's rows
     from 2 on written into ``out`` when it is given and nowhere when not;
     the bounds are the same bits either way.  ``None`` when ``bound`` is
@@ -628,36 +657,50 @@ def build_shift(seq: SequencePair, N: int) -> TruncatedOperator:
     return TruncatedOperator(M, tail)
 
 
-def _conjugate_transpose(A: np.ndarray, lows: np.ndarray) -> None:
-    """Conjugate-transpose the shift section ``A`` in place, ``_BLOCK``-square
-    tiles at a time: each diagonal tile through one tile of scratch, each
-    tile below them that meets the band into its mirror tile above, which
-    is zero, and then zeroed.  ``lows[i]``, nondecreasing, is the first
-    column that may be nonzero in row ``i + 2`` left of the subdiagonal, as
-    :func:`_fill_shift` returns it; a tile whose first row's ``lows`` lies
-    right of it is zero, and so is every tile below it."""
+def _adjoint_strips(A: np.ndarray, lows: np.ndarray, by_rows: bool) -> None:
+    """Make the adjoint of the shift section written into ``A``, one strip
+    of ``_BLOCK`` columns at a time: the strip's rows from the tile row
+    that holds its band's first row down to its diagonal tile.  ``lows[i]``,
+    nondecreasing, is the first column that may be nonzero in row ``i + 2``
+    of the shift left of its subdiagonal, as :func:`_fill_shift` returns it,
+    so the strip of columns ``left`` on holds nothing above row
+    ``lows[left - 2]``.  ``by_rows`` says the shift was written by rows, into
+    ``A``'s lower triangle: each strip's mirror left of the diagonal moves
+    up and is zeroed, and its diagonal tile is transposed.  Otherwise it was
+    written through ``A.T`` and is in place.  A complex strip is then
+    conjugated."""
     N = A.shape[0]
-    for top in range(0, N, _BLOCK):
-        end = top + _BLOCK
-        rows = slice(top, end)
-        A[rows, rows] = np.conj(A[rows, rows].T)
-        stop = min(N, int(np.searchsorted(lows, end)) + 2)  # rows past are zero left of end
-        for left in range(end, stop, _BLOCK):
-            cols = slice(left, left + _BLOCK)
-            np.conjugate(A[cols, rows].T, out=A[rows, cols])
-            A[cols, rows] = 0.0
+    for left in range(0, N, _BLOCK):
+        top = int(lows[left - 2]) // _BLOCK * _BLOCK if left else 0
+        cols = slice(left, left + _BLOCK)
+        strip = A[top : left + _BLOCK, cols]
+        if by_rows:
+            strip[: left - top] = A[cols, top:left].T
+            A[cols, top:left] = 0.0
+            tile = A[cols, cols]
+            tile[...] = tile.T.copy()
+        if np.iscomplexobj(A):
+            np.conjugate(strip, out=strip)
 
 
 def build_adjoint(seq: SequencePair, N: int) -> TruncatedOperator:
     """N x N section of the adjoint: the conjugate transpose of the shift
-    section, built in place.  Its columns are finitely supported, so nothing
-    is discarded and the shift's tail bounds are not run."""
+    section, built in place.  A narrow band, in a mapping, is written
+    straight into the columns of ``A`` through its transpose, so that the
+    pages below the diagonal are never touched.  A dense band, in numpy's
+    array, is resident in full anyway, and its rows are written several
+    times faster contiguously than down the columns, whose stride of a
+    power-of-two row keeps the stores in the same cache sets: it is written
+    below the diagonal and moved up (:func:`_adjoint_strips`).  Its columns
+    are finitely supported, so nothing is discarded and the shift's tail
+    bounds are not run."""
     if N < 2:
         raise ValueError("section order must be at least 2")
     _require_horizon(seq, N, "adjoint section")
-    A = _section_zeros(seq, (N, N), 2, (2, 0), mirrored=True)
-    _, lows = _fill_shift(seq, A, bound=False)
-    _conjugate_transpose(A, lows)
+    A = _section_zeros(seq, (N, N), 2, (2, 0))
+    by_rows = not isinstance(A.base, mmap.mmap)
+    _, lows = _fill_shift(seq, A if by_rows else A.T, bound=False)
+    _adjoint_strips(A, lows, by_rows)
     return TruncatedOperator(A, np.zeros(N))
 
 

@@ -186,6 +186,24 @@ def test_adjoint_conjugates_complex_ratios():
     assert A[0, 1] == -1j
 
 
+def test_adjoint_routes_match_the_conjugate_transposed_shift():
+    # a narrow band (|b/a| = 2^-100, dead in 11 rows) takes the mapping and
+    # is written through the transpose; a dense band takes numpy's array
+    # and is written by rows and moved up: each is the shift's conjugate
+    # transpose, in a real and a complex family whose rows span 16 KB
+    rng = np.random.default_rng(41)
+    for dtype, N in ((np.float64, 2048), (np.complex128, 1024)):
+        phases = np.ones((2, N + 65), dtype)
+        if dtype is np.complex128:
+            phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (2, N + 65)))
+        a = np.sqrt(np.arange(N + 65) + 1.0) * phases[0]
+        for b, base in ((2.0**-100, mmap.mmap), (0.9, type(None))):
+            seq = SequencePair(a=a, b=b * np.abs(a) * phases[1])
+            A = build_adjoint(seq, N).entries
+            assert type(A.base) is base and A.dtype == dtype, (b, dtype)
+            assert np.array_equal(A, build_shift(seq, N).entries.conj().T), (b, dtype)
+
+
 def test_adjoint_columns_are_complete():
     seq = make_pair("1", "1/(n+1)", 16)
     op = build_adjoint(seq, 8)
@@ -615,16 +633,17 @@ def _transparent_huge_pages() -> str:
 @pytest.mark.skipif("[always]" in _transparent_huge_pages(),
                     reason="every anonymous mapping gets huge pages")
 def test_build_blocks_keeps_b1_and_u_resident_only_where_they_hold_entries():
-    # in K x K sections at N = 2048: b1 and u touch one 4 KB page per row,
-    # a quarter of a real section and an eighth of a complex one (fully
-    # resident, they would add nearly two).  The real b2 and b3 put their
-    # diagonal on a page boundary, so each row's band touches two of its
-    # four pages, over the third at which 4 KB pages stop paying: they stay
-    # in numpy's arrays (2.46 measured).  The complex ones take two pages
-    # of eight and live in mappings too (0.76 measured, 2.2 before)
-    for kind, gate in (("real", 2.6), ("complex", 0.9)):
-        units = _builder_rss_units("build_blocks", kind, 2048)
-        assert units <= gate, (kind, units)
+    # in K x K sections: b1 and u touch one 4 KB page per row, a quarter of
+    # a real section at N = 2048, an eighth of a complex one and of a real
+    # one at 4096 (fully resident, they would add nearly two).  b2 and b3
+    # sit in their mappings so that every diagonal entry is a page's last
+    # slot, and each row's band of about 165 entries takes one page: 1.02,
+    # 0.51 and 0.505 measured.  At the start of the mapping the diagonal
+    # was a page's first slot, each row took two pages, and the real
+    # 2048-order blocks stayed in numpy's arrays: 2.46, 0.76 and 0.755
+    for kind, N, gate in (("real", 2048, 1.3), ("complex", 2048, 0.65), ("real", 4096, 0.6)):
+        units = _builder_rss_units("build_blocks", kind, N)
+        assert units <= gate, (kind, N, units)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="peak RSS is read in KiB on Linux only")
@@ -633,11 +652,15 @@ def test_build_blocks_keeps_b1_and_u_resident_only_where_they_hold_entries():
 def test_narrow_band_sections_keep_only_their_band_resident():
     # in N x N sections of the real Baseline at N = 2048: the running
     # products underflow within about 180 rows, so a row's band takes one
-    # or two of its four 4 KB pages (0.34 measured); in numpy's
-    # huge-page-advised array every page became resident (1.0)
-    for build in ("build_shift", "build_left_inverse"):
+    # or two of its four 4 KB pages (0.33 measured); in numpy's
+    # huge-page-advised array every page became resident (1.0).  The
+    # adjoint writes the band once, above the diagonal (0.33); written
+    # below and moved up, both copies were resident, 0.42 in a mapping and
+    # 0.98 in the numpy array it took then
+    gates = {"build_shift": 0.45, "build_left_inverse": 0.45, "build_adjoint": 0.38}
+    for build, gate in gates.items():
         units = _builder_rss_units(build, "real", 2048)
-        assert units <= 0.45, (build, units)
+        assert units <= gate, (build, units)
 
 
 def _vm_flags(address: int) -> list[str]:
@@ -664,17 +687,17 @@ def test_mapped_sections_refuse_huge_pages():
 
 
 def test_narrow_bands_choose_the_mapping_and_dense_ones_numpy():
-    # the predicted band of each section at N = 4096, as its builder asks:
-    # the Baseline's and harmonic-b's products underflow within about 160
-    # and 100 rows; high-const-b's (0.9 per row), drifting-b's and the
-    # growing SVD-route family's never do within the section
+    # the predicted band of each section at N = 4096, as its builder asks
+    # (the adjoint asks as the shift does): the Baseline's and harmonic-b's
+    # products underflow within about 160 and 100 rows; high-const-b's (0.9
+    # per row), drifting-b's and the growing SVD-route family's never do
+    # within the section
     N, K = 4096, 4095
     sections = {
-        "shift": ((N, N), 2, (2, 0), False),
-        "left": ((N, N), 1, (1, 1), False),
-        "adjoint": ((N, N), 2, (2, 0), True),
-        "b2": ((K, K), 3, (0, 0), False),
-        "b3": ((K, K), 1, (0, 0), False),
+        "shift": ((N, N), 2, (2, 0)),
+        "left": ((N, N), 1, (1, 1)),
+        "b2": ((K, K), 3, (0, 0)),
+        "b3": ((K, K), 1, (0, 0)),
     }
     families = {
         ("sqrt(n+1)", "0.5"): mmap.mmap,
@@ -689,6 +712,24 @@ def test_narrow_bands_choose_the_mapping_and_dense_ones_numpy():
             A = operators._section_zeros(seq, *args)
             assert type(A.base) is base, (b_text, name)
             assert A.shape == args[0] and A.dtype == np.float64
+
+
+def test_block_bands_end_on_the_last_slot_of_a_page():
+    # K = N - 1 puts diagonal entry i at 8 i N bytes from the array's start:
+    # the mapping places the array so that each of these entries, where
+    # every row's band ends, is a page's last slot, and the array is still
+    # a C-contiguous K x K float64 array over its mapping
+    N, K = 4096, 4095
+    blocks = build_blocks(make_pair("sqrt(n+1)", "0.5", N + 64), N)
+    rows = np.arange(K)
+    for name in ("b2", "b3"):
+        A = getattr(blocks, name).entries
+        assert type(A.base) is mmap.mmap, name
+        assert A.flags.c_contiguous and A.shape == (K, K) and A.dtype == np.float64
+        ends = A.ctypes.data + (rows * K + rows + 1) * A.itemsize
+        assert np.all(ends % mmap.PAGESIZE == 0), name
+        last = K - 1 - np.argmax(A[:, ::-1] != 0.0, axis=1)
+        assert np.array_equal(last, rows), name
 
 
 def test_split_result_holds_no_section():
