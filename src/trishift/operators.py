@@ -27,23 +27,21 @@ place of a section, the routine writes no row and returns the same bounds,
 bit for bit: that is how the kernel's adjoint residual grid gets the
 shift's tails with no section.  :func:`build_adjoint` writes the shift
 section's rows straight into the columns of its array, through the array's
-transpose, where the band is narrow, and below the diagonal, to be moved
-up in strips of ``_BLOCK`` columns, where it is dense; a complex family's
-strips are then conjugated in place.
+transpose, and conjugates a complex family's band in place, row by row.
 
 Where ``|b_n / a_{n+1}|`` decays, a column's products underflow to exact
 zeros within a few hundred rows (about 160 on the Baseline
 ``sqrt(n+1)``/``0.5``), and a zero product stays zero.  So each row step
 scales and writes only the live band, from the first column whose product
-is nonzero, the tail pass skips every chunk left of it, and the adjoint's
-strips reach up only to the tile rows that meet it: the work is O(N x
-band), not O(N^2).
+is nonzero, the tail pass skips every chunk left of it, and the adjoint
+conjugates only the band: the work is O(N x band), not O(N^2).
 Every live entry and every tail bound is formed by the same operations as
 when every begun column ran on every row; the one difference is that an
 entry left of the band holds the buffer's ``+0.0`` where the full run
-could write ``-0.0``.  Values, and with them every report, are
-unchanged.  The same two-term recurrences along the rows let
-``_ShiftRecurrence`` apply the shift's tall section and form its Gram
+could write ``-0.0``, and so does a complex adjoint's imaginary part
+outside the band, which conjugation would negate.  Values, and with them
+every report, are unchanged.  The same two-term recurrences along the
+rows let ``_ShiftRecurrence`` apply the shift's tall section and form its Gram
 matrix, whole or in panels of ``_BLOCK`` rows cut at the end of their
 diagonal block (the rest of ``G`` is their conjugate transpose), and the
 column norms that the analysis needs without building a section.
@@ -166,8 +164,8 @@ def _require_horizon(seq: SequencePair, needed: int, what: str) -> None:
 
 
 # rows and columns per block: the Gram's panels, the columns whose discarded
-# rows are run together, the adjoint's column strips, the kernel's
-# adjoint residual chunks and the row blocks of the analysis's _flush_tiny
+# rows are run together, the kernel's adjoint residual chunks and the row
+# blocks of the analysis's _flush_tiny
 _BLOCK = 64
 
 
@@ -574,6 +572,11 @@ def _section_zeros(
     the second placement puts every diagonal entry on a page's last slot:
     a band narrower than a page then takes one page per row, where at the
     start each row would spill its diagonal entry onto a page of its own.
+    Where the step does not fill whole pages, the start can be the better
+    placement: the N x N sections' diagonal moves one entry further into
+    the page on each row, and the Baseline's shift at N = 2048 takes 2583
+    of its 8192 pages at the start, under the break-even, and 2832 placed,
+    over it.
     The adjoint, which writes the shift's band into its transpose, asks as
     the shift does: the transposed band has the same row widths, give or
     take the staircase's steps.
@@ -657,50 +660,30 @@ def build_shift(seq: SequencePair, N: int) -> TruncatedOperator:
     return TruncatedOperator(M, tail)
 
 
-def _adjoint_strips(A: np.ndarray, lows: np.ndarray, by_rows: bool) -> None:
-    """Make the adjoint of the shift section written into ``A``, one strip
-    of ``_BLOCK`` columns at a time: the strip's rows from the tile row
-    that holds its band's first row down to its diagonal tile.  ``lows[i]``,
-    nondecreasing, is the first column that may be nonzero in row ``i + 2``
-    of the shift left of its subdiagonal, as :func:`_fill_shift` returns it,
-    so the strip of columns ``left`` on holds nothing above row
-    ``lows[left - 2]``.  ``by_rows`` says the shift was written by rows, into
-    ``A``'s lower triangle: each strip's mirror left of the diagonal moves
-    up and is zeroed, and its diagonal tile is transposed.  Otherwise it was
-    written through ``A.T`` and is in place.  A complex strip is then
-    conjugated."""
-    N = A.shape[0]
-    for left in range(0, N, _BLOCK):
-        top = int(lows[left - 2]) // _BLOCK * _BLOCK if left else 0
-        cols = slice(left, left + _BLOCK)
-        strip = A[top : left + _BLOCK, cols]
-        if by_rows:
-            strip[: left - top] = A[cols, top:left].T
-            A[cols, top:left] = 0.0
-            tile = A[cols, cols]
-            tile[...] = tile.T.copy()
-        if np.iscomplexobj(A):
-            np.conjugate(strip, out=strip)
-
-
 def build_adjoint(seq: SequencePair, N: int) -> TruncatedOperator:
     """N x N section of the adjoint: the conjugate transpose of the shift
-    section, built in place.  A narrow band, in a mapping, is written
-    straight into the columns of ``A`` through its transpose, so that the
-    pages below the diagonal are never touched.  A dense band, in numpy's
-    array, is resident in full anyway, and its rows are written several
-    times faster contiguously than down the columns, whose stride of a
-    power-of-two row keeps the stores in the same cache sets: it is written
-    below the diagonal and moved up (:func:`_adjoint_strips`).  Its columns
+    section, built in place.  The shift's rows are written straight into
+    the columns of ``A`` through its transpose, so the pages below the
+    diagonal are never touched, and a complex family's band is then
+    conjugated row by row: row ``r`` holds the shift's column ``r``, from
+    its subdiagonal entry in column ``r + 1`` to the last column ``c``
+    whose first possibly nonzero entry ``lows[c - 2]``, as
+    :func:`_fill_shift` returns it, is at most ``r``.  A dense band pays
+    for the one route: down the columns of a power-of-two order the stores
+    fall into the same cache sets, and ``1``/``0.9`` at N = 4096 builds in
+    about 215 ms, against 93 ms written by rows and moved up.  Its columns
     are finitely supported, so nothing is discarded and the shift's tail
     bounds are not run."""
     if N < 2:
         raise ValueError("section order must be at least 2")
     _require_horizon(seq, N, "adjoint section")
     A = _section_zeros(seq, (N, N), 2, (2, 0))
-    by_rows = not isinstance(A.base, mmap.mmap)
-    _, lows = _fill_shift(seq, A if by_rows else A.T, bound=False)
-    _adjoint_strips(A, lows, by_rows)
+    _, lows = _fill_shift(seq, A.T, bound=False)
+    if np.iscomplexobj(A):
+        ends = np.searchsorted(lows, np.arange(N - 1), side="right") + 2
+        for r, end in enumerate(ends.tolist()):
+            band = A[r, r + 1 : end]
+            np.conjugate(band, out=band)
     return TruncatedOperator(A, np.zeros(N))
 
 
