@@ -23,7 +23,8 @@ section ``T = U S W^H`` gives ``V = U W^H`` (route ``"svd"``).  On ``G``,
 the ``I - T*T`` column tails are the column norms of ``I - G``.  Where ``G``
 is numerically block-tridiagonal (blocks of 64) with a positive Gershgorin
 bracket, the band route (``"band"``) takes ``|T| = G^{1/2}`` and ``G^{-1/2}``
-from a coupled Newton–Schulz iteration in block-tridiagonal arithmetic and
+from a coupled Newton–Schulz iteration in block-tridiagonal arithmetic,
+each Hermitian block-banded matrix stored as its lower half, and
 certifies them a posteriori, the isometry defect of ``V = T G^{-1/2}``
 included: the remainder ``T - V`` has the column norms of ``|T| - I``, and
 ``V`` is never formed; a weighted shift's diagonal ``G`` gives its split
@@ -36,10 +37,11 @@ symmetry, and ``G`` is formed whole only for the dense Gram route, whose
 O(N^3) work is ``eigh(G)``, ``(T W / s) W^H`` and ``V^H V`` alone, and the
 dense horizon section is built only for the SVD route and for an index
 rank that the left inverse does not certify.  The factors ``W`` and
-``T W / s`` of the dense Gram route's product, ``V`` before ``V^H V`` on
-both dense routes and the band route's iterates have their entries below
-``2**-511`` zeroed first, which keeps the products out of subnormal
-arithmetic; on the dense routes it moves no reported bit.  The kernel and
+``T W / s`` of the dense Gram route's product, the factors ``U`` and
+``W^H`` of the SVD route's, ``V`` before ``V^H V`` on both dense routes and
+the band route's iterates have their entries below ``2**-511`` zeroed
+first, which keeps the products out of subnormal arithmetic; on the dense
+routes it moves no reported bit.  The kernel and
 cokernel ranks need no factorization: the left-inverse section is an exact
 left inverse of the tall section and of the square section's nonzero block,
 and its Frobenius norm bounds their least singular values.  Sections and
@@ -509,13 +511,20 @@ def _gram_split(
 def _svd_split(
     tall: np.ndarray, margin: float | None
 ) -> tuple[DecompositionResult, np.ndarray, float, np.ndarray]:
-    """:func:`_polar_split` from the thin SVD ``T = U S W^H``."""
+    """:func:`_polar_split` from the thin SVD ``T = U S W^H``.  The column
+    norms read ``W^H`` first; then ``U`` and ``W^H`` are flushed
+    (:func:`_flush_tiny`), so that ``V = U W^H`` runs in normal arithmetic
+    where the running products leave many of their entries below
+    ``2**-511``."""
     u, s, wh = np.linalg.svd(tall, full_matrices=False)
     tails_itt = np.linalg.norm((1.0 - s * s)[:, None] * wh, axis=0)
     _check_resolved(float(s[-1]))
-    V = u @ wh
     column_decay = np.linalg.norm((s - 1.0)[:, None] * wh, axis=0)
     column_decay.flags.writeable = False
+    _flush_tiny(u)
+    _flush_tiny(wh)
+    V = u @ wh
+    del u, wh
     deco = DecompositionResult(
         column_decay, _isometry_defect(V)[0], ROUTE_SVD, margin, float(s[-1])
     )
@@ -552,12 +561,20 @@ def _band_split(
     ``Z G_b Z - I``, which is ``V^H V - I`` for ``V = T Z`` up to ``||G -
     G_b||``.
 
-    Memory is counted in stacks of ``G_b``, ``3 nb b^2`` entries.  Every
-    product reads its blocks straight from its factors' stacks, and a
-    Hermitian one forms only its blocks on and below the diagonal.  The
-    iteration holds ``G_b``, ``Y``, ``Z``, ``M`` and one product, and ``Z
-    (G_b Z)`` its two factors and its seven stacks: about 5.7 stacks at
-    the peak on the Baseline at ``N = 2048``.
+    Memory is counted in stacks of ``G_b``, ``3 nb b^2`` entries, the
+    three block diagonals of a block-tridiagonal matrix.  Every Hermitian
+    matrix keeps only its lower half (:func:`_band_product`): ``G_b``,
+    ``Y``, ``Z`` and ``M`` two of the three diagonals, 2/3 of a stack
+    each.  Every product reads its blocks straight from its factors'
+    stacks, through one buffer of block diagonals for a block above a
+    Hermitian diagonal and one for its partial sums.  The iteration holds
+    ``G_b``, ``Y``, ``Z``, ``M`` and one product, 4 stacks with the two
+    buffers; ``Z (G_b Z)`` holds ``Z``, the offsets -1..2 of ``G_b Z``, the
+    only ones its lower half reads, its own four and the buffers, 4 stacks
+    too.  The split peaks at about 4.1 stacks on the Baseline at ``N =
+    2048``, and 4.3 (12.9 MB traced) in a fresh process, where the edge
+    brackets' first call imports ``numpy.random``; it peaked at 5.7 when
+    every stack kept all three diagonals.
 
     Certificates, each a fallback to the dense route when it fails; they
     are computed from full products, so they cover whatever the truncated
@@ -573,7 +590,10 @@ def _band_split(
     ||G - G_b||_F) / (1.5 f)`` (the Sylvester equation ``Y E + E G_b^{1/2}
     = Y^2 - G_b`` for ``E = Y - G_b^{1/2}``), with ``Y^2`` formed in full;
     that bound must be at most ``_BAND_TOL``.  ``Y^2`` and ``Z (G_b Z)``
-    are Hermitian products; ``G_b Z`` is a general one.
+    are Hermitian products; ``G_b Z`` is a general one.  The Frobenius
+    norms that only feed these decisions, of ``ZY - I`` in the iteration
+    and of ``Y^2 - G_b``, are read off the lower halves
+    (:func:`_band_norm`).
     """
     N = shift.N
     nb = -(-N // _BAND)
@@ -593,8 +613,7 @@ def _band_split(
         return None
     # the identity that pads the last block widens the bracket to 1
     scale = (min(lo, 1.0) + max(hi, 1.0)) / 2.0
-    eye = np.zeros((3, 1, _BAND, _BAND))  # broadcast along the blocks
-    eye[1] = np.eye(_BAND)
+    eye = np.eye(_BAND)  # broadcast along the diagonal blocks
     roots = _newton_schulz(S, scale, eye)
     if roots is None:
         return None
@@ -619,20 +638,21 @@ def _band_split(
     if _block_cholesky(Y, nb * _BAND, 1.0, floor / 2.0) is None:
         return None
     residual = _band_product(Y, Y, hermitian=True)
-    residual[1:4] -= S
-    if (np.linalg.norm(residual) + dropped) / (1.5 * floor) > _BAND_TOL:
+    residual[:2] -= S
+    if (_band_norm(residual) + dropped) / (1.5 * floor) > _BAND_TOL:
         return None
     del residual
-    Y -= eye
+    Y[0] -= eye
     column_decay = _band_column_norms(Y)[:N]
     column_decay.flags.writeable = False
     del Y
-    gz = _band_product(S, Z)
+    # the lower half of Z (G_b Z) reads G_b Z at offsets -1..2 only
+    gz = _band_product(S, Z, low=-1)
     del S
     _flush_tiny(gz)
-    vtv = _band_product(Z, gz, hermitian=True)
+    vtv = _band_product(Z, gz, hermitian=True, y_low=-1)
     del Z, gz
-    vtv[vtv.shape[0] // 2] -= eye[1]
+    vtv[0] -= eye
     defect = float(_band_column_norms(vtv)[:N].max())
     if defect > _REFINE_DEFECT:
         return None
@@ -645,23 +665,25 @@ def _band_blocks(
 ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """One pass over the Hermitian ``G = T*T`` of ``shift``, one panel of
     ``_BAND`` rows up to the end of their diagonal block at a time
-    (:meth:`~operators._ShiftRecurrence.gram_panels`): the stacks ``S`` of
-    its block-tridiagonal part ``G_b`` (see :func:`_band_product`), padded
-    to ``nb`` blocks by the identity; the column norms of ``I - G``; its
-    Gershgorin bracket ``lo, hi``; and a bound on ``||G - G_b||_F``.
+    (:meth:`~operators._ShiftRecurrence.gram_panels`): the lower half ``S``
+    of its block-tridiagonal part ``G_b`` (see :func:`_band_product`), a
+    ``(2, nb, b, b)`` stack padded to ``nb`` blocks by the identity; the
+    column norms of ``I - G``; its Gershgorin bracket ``lo, hi``; and a
+    bound on ``||G - G_b||_F``.
 
     ``G``'s part right of a panel is the conjugate transpose of later
     panels' parts left of their diagonal blocks.  So the superdiagonal
-    stacks ``S[0]`` are the subdiagonal stacks ``S[2]`` conjugate-transposed,
-    and each row's Gershgorin radius and squared norm are its panel's row
-    sums plus the column sums of later panels, added into two vectors of
-    length ``N``.  The bound is the norm of ``G``'s entries outside the
+    blocks are the subdiagonal stack ``S[1]`` conjugate-transposed, and
+    each row's Gershgorin radius and squared norm are its panel's row sums
+    plus the column sums of later panels, added into two vectors of length
+    ``N``.  The bound is the norm of ``G``'s entries outside the
     block-tridiagonal part, summed directly with the part left of the band
     counted twice, plus ``2**-511`` for each entry of ``G_b`` below that,
     which is zeroed (:func:`_flush_tiny`) so that the band route's products
-    stay out of subnormal arithmetic."""
+    stay out of subnormal arithmetic; a subdiagonal entry counts twice, as
+    its mirror above the diagonal is dropped with it."""
     N, b = shift.N, _BAND
-    S = np.zeros((3, nb, b, b), np.result_type(shift.r, 1.0))
+    S = np.zeros((2, nb, b, b), np.result_type(shift.r, 1.0))
     diag = shift.gram_diagonal()
     radius, norm_sq = np.empty(N), np.empty(N)
     mags = np.empty((min(b, N), N))
@@ -669,10 +691,9 @@ def _band_blocks(
     for r0, rows in shift.gram_panels():
         i, r1 = r0 // b, r0 + rows.shape[0]
         on = (np.arange(r1 - r0), np.arange(r0, r1))
-        S[1, i, : r1 - r0, : r1 - r0] = rows[:, r0:r1]
+        S[0, i, : r1 - r0, : r1 - r0] = rows[:, r0:r1]
         if i:
-            S[2, i - 1, : r1 - r0] = rows[:, r0 - b : r0]
-            np.conjugate(S[2, i - 1, : r1 - r0].T, out=S[0, i, :, : r1 - r0])
+            S[1, i - 1, : r1 - r0] = rows[:, r0 - b : r0]
         # row sums left of the block end; later panels add those right of it
         m = mags[: r1 - r0, :r1]
         np.abs(rows, out=m)
@@ -687,61 +708,121 @@ def _band_blocks(
     lo, hi = float((diag - radius).min()), float((diag + radius).max())
     tails = np.sqrt(norm_sq, out=norm_sq)
     pad = nb * b - N
-    S[1, -1, b - pad :, b - pad :] = np.eye(pad)
-    tiny = _flush_tiny(S)
+    S[0, -1, b - pad :, b - pad :] = np.eye(pad)
+    # a flushed subdiagonal entry's mirror above the diagonal is dropped too
+    tiny = _flush_tiny(S[0]) + 2 * _flush_tiny(S[1])
     return S, tails, lo, hi, math.sqrt(outside_sq + tiny * _TINY**2)
 
 
 def _band_product(
-    X: np.ndarray, Y: np.ndarray, keep: int | None = None, hermitian: bool = False
+    X: np.ndarray,
+    Y: np.ndarray,
+    keep: int | None = None,
+    hermitian: bool = False,
+    low: int | None = None,
+    y_low: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``X Y`` for block-banded ``X`` and ``Y`` with all block offsets up to
-    ``keep`` (all of them when ``None``).
+    """``X Y`` for a Hermitian block-banded ``X`` and a block-banded ``Y``,
+    with the block offsets from ``low`` up to ``keep`` (all of them when
+    ``keep`` is ``None``, and from the negative of the top one when ``low``
+    is), written into ``out`` when given.
 
-    A block-banded matrix with ``nb`` blocks of order ``b`` and offsets up
-    to ``p`` is a ``(2p + 1, nb, b, b)`` stack ``S`` with ``S[p + d, j]``
-    the block in block row ``j + d`` and block column ``j``, zero where that
-    row does not exist.  Block ``(j + d, j)`` of ``X Y`` is the sum over
-    ``e`` of ``X``'s block ``(j + d, j + e)`` times ``Y``'s block ``(j + e,
-    j)``: one batched ``matmul`` over ``j`` per pair ``(d, e)``, read
-    straight from the two stacks into one reusable ``(nb, b, b)`` buffer.
+    A block-banded matrix with ``nb`` blocks of order ``b`` is a stack
+    ``S`` of ``(nb, b, b)`` block diagonals, zero where a block row does not
+    exist.  A Hermitian one with offsets up to ``p`` keeps its lower half, a
+    ``(p + 1, nb, b, b)`` stack with ``S[d, j]`` the block in block row ``j
+    + d`` and block column ``j``; its block ``(j - d, j)`` is ``S[d, j -
+    d]^H``.  ``X`` is one of these; so is ``Y`` when ``y_low`` is 0, and
+    otherwise ``Y`` is a general stack whose ``Y[k]`` holds offset ``y_low
+    + k``.  Block ``(j + d, j)`` of ``X Y`` is the sum over ``e`` of
+    ``X``'s block ``(j + d, j + e)`` times ``Y``'s block ``(j + e, j)``:
+    one batched ``matmul`` over ``j`` per pair ``(d, e)``, read straight
+    from the two stacks, or, for a block above a Hermitian diagonal, from
+    its mirror conjugate-transposed into a ``(nb, b, b)`` buffer, the same
+    bits that a stored upper half would hold.
 
-    With ``hermitian`` the caller states that ``X Y`` is Hermitian (``X``
-    and ``Y`` commute, or ``X Y = Z A Z`` with ``A`` and ``Z``
-    Hermitian).  Only the diagonal and subdiagonal stacks are formed; the
-    superdiagonal stacks are their conjugate transposes and the diagonal
-    blocks ``(D + D^H) / 2``, so the result is exactly Hermitian.  What the
-    mirror drops of a product that is Hermitian only approximately, the
-    band route's a posteriori certificates cover.
+    Without ``hermitian`` the result is a general stack from offset
+    ``low``.  With it the caller states that ``X Y`` is Hermitian (``X``
+    and ``Y`` commute, or ``X Y = Z A Z`` with ``A`` and ``Z`` Hermitian),
+    and the result is its lower half, with the diagonal blocks ``(D + D^H)
+    / 2``, so exactly Hermitian.  What that drops of a product that is
+    Hermitian only approximately, the band route's a posteriori
+    certificates cover.
     """
-    p, q = X.shape[0] // 2, Y.shape[0] // 2
+    p = X.shape[0] - 1
+    q = Y.shape[0] - 1 + y_low
     r = p + q if keep is None else keep
+    first = 0 if hermitian else -r if low is None else low
     nb, b = X.shape[1], X.shape[2]
-    out = np.zeros((2 * r + 1, nb, b, b), np.result_type(X, Y))
+    if out is None:
+        out = np.zeros((r - first + 1, nb, b, b), np.result_type(X, Y))
+    else:
+        out.fill(0.0)
     buffer = np.empty((nb, b, b), out.dtype)
-    for d in range(0 if hermitian else -r, r + 1):
-        for e in range(max(-q, d - p), min(q, d + p) + 1):
+    # at most one factor is read through its mirror, except below offset -1
+    # of a general product of two Hermitian factors
+    mirrors = np.empty((2 if first < -1 and y_low == 0 else 1, nb, b, b), out.dtype)
+    y_first = -q if y_low == 0 else y_low  # Y's lowest offset
+    for d in range(first, r + 1):
+        for e in range(max(y_first, d - p), min(q, d + p) + 1):
             j0, j1 = max(0, -d, -e), min(nb, nb - d, nb - e)
             if j0 >= j1:
                 continue
             part = buffer[: j1 - j0]
-            np.matmul(X[p + d - e, j0 + e : j1 + e], Y[q + e, j0:j1], out=part)
-            out[r + d, j0:j1] += part
+            x = _offset_blocks(X, 0, d - e, j0 + e, j1 + e, mirrors[0])
+            y = _offset_blocks(Y, y_low, e, j0, j1, mirrors[-1])
+            np.matmul(x, y, out=part)
+            out[d - first, j0:j1] += part
     if hermitian:
-        diagonal = out[r]
+        diagonal = out[0]
         np.conjugate(diagonal.swapaxes(-1, -2), out=buffer)
         diagonal += buffer
         diagonal /= 2.0
-        for d in range(1, min(r, nb - 1) + 1):  # block (j - d, j) is (j, j - d)^H
-            np.conjugate(out[r + d, : nb - d].swapaxes(-1, -2), out=out[r - d, d:])
     return out
 
 
+def _offset_blocks(
+    S: np.ndarray, low: int, d: int, j0: int, j1: int, mirror: np.ndarray
+) -> np.ndarray:
+    """The blocks at offset ``d`` in block columns ``j0..j1`` of the stack
+    ``S`` whose ``S[k]`` holds offset ``low + k``; below ``low``, ``S`` is a
+    Hermitian lower half, and block ``(j + d, j)`` is ``S[-d, j + d]^H``,
+    written into ``mirror``."""
+    if d >= low:
+        return S[d - low, j0:j1]
+    blocks = mirror[: j1 - j0]
+    np.conjugate(S[-d, j0 + d : j1 + d].swapaxes(-1, -2), out=blocks)
+    return blocks
+
+
 def _band_column_norms(S: np.ndarray) -> np.ndarray:
-    """Column norms of a block-banded matrix stored as stacks ``S``."""
-    squares = np.abs(S)
-    squares *= squares
-    return np.sqrt(np.sum(squares, axis=(0, 2))).ravel()
+    """Column norms of the Hermitian block-banded matrix whose lower half is
+    the stack ``S`` (see :func:`_band_product`).
+
+    A few block columns at a time, the squared moduli of all ``2p + 1``
+    offsets are laid out as one C-contiguous ``(2p + 1, k, b, b)`` stack,
+    the upper half mirrored from ``S``, and summed over offsets and rows:
+    each column adds the same squares in the same order as it would over
+    the full stack, so the norms are those bits, and no temporary larger
+    than ``_FLUSH_CHUNK`` entries is formed."""
+    p, nb, b = S.shape[0] - 1, S.shape[1], S.shape[2]
+    norms = np.empty((nb, b))
+    step = max(1, _FLUSH_CHUNK // ((2 * p + 1) * b * b))
+    chunk = np.empty((2 * p + 1) * min(step, nb) * b * b)
+    for j0 in range(0, nb, step):
+        j1 = min(nb, j0 + step)
+        squares = chunk[: (2 * p + 1) * (j1 - j0) * b * b].reshape(2 * p + 1, j1 - j0, b, b)
+        for d in range(p + 1):
+            np.abs(S[d, j0:j1], out=squares[p + d])
+        for d in range(1, p + 1):  # block (j - d, j) is (j, j - d)^H
+            above = squares[p - d]
+            k = min(max(j0, d), j1) - j0
+            above[:k] = 0.0
+            np.abs(S[d, j0 + k - d : j1 - d].swapaxes(-1, -2), out=above[k:])
+        squares *= squares
+        np.sum(squares, axis=(0, 2), out=norms[j0:j1])
+    return np.sqrt(norms, out=norms).ravel()
 
 
 def _newton_schulz(
@@ -752,45 +833,66 @@ def _newton_schulz(
     Newton–Schulz iteration (Higham, *Functions of Matrices*, 2008, eq.
     6.35) from ``Y = A``, ``Z = I``, or ``None`` when it does not settle
     within ``_BAND_STEPS`` steps.  ``A`` is the first ``Y`` and the only
-    copy of ``G`` made.  ``G`` and the identity ``eye`` (broadcast to
-    ``G``'s shape) are block-tridiagonal stacks, and every product is the
-    truncated Hermitian ``_band_product(X, Y, keep=1, hermitian=True)``.
+    copy of ``G`` made.  ``G`` is the lower half of a block-tridiagonal
+    matrix, a ``(2, nb, b, b)`` stack, ``eye`` the identity of one block,
+    added to the diagonal blocks, and every product is the truncated
+    Hermitian ``_band_product(X, Y, keep=1, hermitian=True)``, written into
+    one of four stacks that the iteration reuses: ``Y``, ``Z``, ``M`` and
+    the spare that takes the next ``Y`` or ``Z``.
 
     Every iterate is a polynomial in ``A``, so Hermitian up to what the
     truncated products drop.  The first step forms no product with ``Z =
     I``: ``Z Y = Y`` and ``M Z = M`` exactly, the same bits that the
     products give when ``A``'s stacks are exactly Hermitian.  Once ``||M -
     I||_F <= _BAND_POLISH`` one more step squares the error away, and
-    ``||ZY - I||_F <= _BAND_SETTLED`` must hold after it.  Every iterate has
+    ``||ZY - I||_F <= _BAND_SETTLED`` must hold after it; both norms are
+    read off the lower half (:func:`_band_norm`).  Every iterate has
     its sub-resolution entries flushed (:func:`_flush_tiny`).  What a
     truncated product drops is not bounded here: :func:`_band_split`
     certifies ``Y`` and ``Z`` afterwards from full products."""
     product = functools.partial(_band_product, keep=1, hermitian=True)
     Y, Z = G / scale, None
+    P, spare = np.empty_like(Y), np.empty_like(Y)
     polished = False
     for _ in range(_BAND_STEPS):
-        P = Y.copy() if Z is None else product(Z, Y)
-        P -= eye
-        delta = float(np.linalg.norm(P))
+        if Z is None:
+            np.copyto(P, Y)
+        else:
+            product(Z, Y, out=P)
+        P[0] -= eye
+        delta = _band_norm(P)
         if polished:
             return (Y, Z) if delta <= _BAND_SETTLED else None
         polished = delta <= 2.0 * _BAND_POLISH
         P *= -0.5  # M = (3I - ZY) / 2 = I - (ZY - I) / 2
-        P += eye
+        P[0] += eye
         _flush_tiny(P)
-        Y = product(Y, P)  # the old Y is freed before Z's product is formed
-        Z = P if Z is None else product(P, Z)
+        Y, spare = product(Y, P, out=spare), Y
+        if Z is None:
+            Z, P = P, np.empty_like(Y)
+        else:
+            Z, spare = product(P, Z, out=spare), Z
         _flush_tiny(Y)
         _flush_tiny(Z)
     return None
+
+
+def _band_norm(S: np.ndarray) -> float:
+    """The Frobenius norm of the Hermitian block-banded matrix whose lower
+    half is the stack ``S``: ``sqrt(||D||^2 + 2 ||L||^2)`` for its diagonal
+    stack ``D`` and the rest ``L``, which holds each block below the
+    diagonal and is the mirror of those above."""
+    diagonal, below = float(np.linalg.norm(S[0])), float(np.linalg.norm(S[1:]))
+    return math.sqrt(diagonal**2 + 2.0 * below**2)
 
 
 def _block_cholesky(
     S: np.ndarray, N: int, sign: float, sigma: float
 ) -> tuple[list[np.ndarray], list[np.ndarray]] | None:
     """The block Cholesky factor ``L`` of ``A - sigma I``, ``A = sign X`` on
-    the leading ``N`` rows of the block-tridiagonal stacks ``S`` of the
-    Hermitian ``X``, as the inverses of its diagonal blocks and its blocks
+    the leading ``N`` rows of the Hermitian block-tridiagonal ``X`` whose
+    lower half is the stack ``S`` (its diagonal blocks ``S[0]``, those
+    below them ``S[1]``), as the inverses of its diagonal blocks and its blocks
     below them; ``None`` when a diagonal block has no Cholesky factor.  By
     Sylvester's law of inertia the factor exists exactly when every
     eigenvalue of ``A`` exceeds ``sigma``."""
@@ -799,7 +901,7 @@ def _block_cholesky(
     below: list[np.ndarray] = []
     for i in range(nb):
         m = min(b, N - i * b)
-        block = sign * S[1, i, :m, :m] - sigma * np.eye(m)
+        block = sign * S[0, i, :m, :m] - sigma * np.eye(m)
         if below:
             block -= below[-1] @ below[-1].conj().T
         try:
@@ -808,7 +910,7 @@ def _block_cholesky(
             return None
         inv_diag.append(inv)
         if i + 1 < nb:
-            below.append((sign * S[2, i, : min(b, N - (i + 1) * b), :m]) @ inv.conj().T)
+            below.append((sign * S[1, i, : min(b, N - (i + 1) * b), :m]) @ inv.conj().T)
     return inv_diag, below
 
 
@@ -834,14 +936,16 @@ def _block_solve(
 
 
 def _band_apply(S: np.ndarray, N: int, X: np.ndarray) -> np.ndarray:
-    """``G_b X`` for the leading ``N`` rows and columns of the
-    block-tridiagonal stacks ``S`` and an ``N``-row block ``X``."""
+    """``G_b X`` for the leading ``N`` rows and columns of the Hermitian
+    block-tridiagonal ``G_b`` whose lower half is the stack ``S`` and an
+    ``N``-row block ``X``; the blocks above the diagonal are the
+    subdiagonal ones conjugate-transposed into one buffer."""
     nb, b = S.shape[1], S.shape[2]
     Xb = np.zeros((nb, b, X.shape[1]), np.result_type(S, X))
     Xb.reshape(nb * b, -1)[:N] = X
-    out = S[1] @ Xb
-    out[1:] += S[2, :-1] @ Xb[:-1]
-    out[:-1] += S[0, 1:] @ Xb[1:]
+    out = S[0] @ Xb
+    out[1:] += S[1, :-1] @ Xb[:-1]
+    out[:-1] += _offset_blocks(S, 0, -1, 1, nb, np.empty(S.shape[1:], S.dtype)) @ Xb[1:]
     return out.reshape(nb * b, -1)[:N]
 
 
@@ -849,8 +953,8 @@ def _edge_bracket(
     S: np.ndarray, N: int, sign: float, bound: float
 ) -> tuple[float, float] | None:
     """``(low, high)`` with ``low < λ_min(A) <= high`` and ``high - low <=
-    _BAND_TOL / 2`` for ``A = sign G_b`` on the leading ``N`` rows of the
-    stacks ``S``, whose spectrum Gershgorin puts at or above ``bound``; or
+    _BAND_TOL / 2`` for ``A = sign G_b`` on the leading ``N`` rows of
+    ``G_b``'s lower half ``S``, whose spectrum Gershgorin puts at or above ``bound``; or
     ``None`` when no such bracket is found.
 
     Each side is proved by :func:`_block_cholesky`: the factor of ``A -
@@ -904,23 +1008,26 @@ def _flush_tiny(x: np.ndarray) -> int:
     zeroed.  ``x`` is read as a matrix of rows along its last axis (a view,
     so a stack must be C-contiguous), ``_FLUSH_CHUNK`` entries at a time, so
     that no temporary as large as ``x`` is formed: not on an ``N x N``
-    array, and not on a ``(3, nb, b, b)`` stack of the band route either.
+    array, and not on a ``(p + 1, nb, b, b)`` stack of the band route
+    either.
 
-    The split applies it to ``W`` (unitary), ``T W / s = V W`` and ``V``
-    (orthonormal columns), whose entries are at most about 1, so each entry
-    of ``(T W / s) W^H`` and ``V^H V`` moves by at most about ``H *
-    2**-511``, about 1e-150.  ``T W`` applies ``T``, whose entries are not
-    bounded by 1, to the flushed ``W`` by the shift's row recurrence; that
-    is the same linear map as the dense product, so after the division by
-    ``s`` its entries move by at most about ``κ(T) H * 2**-511``.  ``margin
-    < 1`` bounds ``κ(T) <= ||T||_F ||X||_F``, ``X`` the left inverse, below
-    ``(H eps)**-0.5``, about 1e6 at ``H`` of a few thousand, so every move
-    stays far below half an ulp of anything the split reports.  The dense
-    Gram route's ``G`` is not flushed.  The band route flushes its stacks of
-    ``G``'s band, read off ``G``'s panels (and counts what that drops into
-    its ``||G - G_b||_F`` bound), its Newton–Schulz iterates, which its a
-    posteriori certificates cover, and ``G_b Z``, which moves the isometry
-    defect, the last of those certificates, by about ``2**-511``.
+    The split applies it to ``W`` (unitary), ``T W / s = V W``, ``U`` and
+    ``W^H`` of a thin SVD and ``V`` (orthonormal columns), whose entries are
+    at most about 1, so each entry of ``(T W / s) W^H``, ``U W^H`` and ``V^H
+    V`` moves by at most about ``H * 2**-511``, about 1e-150.  ``T W``
+    applies ``T``, whose entries are not bounded by 1, to the flushed ``W``
+    by the shift's row recurrence; that is the same linear map as the dense
+    product, so after the division by ``s`` its entries move by at most
+    about ``κ(T) H * 2**-511``.  ``margin < 1`` bounds ``κ(T) <= ||T||_F
+    ||X||_F``, ``X`` the left inverse, below ``(H eps)**-0.5``, about 1e6 at
+    ``H`` of a few thousand, so every move stays far below half an ulp of
+    anything the split reports.  The dense Gram route's ``G`` is not
+    flushed.  The SVD route flushes ``U`` and ``W^H`` after its column norms
+    have read ``W^H``.  The band route flushes its stacks of ``G``'s band,
+    read off ``G``'s panels (and counts what that drops into its ``||G -
+    G_b||_F`` bound), its Newton–Schulz iterates, which its a posteriori
+    certificates cover, and ``G_b Z``, which moves the isometry defect, the
+    last of those certificates, by about ``2**-511``.
     """
     rows = x.reshape(-1, x.shape[-1])
     step = max(1, _FLUSH_CHUNK // rows.shape[1])

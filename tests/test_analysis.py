@@ -541,6 +541,34 @@ def test_svd_fallback_is_the_svd_route(k):
 TINY = 2.0**-511
 
 
+def test_svd_route_flushes_its_factors_without_moving_a_bit(monkeypatch):
+    # a third of U's and W^H's entries lie below 2^-511 on this family, so
+    # U W^H ran in subnormal arithmetic; flushed, every reported number is
+    # still that of the unflushed formulas, bit for bit
+    N = 1024
+    seq = _growing_left_inverse_pair(6, N + 64)
+    tails_itt, decay, defect, s_min = _svd_reference(seq, N)
+    flushed = []
+    flush = analysis._flush_tiny
+
+    def counting(x):
+        count = flush(x)
+        flushed.append((x.shape, count))
+        return count
+
+    monkeypatch.setattr(analysis, "_flush_tiny", counting)
+    diag = equivalence_diagnostics(seq, N)
+    deco = diag.decomposition
+    assert deco.route == "svd" and deco.margin >= 1.0
+    # U, then W^H, then V before V^H V
+    assert [shape for shape, _ in flushed] == [(N + 64, N), (N, N), (N + 64, N)]
+    assert flushed[0][1] > N * N // 4 and flushed[1][1] > N * N // 4
+    assert deco.column_decay.tobytes() == decay.tobytes()
+    assert deco.isometry_defect.hex() == defect.hex()
+    assert deco.s_min.hex() == s_min.hex()
+    assert diag.tails_itt.tobytes() == tails_itt.tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_flush_tiny_zeroes_exactly_the_sub_resolution_entries(dtype):
     rng = np.random.default_rng(17)
@@ -589,8 +617,9 @@ def test_flush_tiny_counts_what_it_zeroes_on_a_stack_as_on_its_rows():
 
 
 def test_flush_tiny_on_a_stack_allocates_no_stack_sized_temporary():
-    # the band route's (3, nb, b, b) stacks are flushed through their rows:
-    # a stack whose first axis is short is not one block of temporaries
+    # the band route's (p + 1, nb, b, b) stacks, p + 1 from 2 to 4, are
+    # flushed through their rows: a stack whose first axis is short is not
+    # one block of temporaries
     x = np.full((3, 64, _BAND, _BAND), 2.0**-600)
     tracemalloc.start()
     try:
@@ -968,73 +997,107 @@ def test_one_coupling_coefficient_keeps_the_block_iteration(monkeypatch):
 
 
 def _random_stack(rng, offsets, nb, b, dtype, hermitian=False):
-    """A random block-banded stack with blocks of order ``b`` at offsets up
-    to ``offsets``, zero where a block row does not exist; with
-    ``hermitian`` its matrix is Hermitian, bit for bit."""
-    S = rng.standard_normal((2 * offsets + 1, nb, b, b))
+    """A random block-banded stack with blocks of order ``b`` at offsets from
+    ``-offsets`` up to ``offsets``, zero where a block row does not exist;
+    with ``hermitian`` the lower half of a matrix that is Hermitian, bit for
+    bit (see :func:`analysis._band_product`)."""
+    low = 0 if hermitian else -offsets
+    S = rng.standard_normal((offsets - low + 1, nb, b, b))
     if dtype is np.complex128:
         S = S + 1j * rng.standard_normal(S.shape)
-    for d in range(-offsets, offsets + 1):
-        S[offsets + d, max(0, nb - d) :] = 0.0  # block row j + d >= nb
-        S[offsets + d, : max(0, -d)] = 0.0  # block row j + d < 0
+    for d in range(low, offsets + 1):
+        S[d - low, max(0, nb - d) :] = 0.0  # block row j + d >= nb
+        S[d - low, : max(0, -d)] = 0.0  # block row j + d < 0
     if hermitian:
-        S[offsets] += np.conj(S[offsets].swapaxes(-1, -2))
-        for d in range(1, offsets + 1):
-            S[offsets - d, d:] = np.conj(S[offsets + d, : nb - d].swapaxes(-1, -2))
+        S[0] += np.conj(S[0].swapaxes(-1, -2))
     return S
 
 
-def _dense_band(S):
-    """The matrix of the block-banded stack ``S``."""
-    offsets, nb, b = S.shape[0] // 2, S.shape[1], S.shape[2]
+def _dense_band(S, low=None):
+    """The matrix of the block-banded stack ``S`` whose ``S[k]`` holds offset
+    ``low + k``, or of the Hermitian matrix whose lower half it is when
+    ``low`` is ``None``."""
+    nb, b = S.shape[1], S.shape[2]
     M = np.zeros((nb * b, nb * b), S.dtype)
-    for d in range(-offsets, offsets + 1):
+    for k in range(S.shape[0]):
+        d = k if low is None else low + k
         for j in range(max(0, -d), min(nb, nb - d)):
-            M[(j + d) * b : (j + d + 1) * b, j * b : (j + 1) * b] = S[offsets + d, j]
+            M[(j + d) * b : (j + d + 1) * b, j * b : (j + 1) * b] = S[k, j]
+            if low is None and d:
+                M[j * b : (j + 1) * b, (j + d) * b : (j + d + 1) * b] = np.conj(S[k, j].T)
     return M
 
 
-def _within_offsets(M, b, keep):
+def _full_stack(S):
+    """The ``(2p + 1, nb, b, b)`` stack of all offsets of the Hermitian
+    matrix whose lower half is ``S``, ``[p + d]`` holding offset ``d``: the
+    layout the band route kept before it stored lower halves."""
+    p, nb = S.shape[0] - 1, S.shape[1]
+    full = np.zeros((2 * p + 1,) + S.shape[1:], S.dtype)
+    full[p:] = S
+    for d in range(1, min(p, nb - 1) + 1):  # block (j - d, j) is (j, j - d)^H
+        np.conjugate(S[d, : nb - d].swapaxes(-1, -2), out=full[p - d, d:])
+    return full
+
+
+def _within_offsets(M, b, low, high):
     blocks = np.arange(M.shape[0]) // b
-    return np.where(np.abs(blocks[:, None] - blocks[None, :]) <= keep, M, 0.0)
+    offsets = blocks[:, None] - blocks[None, :]
+    return np.where((offsets >= low) & (offsets <= high), M, 0.0)
 
 
-def _assert_product_matches_dense(out, X, Y, keep):
+def _assert_product_matches_dense(out, X, Y, keep, y_low=0, low=None, hermitian=False):
     b = X.shape[2]
-    r = X.shape[0] // 2 + Y.shape[0] // 2 if keep is None else keep
-    assert out.shape == (2 * r + 1,) + X.shape[1:]
+    q = Y.shape[0] - 1 + y_low
+    r = X.shape[0] - 1 + q if keep is None else keep
+    first = 0 if hermitian else -r if low is None else low
+    assert out.shape == (r - first + 1,) + X.shape[1:]
     assert out.dtype == np.result_type(X, Y)
-    want = _within_offsets(_dense_band(X) @ _dense_band(Y), b, r)
-    got = _dense_band(out)
+    product = _dense_band(X) @ _dense_band(Y, None if y_low == 0 else y_low)
+    if hermitian:  # the lower half, and above it its mirror
+        want = _within_offsets(product, b, -r, r)
+        got = _dense_band(out)
+    else:
+        want = _within_offsets(product, b, first, r)
+        got = _dense_band(out, first)
     assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
     # nothing is written where a block row does not exist
-    for d in range(-r, r + 1):
-        assert not out[r + d, max(0, out.shape[1] - d) :].any()
-        assert not out[r + d, : max(0, -d)].any()
+    for k in range(out.shape[0]):
+        d = first + k
+        assert not out[k, max(0, out.shape[1] - d) :].any()
+        assert not out[k, : max(0, -d)].any()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("nb", [1, 2, 9])
 def test_band_product_matches_the_dense_product(dtype, nb):
+    # a Hermitian X times a general Y, or times a Hermitian Y read through
+    # its mirror above the diagonal, with every offset of the product kept,
+    # offsets up to 1 kept, or offsets from -1 up kept, as G_b Z keeps them
     rng = np.random.default_rng(nb)
     b = 8
     for p in (1, 2):
         for q in (1, 2):
-            X = _random_stack(rng, p, nb, b, dtype)
-            Y = _random_stack(rng, q, nb, b, dtype)
-            for keep in (None, 1):
-                _assert_product_matches_dense(_band_product(X, Y, keep), X, Y, keep)
+            X = _random_stack(rng, p, nb, b, dtype, hermitian=True)
+            for y_low in (-q, 0):
+                Y = _random_stack(rng, q, nb, b, dtype, hermitian=y_low == 0)
+                for keep, low in ((None, None), (1, None), (None, -1)):
+                    out = _band_product(X, Y, keep, low=low, y_low=y_low)
+                    _assert_product_matches_dense(out, X, Y, keep, y_low, low)
 
 
 def _hermitian_factors(rng, p, q, nb, b, dtype):
-    """Stacks ``X``, ``Y`` with offsets up to ``p`` and ``q`` whose product
-    is Hermitian: ``B B`` when ``p = q``, else ``Z (A Z)`` or ``(Z A) Z``
-    for Hermitian block-tridiagonal ``A`` and ``Z``."""
+    """A Hermitian ``X`` with offsets up to ``p`` and a ``Y`` with offsets up
+    to ``q`` and its lowest stored offset, whose product is Hermitian: ``B
+    B`` when ``p = q``, ``Z (A Z)`` or ``(T T) T`` otherwise, for Hermitian
+    block-tridiagonal ``A``, ``Z`` and ``T``."""
     if p == q:
         B = _random_stack(rng, p, nb, b, dtype, hermitian=True)
-        return B, B
+        return B, B, 0
     A, Z = (_random_stack(rng, 1, nb, b, dtype, hermitian=True) for _ in range(2))
-    return (Z, _band_product(A, Z)) if p < q else (_band_product(Z, A), Z)
+    if p < q:
+        return Z, _band_product(A, Z), -2
+    return _band_product(Z, Z, hermitian=True), Z, 0
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -1044,18 +1107,35 @@ def test_hermitian_band_product_matches_the_dense_product_and_is_exactly_hermiti
     b = 8
     for p in (1, 2):
         for q in (1, 2):
-            X, Y = _hermitian_factors(rng, p, q, nb, b, dtype)
+            X, Y, y_low = _hermitian_factors(rng, p, q, nb, b, dtype)
             for keep in (None, 1):
-                out = _band_product(X, Y, keep, hermitian=True)
-                _assert_product_matches_dense(out, X, Y, keep)
-                r = out.shape[0] // 2
-                diagonal = out[r]
+                out = _band_product(X, Y, keep, hermitian=True, y_low=y_low)
+                _assert_product_matches_dense(out, X, Y, keep, y_low, hermitian=True)
                 # equal, not the same bytes: conj turns the +0.0 imaginary
                 # parts of the diagonal entries into -0.0
-                assert np.array_equal(diagonal, np.conj(diagonal.swapaxes(-1, -2)))
-                for d in range(1, r + 1):
-                    mirror = np.conj(out[r + d, : max(0, nb - d)]).swapaxes(-1, -2)
-                    assert out[r - d, d:].tobytes() == np.ascontiguousarray(mirror).tobytes()
+                assert np.array_equal(out[0], np.conj(out[0].swapaxes(-1, -2)))
+                M = _dense_band(out)
+                assert np.array_equal(M, M.conj().T)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("nb", [1, 2, 9])
+def test_band_column_norms_from_lower_stacks_match_the_full_stack_formula(dtype, p, nb):
+    # the formula over all 2p + 1 offsets, as the band route applied it
+    # before it stored lower halves; blocks of 64 make several chunks of
+    # block columns at nb = 9, and moduli over 2^+-30 make the summation
+    # order show in the last bits
+    rng = np.random.default_rng(100 * p + nb)
+    S = _random_stack(rng, p, nb, _BAND, dtype, hermitian=True)
+    S *= 2.0 ** rng.integers(-30, 31, S.shape)
+    S[0] += np.conj(S[0].swapaxes(-1, -2))  # Hermitian again
+    squares = np.abs(_full_stack(S))
+    squares *= squares
+    want = np.sqrt(np.sum(squares, axis=(0, 2))).ravel()
+    got = analysis._band_column_norms(S)
+    assert got.shape == (nb * _BAND,) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 def _newton_schulz_from_the_identity(G, scale, eye):
@@ -1063,17 +1143,18 @@ def _newton_schulz_from_the_identity(G, scale, eye):
     products with ``Z = I``: every product is formed."""
     product = functools.partial(_band_product, keep=1, hermitian=True)
     Y = G / scale
-    Z = eye + np.zeros_like(Y)
+    Z = np.zeros_like(Y)
+    Z[0] += eye
     polished = False
     for _ in range(analysis._BAND_STEPS):
         P = product(Z, Y)
-        P -= eye
-        delta = float(np.linalg.norm(P))
+        P[0] -= eye
+        delta = analysis._band_norm(P)
         if polished:
             return (Y, Z) if delta <= analysis._BAND_SETTLED else None
         polished = delta <= 2.0 * analysis._BAND_POLISH
         P *= -0.5
-        P += eye
+        P[0] += eye
         _flush_tiny(P)
         Y = product(Y, P)
         Z = product(P, Z)
@@ -1088,19 +1169,20 @@ def test_newton_schulz_skips_the_identity_products_without_moving_a_bit():
         shift = _ShiftRecurrence(seq, BAND_N)
         S, _, lo, hi, _ = _band_blocks(shift, -(-BAND_N // _BAND))
         scale = (min(lo, 1.0) + max(hi, 1.0)) / 2.0
-        eye = np.zeros((3, 1, _BAND, _BAND))
-        eye[1] = np.eye(_BAND)
+        eye = np.eye(_BAND)
         skipped = _newton_schulz(S, scale, eye)
         full = _newton_schulz_from_the_identity(S, scale, eye)
         assert skipped is not None and full is not None
         for x, y in zip(skipped, full):
+            assert x.shape == S.shape
             assert x.tobytes() == y.tobytes()
 
 
 def test_band_blocks_match_the_dense_gram():
-    # several panels, the last one ragged at N = 200 and 257: the
-    # superdiagonal stacks and the right-hand halves of the row sums are
-    # taken from later panels by symmetry
+    # several panels, the last one ragged at N = 200 and 257: the diagonal
+    # and subdiagonal blocks are stored, and the superdiagonal blocks, which
+    # are their mirrors, are the dense Gram's bit for bit; the right-hand
+    # halves of the row sums are taken from later panels by symmetry
     b = _BAND
     for N in (200, 257, 1024):
         nb = -(-N // b)
@@ -1112,7 +1194,9 @@ def test_band_blocks_match_the_dense_gram():
             padded = np.eye(nb * b, dtype=G.dtype)
             padded[:N, :N] = G
             padded[np.abs(padded) < TINY] = 0.0
-            want = np.zeros_like(S)
+            assert S.shape == (2, nb, b, b)
+            full = _full_stack(S)
+            want = np.zeros_like(full)
             for j in range(nb):
                 block = slice(j * b, (j + 1) * b)
                 want[1, j] = padded[block, block]
@@ -1121,7 +1205,11 @@ def test_band_blocks_match_the_dense_gram():
                 if j:
                     want[0, j] = padded[(j - 1) * b : j * b, block]
             for k in range(3):
-                assert S[k].tobytes() == want[k].tobytes(), (label, k)
+                # equal, not the same bytes: a mirrored zero's imaginary
+                # part is -0.0
+                assert np.array_equal(full[k], want[k]), (label, k)
+            for k in range(1, 3):
+                assert full[k].tobytes() == want[k].tobytes(), (label, k)
             itt = np.linalg.norm(np.eye(N) - G, axis=1)
             assert np.max(np.abs(tails - itt)) <= 1e-15, label
             diag = G.diagonal().real
@@ -1228,10 +1316,11 @@ def test_band_split_allocates_less_than_the_dense_gram():
     assert peak < 8 * N * N
 
 
-def test_band_split_peaks_within_six_stacks_of_its_band():
-    # the Baseline at order 2048: one block-tridiagonal stack of G_b is
-    # 3 * 32 * 64 * 64 * 8 bytes, 3.1 MB; the products read the stacks in
-    # place, and the Hermitian ones form half of their blocks
+def test_band_split_peaks_within_four_point_four_stacks_of_its_band():
+    # the Baseline at order 2048: one block-tridiagonal stack of G_b, in
+    # the three-offset unit, is 3 * 32 * 64 * 64 * 8 bytes, 3.1 MB; every
+    # Hermitian stack keeps its lower half, the products read the stacks in
+    # place and G_b Z keeps only the offsets that Z (G_b Z) reads
     N = 2048
     seq = make_pair("sqrt(n+1)", "0.5", N + BAND_PAD)
     stack = 3 * (N // _BAND) * _BAND * _BAND * 8
@@ -1242,7 +1331,7 @@ def test_band_split_peaks_within_six_stacks_of_its_band():
     finally:
         tracemalloc.stop()
     assert deco.route == "band"
-    assert peak <= 6 * stack, peak / stack
+    assert peak <= 4.4 * stack, peak / stack
 
 
 def test_band_route_is_bitwise_invariant_under_exact_rescaling():
