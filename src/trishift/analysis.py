@@ -82,8 +82,9 @@ ROUTE_SVD = "svd"
 # entries below this magnitude have subnormal squares: products of two of
 # them underflow, which costs x86 hardware tens of cycles each
 _TINY = 2.0**-511
-# _flush_tiny works on this many entries at a time (512 KB of float64)
-_FLUSH_CHUNK = 1 << 16
+# _flush_tiny works on this many entries at a time (128 KB of float64, four
+# blocks of order 64), and so does _band_column_norms
+_FLUSH_CHUNK = 1 << 14
 
 # the Gram route refines V by one Newton–Schulz step above this defect
 _REFINE_DEFECT = 1e-13
@@ -98,10 +99,12 @@ _BAND_STEPS = 10
 _BAND_POLISH = 1e-8
 _BAND_SETTLED = 1e-12
 _BAND_TOL = 1e-13
-# edge brackets: Ritz block size, inverse-iteration cap, seed of the start
+# band products and G_b X: block columns per batched matmul, so that their
+# scratch holds a few blocks, not a block diagonal
+_BAND_CHUNK = 4
+# edge brackets: Ritz block size, inverse-iteration cap
 _RITZ_VECTORS = 8
 _RITZ_STEPS = 24
-_RITZ_SEED = 0
 # Neumann curve: Lanczos step cap, after which an order takes the dense
 # norm, and the error bound, relative to the Ritz value, that settles one
 _KRYLOV_STEPS = 32
@@ -566,15 +569,20 @@ def _band_split(
     matrix keeps only its lower half (:func:`_band_product`): ``G_b``,
     ``Y``, ``Z`` and ``M`` two of the three diagonals, 2/3 of a stack
     each.  Every product reads its blocks straight from its factors'
-    stacks, through one buffer of block diagonals for a block above a
-    Hermitian diagonal and one for its partial sums.  The iteration holds
-    ``G_b``, ``Y``, ``Z``, ``M`` and one product, 4 stacks with the two
-    buffers; ``Z (G_b Z)`` holds ``Z``, the offsets -1..2 of ``G_b Z``, the
-    only ones its lower half reads, its own four and the buffers, 4 stacks
-    too.  The split peaks at about 4.1 stacks on the Baseline at ``N =
-    2048``, and 4.3 (12.9 MB traced) in a fresh process, where the edge
-    brackets' first call imports ``numpy.random``; it peaked at 5.7 when
-    every stack kept all three diagonals.
+    stacks, ``_BAND_CHUNK`` block columns at a time, through scratch of
+    that many blocks for a block above a Hermitian diagonal and for its
+    partial sums; the flush (:func:`_flush_tiny`) and the column norms
+    work on a few blocks at a time too.  The iteration holds ``G_b``,
+    ``Y``, ``Z``, ``M`` and one product, 3.33 stacks; the edge brackets
+    hold ``G_b``, ``Y``, ``Z`` and two block Cholesky factors, 2/3 of a
+    stack each, 3.33 too; ``Z (G_b Z)`` holds ``Z``, the offsets -1..2 of
+    ``G_b Z``, the only ones its lower half reads, and its own four, 3.33
+    again.  The split peaks at about 3.47 stacks (10.9 MB traced) on the
+    Baseline at ``N = 2048``, in a fresh process as in a warm one: the
+    edge brackets' start block (:func:`_start_block`) needs no
+    ``numpy.random``.  It peaked at 4.1 when each product's scratch held
+    whole block diagonals, 4.3 in a fresh process that imported
+    ``numpy.random``, and 5.7 when every stack kept all three diagonals.
 
     Certificates, each a fallback to the dense route when it fails; they
     are computed from full products, so they cover whatever the truncated
@@ -737,10 +745,15 @@ def _band_product(
     otherwise ``Y`` is a general stack whose ``Y[k]`` holds offset ``y_low
     + k``.  Block ``(j + d, j)`` of ``X Y`` is the sum over ``e`` of
     ``X``'s block ``(j + d, j + e)`` times ``Y``'s block ``(j + e, j)``:
-    one batched ``matmul`` over ``j`` per pair ``(d, e)``, read straight
-    from the two stacks, or, for a block above a Hermitian diagonal, from
-    its mirror conjugate-transposed into a ``(nb, b, b)`` buffer, the same
-    bits that a stored upper half would hold.
+    for each chunk of ``_BAND_CHUNK`` block columns ``j``, one batched
+    ``matmul`` over the chunk per pair ``(d, e)``, read straight from the
+    two stacks, or, for a block above a Hermitian diagonal, from its mirror
+    conjugate-transposed into a buffer of the chunk's blocks, the same bits
+    that a stored upper half would hold.  A batched ``matmul`` multiplies
+    each block on its own, so the chunks give the bits of one call over
+    all ``nb`` blocks, and the sum over ``e`` runs in the same order; the
+    scratch is a chunk of partial sums and at most two of mirrors, however
+    large ``nb`` is.
 
     Without ``hermitian`` the result is a general stack from offset
     ``low``.  With it the caller states that ``X Y`` is Hermitian (``X``
@@ -759,26 +772,28 @@ def _band_product(
         out = np.zeros((r - first + 1, nb, b, b), np.result_type(X, Y))
     else:
         out.fill(0.0)
-    buffer = np.empty((nb, b, b), out.dtype)
+    chunk = min(_BAND_CHUNK, nb)
+    buffer = np.empty((chunk, b, b), out.dtype)
     # at most one factor is read through its mirror, except below offset -1
     # of a general product of two Hermitian factors
-    mirrors = np.empty((2 if first < -1 and y_low == 0 else 1, nb, b, b), out.dtype)
+    mirrors = np.empty((2 if first < -1 and y_low == 0 else 1, chunk, b, b), out.dtype)
     y_first = -q if y_low == 0 else y_low  # Y's lowest offset
-    for d in range(first, r + 1):
-        for e in range(max(y_first, d - p), min(q, d + p) + 1):
-            j0, j1 = max(0, -d, -e), min(nb, nb - d, nb - e)
-            if j0 >= j1:
-                continue
-            part = buffer[: j1 - j0]
-            x = _offset_blocks(X, 0, d - e, j0 + e, j1 + e, mirrors[0])
-            y = _offset_blocks(Y, y_low, e, j0, j1, mirrors[-1])
-            np.matmul(x, y, out=part)
-            out[d - first, j0:j1] += part
-    if hermitian:
-        diagonal = out[0]
-        np.conjugate(diagonal.swapaxes(-1, -2), out=buffer)
-        diagonal += buffer
-        diagonal /= 2.0
+    for c0 in range(0, nb, chunk):
+        c1 = min(nb, c0 + chunk)
+        for d in range(first, r + 1):
+            for e in range(max(y_first, d - p), min(q, d + p) + 1):
+                j0, j1 = max(c0, -d, -e), min(c1, nb - d, nb - e)
+                if j0 >= j1:
+                    continue
+                part = buffer[: j1 - j0]
+                x = _offset_blocks(X, 0, d - e, j0 + e, j1 + e, mirrors[0])
+                y = _offset_blocks(Y, y_low, e, j0, j1, mirrors[-1])
+                np.matmul(x, y, out=part)
+                out[d - first, j0:j1] += part
+        if hermitian:
+            diagonal = out[0, c0:c1]
+            diagonal += _adjoint_blocks(diagonal, buffer[: c1 - c0])
+            diagonal /= 2.0
     return out
 
 
@@ -791,9 +806,18 @@ def _offset_blocks(
     written into ``mirror``."""
     if d >= low:
         return S[d - low, j0:j1]
-    blocks = mirror[: j1 - j0]
-    np.conjugate(S[-d, j0 + d : j1 + d].swapaxes(-1, -2), out=blocks)
-    return blocks
+    return _adjoint_blocks(S[-d, j0 + d : j1 + d], mirror[: j1 - j0])
+
+
+def _adjoint_blocks(blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, set to the conjugate transpose of each block of ``blocks``:
+    copied through the transpose, then conjugated in place, so that no
+    ufunc buffer (``np.getbufsize()`` entries) is allocated for a strided
+    operand."""
+    np.copyto(out, blocks.swapaxes(-1, -2))
+    if out.dtype.kind == "c":
+        np.conjugate(out, out=out)
+    return out
 
 
 def _band_column_norms(S: np.ndarray) -> np.ndarray:
@@ -805,7 +829,8 @@ def _band_column_norms(S: np.ndarray) -> np.ndarray:
     the upper half mirrored from ``S``, and summed over offsets and rows:
     each column adds the same squares in the same order as it would over
     the full stack, so the norms are those bits, and no temporary larger
-    than ``_FLUSH_CHUNK`` entries is formed."""
+    than ``_FLUSH_CHUNK`` entries, or one block column's ``2p + 1`` blocks,
+    is formed."""
     p, nb, b = S.shape[0] - 1, S.shape[1], S.shape[2]
     norms = np.empty((nb, b))
     step = max(1, _FLUSH_CHUNK // ((2 * p + 1) * b * b))
@@ -939,13 +964,17 @@ def _band_apply(S: np.ndarray, N: int, X: np.ndarray) -> np.ndarray:
     """``G_b X`` for the leading ``N`` rows and columns of the Hermitian
     block-tridiagonal ``G_b`` whose lower half is the stack ``S`` and an
     ``N``-row block ``X``; the blocks above the diagonal are the
-    subdiagonal ones conjugate-transposed into one buffer."""
+    subdiagonal ones conjugate-transposed, ``_BAND_CHUNK`` at a time, into
+    one buffer of that many blocks (see :func:`_band_product`)."""
     nb, b = S.shape[1], S.shape[2]
     Xb = np.zeros((nb, b, X.shape[1]), np.result_type(S, X))
     Xb.reshape(nb * b, -1)[:N] = X
     out = S[0] @ Xb
     out[1:] += S[1, :-1] @ Xb[:-1]
-    out[:-1] += _offset_blocks(S, 0, -1, 1, nb, np.empty(S.shape[1:], S.dtype)) @ Xb[1:]
+    mirror = np.empty((min(_BAND_CHUNK, nb),) + S.shape[2:], S.dtype)
+    for j0 in range(1, nb, mirror.shape[0]):
+        j1 = min(nb, j0 + mirror.shape[0])
+        out[j0 - 1 : j1 - 1] += _offset_blocks(S, 0, -1, j0, j1, mirror) @ Xb[j0:j1]
     return out.reshape(nb * b, -1)[:N]
 
 
@@ -966,7 +995,12 @@ def _edge_bracket(
     block size ``R``.  When an iteration moves ``θ`` by less than a quarter
     of its distance to the shift, the shift is moved up to below ``θ`` by
     twice the error that the last two moves predict, if the factorization
-    there exists; a closer shift speeds up the iteration."""
+    there exists; a closer shift speeds up the iteration.  The start block
+    is the fixed :func:`_start_block`: the iteration needs only some weight
+    on the edge's eigenvectors, which a fixed pseudo-random block has
+    (Parlett, *The Symmetric Eigenvalue Problem*, 1998, ch. 14), and the
+    same block on every run keeps the bracket, and the report, the same
+    bits.  At most two factors are held at a time."""
     width = _BAND_TOL / 2.0
     scale = max(abs(bound), 1.0)
     shift, factor = bound, None
@@ -977,7 +1011,7 @@ def _edge_bracket(
             break
     if factor is None:
         return None
-    X = np.random.default_rng(_RITZ_SEED).standard_normal((N, _RITZ_VECTORS))
+    X = _start_block(N, _RITZ_VECTORS)
     theta = move = math.inf
     for _ in range(_RITZ_STEPS):
         X, _ = np.linalg.qr(_block_solve(factor, X))
@@ -996,10 +1030,35 @@ def _edge_bracket(
             break
     else:
         return None
+    factor = moved = None  # freed before the upper side is factorized
     high = shift + width
     if _block_cholesky(S, N, sign, high) is not None:
         return None
     return shift, high
+
+
+def _start_block(rows: int, cols: int) -> np.ndarray:
+    """A fixed ``rows x cols`` block of standard normal entries: the
+    SplitMix64 outputs of seed 0 (Steele, Lea and Flood, "Fast splittable
+    pseudorandom number generators", 2014), their top 53 bits taken as
+    uniform in ``[0, 1)``, the first half as the radii and the second as
+    the angles of the Box–Muller transform.  A normal block's weight on
+    each eigenvector has the same distribution whatever the eigenvectors
+    are, as the block that ``numpy.random`` drew had.  The integer hash
+    runs in numpy's ``uint64`` arithmetic, which wraps, so no command
+    imports ``numpy.random``."""
+    z = np.arange(1, 2 * rows * cols + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    radius, angle = z.reshape(2, -1) * 2.0**-53
+    radius += 2.0**-53  # in (0, 1]
+    radius = np.sqrt(-2.0 * np.log(radius))
+    return (radius * np.cos(2.0 * np.pi * angle)).reshape(rows, cols)
 
 
 def _flush_tiny(x: np.ndarray) -> int:

@@ -776,6 +776,37 @@ def test_module_invocation_runs_the_cli(tmp_path):
         assert (out / "check_report.json").exists()
 
 
+def test_band_route_profile_imports_no_numpy_random(tmp_path):
+    # a fresh process: neither the import nor `profile` on the Baseline at
+    # order 1024, whose split takes the band route and brackets both edges
+    # of the spectrum, loads numpy.random and the libraries behind it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    spec = write_spec(tmp_path, "base.json", {"label": "baseline", "a": "sqrt(n+1)", "b": "0.5"})
+    out = tmp_path / "out"
+    script = "\n".join([
+        "import json, sys",
+        "import trishift",
+        "imported = 'numpy.random' in sys.modules",
+        "from trishift import analysis, cli",
+        "signs, bracket = [], analysis._edge_bracket",
+        "def counting(S, N, sign, bound):",
+        "    signs.append(sign)",
+        "    return bracket(S, N, sign, bound)",
+        "analysis._edge_bracket = counting",
+        f"code = cli.main(['profile', '--spec', {str(spec)!r}, '--order', '1024', "
+        f"'--out', {str(out)!r}])",
+        "print(json.dumps([imported, code, 'numpy.random' in sys.modules, signs]))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    imported, code, after, signs = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0 and signs == [1.0, -1.0]
+    assert json.loads((out / "profile_report.json").read_text())["decomposition"]["route"] == "band"
+    assert not imported and not after
+
+
 def test_batch_validation(tmp_path, capsys):
     bad = tmp_path / "batch.json"
     bad.write_text(json.dumps({"spec": "x"}), encoding="utf-8")
