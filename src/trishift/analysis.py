@@ -971,9 +971,10 @@ def _band_apply(S: np.ndarray, N: int, X: np.ndarray) -> np.ndarray:
     Xb.reshape(nb * b, -1)[:N] = X
     out = S[0] @ Xb
     out[1:] += S[1, :-1] @ Xb[:-1]
-    mirror = np.empty((min(_BAND_CHUNK, nb),) + S.shape[2:], S.dtype)
-    for j0 in range(1, nb, mirror.shape[0]):
-        j1 = min(nb, j0 + mirror.shape[0])
+    chunk = min(_BAND_CHUNK, nb)
+    mirror = np.empty((chunk, b, b), S.dtype)
+    for j0 in range(1, nb, chunk):
+        j1 = min(nb, j0 + chunk)
         out[j0 - 1 : j1 - 1] += _offset_blocks(S, 0, -1, j0, j1, mirror) @ Xb[j0:j1]
     return out.reshape(nb * b, -1)[:N]
 
